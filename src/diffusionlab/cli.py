@@ -97,24 +97,19 @@ def cmd_evolve(args, out: Path) -> int:
 
 def cmd_fit(args, out: Path) -> int:
     path = Path(args.series)
-    times, values = [], []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        rec = json.loads(line)
-        if "t" not in rec:
-            continue
-        times.append(rec["t"])
-        values.append(rec["linf"] if args.norm == "linf" else rec["lq"][args.norm[1:]])
-    fit = rates.fit_decay(times, values, (args.window[0], args.window[1]), norm_id=args.norm)
+    norm = pde.canonical_norm(args.norm)
+    times, values = pde.read_jsonl_series(path, norm)
+    fit = rates.fit_decay(times, values, (args.window[0], args.window[1]), norm_id=norm)
     print(f"slope {fit.slope:.6f} +- {fit.stderr:.2g} over t in [{args.window[0]:g}, {args.window[1]:g}]")
     with path.open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"fits": {args.norm: {"slope": fit.slope, "stderr": fit.stderr,
-                                                  "window": list(fit.window)}}}) + "\n")
+        fh.write(json.dumps({"fits": {norm: {"slope": fit.slope, "stderr": fit.stderr,
+                                             "window": list(fit.window)}}}) + "\n")
     return 0
 
 
-def cmd_run(args, out: Path, tol_scale: float) -> int:
+def cmd_run(args, out: Path) -> int:
     manifest = experiments.ExperimentManifest.load(args.manifest)
-    record = experiments.run_manifest(manifest, tol_scale)
+    record = experiments.run_manifest(manifest, args.tol_scale)
     for a in record.assertions:
         print(f"[{'PASS' if a.passed else 'FAIL'}] {a.name}: measured {a.measured:.6g} "
               f"vs {a.theory:.6g} (tol {a.tolerance:.3g})")
@@ -124,10 +119,10 @@ def cmd_run(args, out: Path, tol_scale: float) -> int:
     return 0 if record.passed else 1
 
 
-def cmd_sweep(args, out: Path, tol_scale: float, workers: int) -> int:
+def cmd_sweep(args, out: Path) -> int:
     paths = sorted(Path(args.directory).glob("*.json"))
     manifests = [experiments.ExperimentManifest.load(p) for p in paths]
-    records = experiments.sweep(manifests, parallelism=workers, tol_scale=tol_scale)
+    records = experiments.sweep(manifests, parallelism=args.workers, tol_scale=args.tol_scale)
     ok = True
     for rec in records:
         status = "PASS" if rec.passed else "FAIL"
@@ -155,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("profile", help="integrate a self-similar profile")
+    p.set_defaults(func=cmd_profile)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, default=None,
@@ -165,11 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
 
     s = sub.add_parser("steady", help="steady Dirichlet profile on a ball")
+    s.set_defaults(func=cmd_steady)
     s.add_argument("--p", type=float, required=True)
     s.add_argument("--n", type=int, default=1)
     s.add_argument("--R", type=float, default=1.0)
 
     e = sub.add_parser("evolve", help="evolve the regularized ball problem")
+    e.set_defaults(func=cmd_evolve)
     e.add_argument("--p", type=float, required=True)
     e.add_argument("--n", type=int, default=1)
     e.add_argument("--R", type=float, default=100.0)
@@ -186,17 +184,21 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--snapshots", action="store_true")
 
     f = sub.add_parser("fit", help="fit a decay slope from a run's JSON-lines")
+    f.set_defaults(func=cmd_fit)
     f.add_argument("--series", required=True)
     f.add_argument("--norm", default="linf")
     f.add_argument("--window", type=float, nargs=2, required=True)
 
     r = sub.add_parser("run", help="run one experiment manifest")
+    r.set_defaults(func=cmd_run)
     r.add_argument("manifest")
 
     w = sub.add_parser("sweep", help="run every manifest in a directory")
+    w.set_defaults(func=cmd_sweep)
     w.add_argument("directory")
 
     rep = sub.add_parser("report", help="summarize records under a directory")
+    rep.set_defaults(func=cmd_report)
     rep.add_argument("directory")
     return ap
 
@@ -206,24 +208,10 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        if args.verb == "profile":
-            return cmd_profile(args, out)
-        if args.verb == "steady":
-            return cmd_steady(args, out)
-        if args.verb == "evolve":
-            return cmd_evolve(args, out)
-        if args.verb == "fit":
-            return cmd_fit(args, out)
-        if args.verb == "run":
-            return cmd_run(args, out, args.tol_scale)
-        if args.verb == "sweep":
-            return cmd_sweep(args, out, args.tol_scale, args.workers)
-        if args.verb == "report":
-            return cmd_report(args, out)
+        return args.func(args, out)
     except DiffusionLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

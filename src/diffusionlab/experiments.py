@@ -5,11 +5,14 @@ A manifest is a JSON document
     {"schema": 1, "name": ..., "scenario": ..., "parameters": {...},
      "output_dir": ...}
 
-naming one of the registered scenarios.  Each scenario composes the solver
-modules, writes its artifacts (JSON-lines norm series, CSV profiles and
-snapshots), and returns a list of assertions; every assertion carries a
-self-describing claim string (the formula or property being checked), the
-measured and theoretical values, and the tolerance that was applied.
+naming one of the registered scenarios.  Each scenario is registered with a
+table of its parameters and their defaults, against which the manifest's
+parameters are checked before it runs.  It composes the solver modules,
+writes its artifacts (JSON-lines norm series, CSV profiles and snapshots),
+and returns its assertions, produced files and plot specifications; every
+assertion carries a self-describing claim string (the formula or property
+being checked), the measured and theoretical values, and the tolerance that
+was applied.
 Tolerances live in the manifest (scaled globally by --tol-scale): the
 underlying statements are asymptotic with non-constructive constants, so
 pass bands at desk scale are experiment policy, not truth.
@@ -32,19 +35,53 @@ from pathlib import Path
 import numpy as np
 
 from . import pde, profiles, rates, steady
-from .errors import DiffusionLabError, DomainError
+from .errors import DomainError
 
 SCHEMA_VERSION = 1
 
 SCENARIOS = {}
+DEFAULTS = {}
 
 
-def scenario(name):
+def scenario(name, defaults):
+    """Register a scenario with its parameter table: every key a manifest may
+    set, with its default value; the default's type is the key's type."""
+
     def deco(fn):
         SCENARIOS[name] = fn
+        DEFAULTS[name] = defaults
         return fn
 
     return deco
+
+
+def _check_value(key, value, default):
+    """DomainError unless value is finite and has the type of default, element
+    by element for lists; an int passes for a float and a number for None."""
+    if isinstance(default, list) and isinstance(value, list):
+        for v in value:
+            _check_value(key, v, default[0])
+        return
+    numeric = isinstance(default, (float, type(None)))
+    allowed = (int, float, type(default)) if numeric else type(default)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        want = "a number or null" if default is None else type(default).__name__
+        raise DomainError(f"parameter '{key}' must be {want}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"parameter '{key}' must be finite, got {value!r}")
+
+
+def _resolve_parameters(name: str, parameters) -> dict:
+    """The scenario's defaults updated by the manifest parameters; DomainError
+    names the first unknown, ill-typed or non-finite parameter."""
+    if not isinstance(parameters, dict):
+        raise DomainError(f"parameters must be an object, got {parameters!r}")
+    defaults = DEFAULTS[name]
+    for key, value in parameters.items():
+        if key not in defaults:
+            raise DomainError(f"unknown parameter '{key}' for {name}; known: {sorted(defaults)}")
+        _check_value(key, value, defaults[key])
+    return dict(defaults, **parameters)
 
 
 @dataclass(frozen=True)
@@ -107,9 +144,7 @@ class ResultRecord:
     plots: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["assertions"] = [asdict(a) if isinstance(a, Assertion) else a for a in self.assertions]
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _check(name, claim, measured, theory, tolerance) -> Assertion:
@@ -139,24 +174,22 @@ def _check_le(name, claim, measured, bound, slack=0.0) -> Assertion:
 # ---------------------------------------------------------------------------
 
 
-@scenario("profile_atlas")
+@scenario("profile_atlas", defaults={
+    "ps": [1.5, 2.0, 3.0], "alpha_rels": [0.5, 0.25],  # alpha = rel / p
+    "A_list": [0.5, 1.0, 2.0], "n_list": [1, 3], "xi_max": 50.0, "tol": 1e-10,
+    "identity_tol": 1e-6,
+})
 def run_profile_atlas(params: dict, out_dir: Path, tol_scale: float):
-    ps = params.get("ps", [1.5, 2.0, 3.0])
-    alpha_rels = params.get("alpha_rels", [0.5, 0.25])  # alpha = rel / p
-    A_list = params.get("A_list", [0.5, 1.0, 2.0])
-    n_list = params.get("n_list", [1, 3])
-    xi_max = params.get("xi_max", 50.0)
-    tol = params.get("tol", 1e-10)
-    identity_tol = params.get("identity_tol", 1e-6) * tol_scale
+    identity_tol = params["identity_tol"] * tol_scale
 
     assertions, files = [], []
-    for p in ps:
-        for rel in alpha_rels:
+    for p in params["ps"]:
+        for rel in params["alpha_rels"]:
             alpha = rel / p
-            for A in A_list:
-                for n in n_list:
+            for A in params["A_list"]:
+                for n in params["n_list"]:
                     pp = profiles.ProfileParams.self_similar(p, alpha, A)
-                    prof = profiles.integrate_profile(pp, xi_max, tol=tol, n=n)
+                    prof = profiles.integrate_profile(pp, params["xi_max"], tol=params["tol"], n=n)
                     res = profiles.check_integral_identity(prof)
                     tag = f"p={p:g}_a={alpha:.4g}_A={A:g}_n={n}"
                     csv = out_dir / f"profile_{tag}.csv"
@@ -171,25 +204,25 @@ def run_profile_atlas(params: dict, out_dir: Path, tol_scale: float):
                             identity_tol,
                         )
                     )
-    return assertions, files
+    return assertions, files, []
 
 
-@scenario("steady_scaling")
+@scenario("steady_scaling", defaults={
+    "p_list": [1.0, 2.0], "n_list": [1, 2, 3], "R_list": [0.5, 2.0, 10.0],
+    "tol": 1e-5, "closed_form_tol": 1e-8,
+})
 def run_steady_scaling(params: dict, out_dir: Path, tol_scale: float):
-    p_list = params.get("p_list", [1.0, 2.0])
-    n_list = params.get("n_list", [1, 2, 3])
-    R_list = params.get("R_list", [0.5, 2.0, 10.0])
-    tol = params.get("tol", 1e-5) * tol_scale
-    closed_tol = params.get("closed_form_tol", 1e-8) * tol_scale
+    tol = params["tol"] * tol_scale
+    closed_tol = params["closed_form_tol"] * tol_scale
 
     assertions, files = [], []
-    for p in p_list:
-        for n in n_list:
+    for p in params["p_list"]:
+        for n in params["n_list"]:
             unit = steady.shoot_unit_profile(p, n)
             csv = out_dir / f"steady_unit_p={p:g}_n={n}.csv"
             steady.save_steady(unit, csv)
             files += [csv.name, csv.with_suffix(".json").name]
-            dev = steady.verify_scaling_law(p, n, R_list)
+            dev = steady.verify_scaling_law(p, n, params["R_list"])
             assertions.append(
                 _check_le(
                     f"scaling[p={p:g},n={n}]",
@@ -209,61 +242,66 @@ def run_steady_scaling(params: dict, out_dir: Path, tol_scale: float):
                         closed_tol,
                     )
                 )
-    return assertions, files
+    return assertions, files, []
 
 
-def _evolve_from_params(params: dict, defaults: dict):
-    merged = dict(defaults, **params)
-    kind = merged.get("datum", "algebraic")
-    if kind == "algebraic":
-        datum = pde.InitialDatum.algebraic(merged["gamma"], merged.get("C0", 1.0))
-    elif kind == "gaussian":
-        datum = pde.InitialDatum.gaussian(merged["sigma"])
-    else:
-        raise DomainError(f"unknown datum kind '{kind}'")
+# Solver settings every evolve scenario accepts besides p, n, R, eps, t_end
+# and n_nodes; inner_radius None means R/4.
+_SOLVER = {"stretch": 1.0, "dt_rel_max": 0.02, "inner_radius": None}
+
+
+def _evolve_from_params(params: dict, datum: pde.InitialDatum, norm_qs, out_dir: Path):
+    """Evolve the datum as the scenario's parameters say and write run.jsonl;
+    returns (run, path)."""
     cfg = pde.SolverConfig(
-        n_nodes=merged.get("n_nodes", 800),
-        stretch=merged.get("stretch", 1.0),
-        dt_rel_max=merged.get("dt_rel_max", 0.02),
-        inner_radius=merged.get("inner_radius"),
+        n_nodes=params["n_nodes"],
+        stretch=params["stretch"],
+        dt_rel_max=params["dt_rel_max"],
+        inner_radius=params["inner_radius"],
     )
     run = pde.evolve(
         datum,
-        p=merged["p"],
-        n=merged["n"],
-        R=merged.get("R", 100.0),
-        eps=merged.get("eps", 1e-6),
-        t_end=merged.get("t_end", 1e4),
-        norm_qs=tuple(merged.get("norm_qs", (1.0, 2.0))),
+        p=params["p"],
+        n=params["n"],
+        R=params["R"],
+        eps=params["eps"],
+        t_end=params["t_end"],
+        norm_qs=tuple(norm_qs),
         config=cfg,
     )
-    return run, merged
+    jsonl = out_dir / "run.jsonl"
+    pde.run_to_jsonl(run, jsonl)
+    return run, jsonl
 
 
-@scenario("theorem200")
+def _fit(run: pde.EvolutionRun, params: dict, norm_id: str) -> rates.DecayFit:
+    return rates.fit_decay(*run.norm_series(norm_id), tuple(params["window"]), norm_id=norm_id)
+
+
+_NEAR_CRITICAL = dict(
+    _SOLVER, p=2.0, n=1, q0=1.0, q=2.0, gamma_factor=1.05, C0=1.0, R=200.0, eps=1e-7,
+    t_end=1e4, window=[1e2, 1e4], delta=0.05, n_nodes=1000,
+)
+
+
+def _near_critical_run(params: dict, out_dir: Path):
+    """Data at the sharp edge gamma = gamma_factor n/q0 of L^q0, evolved with
+    only the L^q norm recorded; returns (run, path, fitted L^q slope)."""
+    gamma = params["gamma_factor"] * params["n"] / params["q0"]
+    datum = pde.InitialDatum.algebraic(gamma, params["C0"])
+    run, jsonl = _evolve_from_params(params, datum, (params["q"],), out_dir)
+    return run, jsonl, _fit(run, params, f"l{params['q']:g}")
+
+
+@scenario("theorem200", defaults=_NEAR_CRITICAL)
 def run_theorem200(params: dict, out_dir: Path, tol_scale: float):
     """Upper decay bounds for data in L^q0: fitted slopes must not fall short
     of the closed-form rates by more than delta (data chosen at the sharp
     edge gamma slightly above n/q0)."""
-    defaults = {
-        "p": 2.0, "n": 1, "q0": 1.0, "q": 2.0, "gamma_factor": 1.05,
-        "R": 200.0, "eps": 1e-7, "t_end": 1e4, "window": [1e2, 1e4],
-        "delta": 0.05, "n_nodes": 1000,
-    }
-    merged = dict(defaults, **params)
-    p, n, q0, q = merged["p"], merged["n"], merged["q0"], merged["q"]
-    merged["gamma"] = merged["gamma_factor"] * n / q0
-    merged["norm_qs"] = (q,)
-    run, merged = _evolve_from_params(merged, {})
-    jsonl = out_dir / "run.jsonl"
-    pde.run_to_jsonl(run, jsonl)
-
-    window = tuple(merged["window"])
-    delta = merged["delta"] * tol_scale
-    t, vq = run.norm_series(f"l{q:g}")
-    fit_q = rates.fit_decay(t, vq, window, norm_id=f"l{q:g}")
-    _, vinf = run.norm_series("linf")
-    fit_inf = rates.fit_decay(t, vinf, window, norm_id="linf")
+    p, n, q0, q = params["p"], params["n"], params["q0"], params["q"]
+    run, jsonl, fit_q = _near_critical_run(params, out_dir)
+    fit_inf = _fit(run, params, "linf")
+    delta = params["delta"] * tol_scale
     rl = rates.rate_lq(p, n, q0, q)
     nu = rates.rate_nu(p, n, q0)
     assertions = [
@@ -289,72 +327,55 @@ def run_theorem200(params: dict, out_dir: Path, tol_scale: float):
     return assertions, [jsonl.name], plots
 
 
-@scenario("theorem100")
+@scenario("theorem100", defaults=_NEAR_CRITICAL)
 def run_theorem100(params: dict, out_dir: Path, tol_scale: float):
     """Sharpness: for the same near-critical data the fitted L^q slope cannot
     beat the optimal rate by more than delta."""
-    defaults = {
-        "p": 2.0, "n": 1, "q0": 1.0, "q": 2.0, "gamma_factor": 1.05,
-        "R": 200.0, "eps": 1e-7, "t_end": 1e4, "window": [1e2, 1e4],
-        "delta": 0.05, "n_nodes": 1000,
-    }
-    merged = dict(defaults, **params)
-    p, n, q0, q = merged["p"], merged["n"], merged["q0"], merged["q"]
-    merged["gamma"] = merged["gamma_factor"] * n / q0
-    merged["norm_qs"] = (q,)
-    run, merged = _evolve_from_params(merged, {})
-    jsonl = out_dir / "run.jsonl"
-    pde.run_to_jsonl(run, jsonl)
-
-    window = tuple(merged["window"])
-    delta = merged["delta"] * tol_scale
-    t, vq = run.norm_series(f"l{q:g}")
-    fit_q = rates.fit_decay(t, vq, window, norm_id=f"l{q:g}")
-    rl = rates.rate_lq(p, n, q0, q)
+    q = params["q"]
+    _, jsonl, fit_q = _near_critical_run(params, out_dir)
+    rl = rates.rate_lq(params["p"], params["n"], params["q0"], q)
     assertions = [
         _check_le(
             "lq_lower",
             f"||u(t)||_q >= c t^(-rate-d) for near-critical data (rate {rl:g})",
             -fit_q.slope,  # decay magnitude must not exceed rate + delta
             rl,
-            delta,
+            params["delta"] * tol_scale,
         )
     ]
     plots = [{"series": jsonl.name, "norm": f"l{q:g}", "rate": rl, "label": "lq_lower"}]
     return assertions, [jsonl.name], plots
 
 
-def _theorem2000_run(params: dict):
-    defaults = {
-        "p": 2.0, "n": 1, "gamma": 2.0, "C0": 1.0, "R": 100.0, "eps": 1e-5,
-        "t_end": 1e4, "window": [1e2, 1e4], "delta": 0.05, "n_nodes": 800,
-        "norm_qs": (1.0,),
-    }
-    return _evolve_from_params(params, defaults)
+_ALGEBRAIC = dict(
+    _SOLVER, p=2.0, n=1, gamma=2.0, C0=1.0, R=100.0, eps=1e-5, t_end=1e4,
+    window=[1e2, 1e4], delta=0.05, n_nodes=800, norm_qs=[1.0],
+)
 
 
-@scenario("theorem2000_upper")
+def _algebraic_run(params: dict, out_dir: Path):
+    """C0 (1+r)^-gamma data evolved; returns (run, path, sup-norm decay rate,
+    fitted sup-norm slope)."""
+    p, n, gamma = params["p"], params["n"], params["gamma"]
+    datum = pde.InitialDatum.algebraic(gamma, params["C0"])
+    run, jsonl = _evolve_from_params(params, datum, params["norm_qs"], out_dir)
+    return run, jsonl, rates.rate_gamma(p, n, gamma, rates.INF), _fit(run, params, "linf")
+
+
+@scenario("theorem2000_upper", defaults=dict(_ALGEBRAIC, C1=None))  # C1 None: C1 = C0
 def run_theorem2000_upper(params: dict, out_dir: Path, tol_scale: float):
     """Algebraically decaying data: sup-norm decay at the exact closed-form
     rate, certified from above by an amplitude-matched self-similar solution."""
-    run, merged = _theorem2000_run(params)
-    p, n, gamma = merged["p"], merged["n"], merged["gamma"]
-    jsonl = out_dir / "run.jsonl"
-    pde.run_to_jsonl(run, jsonl)
-
-    rate = rates.rate_gamma(p, n, gamma, rates.INF)
-    window = tuple(merged["window"])
-    delta = merged["delta"] * tol_scale
-    t, vinf = run.norm_series("linf")
-    fit = rates.fit_decay(t, vinf, window, norm_id="linf")
+    p, n, gamma, R = params["p"], params["n"], params["gamma"], params["R"]
+    run, jsonl, rate, fit = _algebraic_run(params, out_dir)
 
     alpha = gamma / (p * gamma + 2.0)
     pp1 = profiles.ProfileParams.self_similar(p, alpha, 1.0)
-    prof1 = profiles.integrate_profile(pp1, merged["R"] * 1.1, tol=1e-10, n=n)
-    lhat = profiles.certify_tail_bounds(prof1, (0.0, merged["R"])).lower_const
-    A = 1.05 * merged.get("C1", merged["C0"]) / lhat
-    ppA = profiles.ProfileParams.self_similar(p, alpha, A)
-    profA = profiles.integrate_profile(ppA, merged["R"] * 1.1, tol=1e-10, n=n)
+    prof1 = profiles.integrate_profile(pp1, R * 1.1, tol=1e-10, n=n)
+    lhat = profiles.certify_tail_bounds(prof1, (0.0, R)).lower_const
+    C1 = params["C0"] if params["C1"] is None else params["C1"]
+    ppA = profiles.ProfileParams.self_similar(p, alpha, 1.05 * C1 / lhat)
+    profA = profiles.integrate_profile(ppA, R * 1.1, tol=1e-10, n=n)
     sup_margin = pde.supersolution_margin(run, ppA, profA, shift=1.0)
 
     assertions = [
@@ -363,7 +384,7 @@ def run_theorem2000_upper(params: dict, out_dir: Path, tol_scale: float):
             f"||u(t)||_inf ~ t^-(gamma/(p gamma + 2)) = t^-{rate:g}",
             fit.slope,
             -rate,
-            delta,
+            params["delta"] * tol_scale,
         ),
         _check_le(
             "supersolution",
@@ -377,20 +398,12 @@ def run_theorem2000_upper(params: dict, out_dir: Path, tol_scale: float):
     return assertions, [jsonl.name], plots
 
 
-@scenario("theorem2000_lower")
+@scenario("theorem2000_lower", defaults=_ALGEBRAIC)
 def run_theorem2000_lower(params: dict, out_dir: Path, tol_scale: float):
     """Algebraic lower bounds: the run dominates the separated subsolution
     y(tau) w_R(tau) on the growing balls, and decays no faster than the rate."""
-    run, merged = _theorem2000_run(params)
-    p, n, gamma, C0 = merged["p"], merged["n"], merged["gamma"], merged["C0"]
-    jsonl = out_dir / "run.jsonl"
-    pde.run_to_jsonl(run, jsonl)
-
-    rate = rates.rate_gamma(p, n, gamma, rates.INF)
-    window = tuple(merged["window"])
-    delta = merged["delta"] * tol_scale
-    t, vinf = run.norm_series("linf")
-    fit = rates.fit_decay(t, vinf, window, norm_id="linf")
+    p, n, gamma, C0 = params["p"], params["n"], params["gamma"], params["C0"]
+    run, jsonl, rate, fit = _algebraic_run(params, out_dir)
 
     unit = steady.shoot_unit_profile(p, n)
     vrun = pde.rescale_to_v(run)
@@ -406,7 +419,7 @@ def run_theorem2000_lower(params: dict, out_dir: Path, tol_scale: float):
             f"||u(t)||_inf >= c t^-{rate:g} (decay magnitude bounded by rate + delta)",
             -fit.slope,
             rate,
-            delta,
+            params["delta"] * tol_scale,
         ),
         _check_le(
             "subsolution",
@@ -420,23 +433,20 @@ def run_theorem2000_lower(params: dict, out_dir: Path, tol_scale: float):
     return assertions, [jsonl.name], plots
 
 
-@scenario("prop103")
+@scenario("prop103", defaults=dict(
+    _SOLVER, p=2.0, n=1, sigma=2.0, R=40.0, eps=1e-9, t_end=1e3,
+    t_checks=[10.0, 100.0, 1000.0], inner_radius=2.0, n_nodes=512, norm_qs=[1.0],
+))
 def run_prop103(params: dict, out_dir: Path, tol_scale: float):
     """Fast-decaying data: the rescaled inner-ball minimum (t+1)^(1/p) u grows
     without bound; checked as strict increase across sampled decades."""
-    defaults = {
-        "p": 2.0, "n": 1, "sigma": 2.0, "R": 40.0, "eps": 1e-9, "t_end": 1e3,
-        "t_checks": [10.0, 100.0, 1000.0], "inner_radius": 2.0, "n_nodes": 512,
-        "datum": "gaussian", "norm_qs": (1.0,),
-    }
-    run, merged = _evolve_from_params(params, defaults)
-    jsonl = out_dir / "run.jsonl"
-    pde.run_to_jsonl(run, jsonl)
+    datum = pde.InitialDatum.gaussian(params["sigma"])
+    run, jsonl = _evolve_from_params(params, datum, params["norm_qs"], out_dir)
 
     vrun = pde.rescale_to_v(run)
     ts = np.array([s["t"] for s in vrun.samples])
     mins = np.array([s["min_inner"] for s in vrun.samples])
-    checks = merged["t_checks"]
+    checks = params["t_checks"]
     picked = [float(mins[int(np.argmin(np.abs(ts - tv)))]) for tv in checks]
     assertions = []
     for (t_lo, v_lo), (t_hi, v_hi) in zip(zip(checks, picked), zip(checks[1:], picked[1:])):
@@ -449,20 +459,18 @@ def run_prop103(params: dict, out_dir: Path, tol_scale: float):
                 -1e-12,  # strict increase
             )
         )
-    return assertions, [jsonl.name]
+    return assertions, [jsonl.name], []
 
 
-@scenario("remark_heat")
+@scenario("remark_heat", defaults={"k": 4, "n_random": 100, "seed": 0})
 def run_remark_heat(params: dict, out_dir: Path, tol_scale: float):
     """Linear-diffusion contrast: polynomial data x^k grow like t^(k/2), with
     exact integer infimum coefficients k!/(k/2)!."""
-    k = params.get("k", 4)
-    count = params.get("n_random", 100)
-    seed = params.get("seed", 0)
+    k = params["k"]
     inf_coeff = rates.heat_poly_inf(k, 1)
     expected = math.factorial(k) // math.factorial(k // 2)
     residual_bad = 0
-    for x, t in rates.heat_random_rationals(k, count=count, seed=seed):
+    for x, t in rates.heat_random_rationals(k, count=params["n_random"], seed=params["seed"]):
         if rates.heat_poly_residual(k, x, t) != 0:
             residual_bad += 1
     table = {
@@ -488,17 +496,19 @@ def run_remark_heat(params: dict, out_dir: Path, tol_scale: float):
             0.0,
         ),
     ]
-    return assertions, [out.name]
+    return assertions, [out.name], []
 
 
-@scenario("vartheta_table")
+@scenario("vartheta_table", defaults={
+    "n_theta": 20, "n_m": 20, "theta_min": 0.1, "theta_max": 10.0, "m_min": -40.0,
+    "m_max": -0.05,
+})
 def run_vartheta_table(params: dict, out_dir: Path, tol_scale: float):
     """Growth-exponent table: bounds, monotonicity, and the exact roundtrip
     against the decay-rate formula."""
-    n_theta = params.get("n_theta", 20)
-    n_m = params.get("n_m", 20)
-    thetas = np.linspace(params.get("theta_min", 0.1), params.get("theta_max", 10.0), n_theta)
-    ms = np.linspace(params.get("m_min", -40.0), params.get("m_max", -0.05), n_m)
+    n_theta, n_m = params["n_theta"], params["n_m"]
+    thetas = np.linspace(params["theta_min"], params["theta_max"], n_theta)
+    ms = np.linspace(params["m_min"], params["m_max"], n_m)
     grid = [[rates.vartheta(th, m) for th in thetas] for m in ms]
 
     in_bounds = all(
@@ -537,7 +547,7 @@ def run_vartheta_table(params: dict, out_dir: Path, tol_scale: float):
         ),
         _check_le("limit_m", "exponent -> 0 as m -> -inf", limit_val, 1e-10),
     ]
-    return assertions, [out.name]
+    return assertions, [out.name], []
 
 
 # ---------------------------------------------------------------------------
@@ -547,38 +557,31 @@ def run_vartheta_table(params: dict, out_dir: Path, tol_scale: float):
 
 def run_manifest(manifest: ExperimentManifest, tol_scale: float = 1.0) -> ResultRecord:
     """Execute one scenario; artifacts and the record land in output_dir.
-    Failures keep partial outputs next to a `failed` marker."""
+    Any failure, a rejected parameter included, gives an error record and
+    keeps partial outputs next to a `failed` marker holding the traceback."""
     out_dir = Path(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
+    error = None
     try:
-        result = SCENARIOS[manifest.scenario](manifest.parameters, out_dir, tol_scale)
-        assertions, files = result[0], result[1]
-        plots = result[2] if len(result) > 2 else []
-        record = ResultRecord(
-            name=manifest.name,
-            scenario=manifest.scenario,
-            manifest_hash=manifest.digest(),
-            started=started,
-            finished=datetime.now(timezone.utc).isoformat(),
-            produced_files=sorted(files),
-            assertions=assertions,
-            passed=all(a.passed for a in assertions),
-            plots=plots,
-        )
-    except (DiffusionLabError, ValueError, KeyError) as exc:
+        params = _resolve_parameters(manifest.scenario, manifest.parameters)
+        assertions, files, plots = SCENARIOS[manifest.scenario](params, out_dir, tol_scale)
+    except Exception as exc:  # one bad manifest must not abort a sweep
         (out_dir / "failed").write_text(traceback.format_exc(), encoding="utf-8")
-        record = ResultRecord(
-            name=manifest.name,
-            scenario=manifest.scenario,
-            manifest_hash=manifest.digest(),
-            started=started,
-            finished=datetime.now(timezone.utc).isoformat(),
-            produced_files=[],
-            assertions=[],
-            passed=False,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        assertions, files, plots = [], [], []
+        error = f"{type(exc).__name__}: {exc}"
+    record = ResultRecord(
+        name=manifest.name,
+        scenario=manifest.scenario,
+        manifest_hash=manifest.digest(),
+        started=started,
+        finished=datetime.now(timezone.utc).isoformat(),
+        produced_files=sorted(files),
+        assertions=assertions,
+        passed=error is None and all(a.passed for a in assertions),
+        error=error,
+        plots=plots,
+    )
     (out_dir / "record.json").write_text(record.to_json() + "\n", encoding="utf-8")
     return record
 
@@ -589,8 +592,12 @@ def _run_manifest_worker(args):
 
 
 def sweep(manifests, parallelism: int = 1, tol_scale: float = 1.0) -> list:
-    """Run manifests concurrently; per-manifest results are deterministic and
-    independent of scheduling, and individual failures do not abort the rest."""
+    """Run manifests `parallelism` at a time; records come back in input order.
+
+    Each record is deterministic and independent of scheduling.  A manifest
+    that fails, by a rejected parameter or any exception in its scenario,
+    still gets its record.json (as an error record) and a `failed` marker;
+    the rest of the sweep runs on."""
     manifests = list(manifests)
     if not manifests:
         raise DomainError("sweep needs at least one manifest")
@@ -641,16 +648,7 @@ def report(records_with_dirs, out_dir) -> tuple[str, list]:
             series = rec_dir / plot["series"]
             if not series.exists():
                 continue
-            ts, vs = [], []
-            for line in series.read_text(encoding="utf-8").splitlines():
-                rec_j = json.loads(line)
-                if "t" not in rec_j:
-                    continue
-                ts.append(rec_j["t"])
-                v = rec_j["linf"] if plot["norm"] == "linf" else rec_j["lq"][plot["norm"][1:]]
-                vs.append(v)
-            ts = np.array(ts)
-            vs = np.array(vs)
+            ts, vs = pde.read_jsonl_series(series, plot["norm"])
             pos = ts > 0.0
             anchor_i = int(np.argmax(pos))
             overlay = np.full_like(vs, np.nan)

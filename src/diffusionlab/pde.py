@@ -148,6 +148,24 @@ class RadialField:
         )
 
 
+def canonical_norm(norm_id: str) -> str:
+    """'linf' or 'l<q:g>', so that 'l2.0' and 'l2' name the same norm."""
+    try:
+        if norm_id.startswith("l"):
+            return f"l{float(norm_id[1:]):g}"
+    except ValueError:
+        pass
+    raise DomainError(f"norm id must be 'linf' or 'l<q>', got '{norm_id}'")
+
+
+def _pick_norm(norm: str, linf: float, lq: dict, source) -> float:
+    """One sample's value of a canonical norm id; lq is keyed by q."""
+    values = {"linf": linf, **{f"l{q}": v for q, v in lq.items()}}
+    if norm not in values:
+        raise DomainError(f"no norm '{norm}' in {source}; present: {', '.join(values)}")
+    return values[norm]
+
+
 @dataclass
 class SampleRecord:
     t: float
@@ -181,12 +199,8 @@ class EvolutionRun:
 
     def norm_series(self, norm_id: str) -> tuple[np.ndarray, np.ndarray]:
         """(times, values) for 'linf' or 'l<q>' (e.g. 'l1', 'l2')."""
-        t = self.times
-        if norm_id == "linf":
-            return t, np.array([s.linf for s in self.samples])
-        q = float(norm_id[1:])
-        key = f"{q:g}"
-        return t, np.array([s.lq[key] for s in self.samples])
+        norm = canonical_norm(norm_id)
+        return self.times, np.array([_pick_norm(norm, s.linf, s.lq, "run") for s in self.samples])
 
     def snapshot_at(self, t: float):
         """(t_actual, u) of the stored snapshot closest to t."""
@@ -371,6 +385,7 @@ def evolve(
 
     def record(t, u_full, semiconv, dt_step):
         lq = {f"{q:g}": lq_norm(r, u_full, q, n) for q in norm_qs}
+        state = RadialField(p=p, n=n, R=R, eps=eps, r=r, u=u_full, t=t)
         samples.append(
             SampleRecord(
                 t=t,
@@ -380,9 +395,7 @@ def evolve(
                 min_inner=float(np.min(u_full[inner_mask])),
                 semiconv_min=semiconv,
                 dt_step=dt_step,
-                max_principle_slack=float(
-                    max(eps - u_full.min(), u_full.max() - max(u0_sup, eps), 0.0)
-                ),
+                max_principle_slack=state.max_principle_slack(u0_sup),
             )
         )
         if cfg.store_snapshots:
@@ -529,8 +542,7 @@ def separated_subsolution(
 def subsolution_margin(vrun: RescaledRun, sub: SeparatedSubsolution, tau: float) -> float:
     """min over B_R(sub) of v(., tau) - y(tau) w_R; >= 0 when the run
     dominates the separated subsolution (relative to its sup)."""
-    taus = np.array([s["tau"] for s in vrun.samples])
-    i = int(np.argmin(np.abs(taus - tau)))
+    i = int(np.argmin(np.abs(vrun.taus - tau)))
     tau_actual, v = vrun.snapshots[i]
     mask = vrun.r <= sub.R
     wvals = sub.w(np.minimum(vrun.r[mask], sub.R))
@@ -571,6 +583,19 @@ def run_to_jsonl(run: EvolutionRun, path) -> None:
             if s.semiconv_min is not None:
                 rec["semiconv_min"] = s.semiconv_min
             fh.write(json.dumps(rec) + "\n")
+
+
+def read_jsonl_series(path, norm_id: str) -> tuple[np.ndarray, np.ndarray]:
+    """(times, values) of one norm from a run_to_jsonl file; lines without a
+    time, such as the fits that `difflab fit` appends, are skipped."""
+    norm = canonical_norm(norm_id)
+    times, values = [], []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        rec = json.loads(line)
+        if "t" in rec:
+            times.append(rec["t"])
+            values.append(_pick_norm(norm, rec["linf"], rec["lq"], path))
+    return np.array(times), np.array(values)
 
 
 def snapshots_to_csv(run: EvolutionRun, out_dir) -> list[Path]:

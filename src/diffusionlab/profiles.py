@@ -30,6 +30,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, RangeError, SingularityError, ToleranceError, WindowError
+from .rates import fit_decay
 from .rk import integrate_dp45
 
 F_FLOOR = 1e-300
@@ -330,34 +331,16 @@ def check_integral_identity(profile: Profile) -> float:
     return float(rel.max())
 
 
-def _ols_loglog(x: np.ndarray, y: np.ndarray):
-    """Least-squares slope of log y vs log x, with the slope's standard error."""
-    lx, ly = np.log(x), np.log(y)
-    mx, my = lx.mean(), ly.mean()
-    sxx = float(((lx - mx) ** 2).sum())
-    slope = float(((lx - mx) * (ly - my)).sum()) / sxx
-    intercept = my - slope * mx
-    resid = ly - (slope * lx + intercept)
-    dof = max(len(lx) - 2, 1)
-    stderr = math.sqrt(float((resid**2).sum()) / dof / sxx)
-    return slope, stderr
-
-
 def fit_tail_exponent(profile: Profile, window: tuple[float, float]):
     """Fitted log-log slope of f over the window (>= two decades wide).
 
     For p > 1 in self-similar mode the slope approximates -alpha/beta.
     Returns (slope, stderr); raises WindowError for bad windows.
     """
-    lo, hi = window
-    if lo <= 0.0 or hi / lo < 100.0:
-        raise WindowError("tail window must span at least two decades")
-    if hi > profile.xi_max * (1.0 + 1e-12):
-        raise WindowError(f"window [{lo}, {hi}] exceeds the grid (xi_max={profile.xi_max:g})")
-    mask = (profile.xi >= lo) & (profile.xi <= hi)
-    if mask.sum() < 10:
-        raise WindowError("fewer than 10 grid points inside the fit window")
-    return _ols_loglog(profile.xi[mask], profile.f[mask])
+    if window[1] > profile.xi_max * (1.0 + 1e-12):
+        raise WindowError(f"window {list(window)} exceeds the grid (xi_max={profile.xi_max:g})")
+    fit = fit_decay(profile.xi, profile.f, window)
+    return fit.slope, fit.stderr
 
 
 def certify_tail_bounds(profile: Profile, window: tuple[float, float]) -> TailBound:

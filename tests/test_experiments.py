@@ -1,6 +1,7 @@
 """Tests for manifests, scenarios, sweeps, reports, and the CLI."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from diffusionlab.cli import main as cli_main
 from diffusionlab.errors import DomainError
 from diffusionlab.experiments import (
+    DEFAULTS,
     SCENARIOS,
     ExperimentManifest,
     load_records,
@@ -104,6 +106,47 @@ class TestRun:
         assert all(a.claim for a in rec.assertions)
 
 
+class TestParameters:
+    @pytest.mark.parametrize(
+        "scenario,params,key",
+        [
+            ("remark_heat", {"tpyo_p": 3.0}, "tpyo_p"),
+            ("vartheta_table", {"n_theta": "x"}, "n_theta"),
+            ("remark_heat", {"k": 2.0}, "k"),
+            ("theorem200", {"p": math.nan}, "p"),
+            ("theorem200", {"gamma": 2.0}, "gamma"),  # derived from gamma_factor
+            ("theorem100", {"norm_qs": [1.0]}, "norm_qs"),  # the run records only q
+            ("profile_atlas", {"ps": [2.0, "x"]}, "ps"),
+            ("theorem2000_lower", {"inner_radius": math.inf}, "inner_radius"),
+        ],
+    )
+    def test_rejected_parameter_gives_error_record(self, tmp_path, scenario, params, key):
+        rec = run_manifest(manifest(tmp_path, "bad", scenario, params))
+        assert not rec.passed and rec.assertions == []
+        assert rec.error.startswith("DomainError") and f"'{key}'" in rec.error
+        assert (tmp_path / "bad" / "failed").exists()
+        assert json.loads((tmp_path / "bad" / "record.json").read_text())["error"] == rec.error
+
+    @pytest.mark.parametrize("scenario", ["remark_heat", "vartheta_table"])
+    def test_full_declared_table_matches_empty(self, tmp_path, scenario):
+        full = run_manifest(manifest(tmp_path, "full", scenario, dict(DEFAULTS[scenario])))
+        empty = run_manifest(manifest(tmp_path, "empty", scenario, {}))
+        assert full.passed and full.assertions == empty.assertions
+        assert full.produced_files == empty.produced_files
+        for name in full.produced_files:
+            assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "empty" / name).read_bytes()
+
+    def test_any_exception_gives_error_record(self, tmp_path, monkeypatch):
+        def boom(params, out_dir, tol_scale):
+            raise RuntimeError("scenario blew up")
+
+        monkeypatch.setitem(SCENARIOS, "remark_heat", boom)
+        recs = sweep([manifest(tmp_path, "boom", "remark_heat", {})], parallelism=1)
+        assert recs[0].error == "RuntimeError: scenario blew up" and not recs[0].passed
+        assert "Traceback" in (tmp_path / "boom" / "failed").read_text()
+        assert (tmp_path / "boom" / "record.json").exists()
+
+
 class TestSweep:
     def test_single_manifest_matches_run(self, tmp_path):
         m = manifest(tmp_path, "one", "remark_heat", {"k": 4})
@@ -147,6 +190,20 @@ class TestSweep:
         ]
         recs = sweep(ms, parallelism=1)
         assert [r.passed for r in recs] == [True, False]
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_bad_parameters_do_not_abort(self, tmp_path, parallelism):
+        ms = [
+            manifest(tmp_path, "typed", "vartheta_table", {"n_theta": "x"}),
+            manifest(tmp_path, "ok", "remark_heat", {"k": 4}),
+            manifest(tmp_path, "intk", "remark_heat", {"k": 2.0}),
+            manifest(tmp_path, "nan", "remark_heat", {"seed": math.nan}),
+        ]
+        recs = sweep(ms, parallelism=parallelism)
+        assert [r.name for r in recs] == ["typed", "ok", "intk", "nan"]
+        assert [r.passed for r in recs] == [False, True, False, False]
+        for m in ms:
+            assert (Path(m.output_dir) / "record.json").exists()
 
 
 class TestReport:
@@ -207,6 +264,28 @@ class TestCli:
         assert "slope" in capsys.readouterr().out
         last = series.read_text().splitlines()[-1]
         assert "fits" in json.loads(last)
+
+    def test_fit_norm_ids(self, tmp_path, capsys):
+        rc = cli_main(
+            ["--out", str(tmp_path), "evolve", "--p", "2", "--n", "1", "--R", "20",
+             "--eps", "1e-4", "--t-end", "200", "--datum", "algebraic:gamma=2",
+             "--n-nodes", "64"]
+        )
+        assert rc == 0
+        series = tmp_path / "run.jsonl"
+        fits = []
+        for norm in ("l2", "l2.0"):
+            capsys.readouterr()
+            rc = cli_main(["fit", "--series", str(series), "--norm", norm, "--window", "1", "200"])
+            assert rc == 0
+            fits.append((capsys.readouterr().out, series.read_text().splitlines()[-1]))
+        assert fits[0] == fits[1]
+        assert "l2" in json.loads(fits[0][1])["fits"]
+        # a norm the run did not record is a user error, not a traceback
+        rc = cli_main(["fit", "--series", str(series), "--norm", "l3", "--window", "1", "200"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'l3'" in err and "present: linf, l1, l2" in err
 
     def test_run_sweep_report_roundtrip(self, tmp_path, capsys):
         man_dir = tmp_path / "manifests"

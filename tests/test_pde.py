@@ -15,6 +15,7 @@ from diffusionlab.pde import (
     build_grid,
     evolve,
     lq_norm,
+    read_jsonl_series,
     rescale_to_v,
     run_to_jsonl,
     separated_subsolution,
@@ -283,6 +284,16 @@ def test_jsonl_and_csv_outputs(tmp_path, short_run):
     rec = json.loads(lines[0])
     assert set(rec) >= {"t", "tau", "linf", "lq", "min_inner"}
     assert "1" in rec["lq"] and "2" in rec["lq"]
+
+    for norm in ("linf", "l0.5", "l2.0"):
+        t, v = read_jsonl_series(out, norm)
+        t_run, v_run = short_run.norm_series(norm)
+        assert np.array_equal(t, t_run) and np.array_equal(v, v_run)
+    for source in (lambda norm: read_jsonl_series(out, norm), short_run.norm_series):
+        with pytest.raises(DomainError, match="present: linf, l0.5, l1, l2"):
+            source("l3")
+        with pytest.raises(DomainError):
+            source("max")
 
     files = snapshots_to_csv(short_run, tmp_path / "snaps")
     assert len(files) == len(short_run.snapshots)
