@@ -17,21 +17,26 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, pde, profiles, rates, steady
-from .errors import DiffusionLabError
+from .errors import DiffusionLabError, DomainError
 
 
 def _parse_datum(spec: str) -> pde.InitialDatum:
     """'algebraic:gamma=2,C0=1' | 'gaussian:sigma=2' | 'table:<csv>'."""
     kind, _, rest = spec.partition(":")
     kv = {}
-    if kind != "table" and rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            kv[key.strip()] = float(val)
-    if kind == "algebraic":
-        return pde.InitialDatum.algebraic(kv["gamma"], kv.get("C0", 1.0))
-    if kind == "gaussian":
-        return pde.InitialDatum.gaussian(kv["sigma"], kv.get("amplitude", 1.0))
+    try:
+        if kind != "table" and rest:
+            for item in rest.split(","):
+                key, _, val = item.partition("=")
+                kv[key.strip()] = float(val)
+        if kind == "algebraic":
+            return pde.InitialDatum.algebraic(kv["gamma"], kv.get("C0", 1.0))
+        if kind == "gaussian":
+            return pde.InitialDatum.gaussian(kv["sigma"], kv.get("amplitude", 1.0))
+    except KeyError as exc:
+        raise DomainError(f"datum spec '{spec}' lacks {exc.args[0]}=<number>") from None
+    except ValueError as exc:
+        raise DomainError(f"datum spec '{spec}': {exc}") from None
     if kind == "table":
         data = np.loadtxt(rest, delimiter=",", skiprows=1)
         return pde.InitialDatum.table(data[:, 0], data[:, 1], description=rest)
@@ -120,8 +125,13 @@ def cmd_run(args, out: Path) -> int:
 
 
 def cmd_sweep(args, out: Path) -> int:
-    paths = sorted(Path(args.directory).glob("*.json"))
-    manifests = [experiments.ExperimentManifest.load(p) for p in paths]
+    manifests, unreadable = [], 0
+    for path in sorted(Path(args.directory).glob("*.json")):
+        try:
+            manifests.append(experiments.ExperimentManifest.load(path))
+        except DomainError as exc:  # reported, the rest still run; load names the file
+            print(f"error: {exc}", file=sys.stderr)
+            unreadable += 1
     records = experiments.sweep(manifests, parallelism=args.workers, tol_scale=args.tol_scale)
     ok = True
     for rec in records:
@@ -129,7 +139,7 @@ def cmd_sweep(args, out: Path) -> int:
         ok &= rec.passed
         print(f"[{status}] {rec.name} ({rec.scenario}): "
               f"{sum(a.passed for a in rec.assertions)}/{len(rec.assertions)} assertions")
-    return 0 if ok else 1
+    return 2 if unreadable else 0 if ok else 1
 
 
 def cmd_report(args, out: Path) -> int:

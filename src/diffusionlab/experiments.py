@@ -94,6 +94,8 @@ class ExperimentManifest:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentManifest":
+        if not isinstance(payload, dict):
+            raise DomainError(f"manifest must be a JSON object, got {type(payload).__name__}")
         if payload.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise DomainError(f"unsupported manifest schema {payload.get('schema')}")
         missing = {"name", "scenario", "output_dir"} - set(payload)
@@ -113,7 +115,11 @@ class ExperimentManifest:
 
     @classmethod
     def load(cls, path) -> "ExperimentManifest":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a manifest file; DomainError names the file on any defect."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except (json.JSONDecodeError, DomainError) as exc:
+            raise DomainError(f"{path}: {exc}") from None
 
     def digest(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode("utf-8")
@@ -558,9 +564,11 @@ def run_vartheta_table(params: dict, out_dir: Path, tol_scale: float):
 def run_manifest(manifest: ExperimentManifest, tol_scale: float = 1.0) -> ResultRecord:
     """Execute one scenario; artifacts and the record land in output_dir.
     Any failure, a rejected parameter included, gives an error record and
-    keeps partial outputs next to a `failed` marker holding the traceback."""
+    keeps partial outputs next to a `failed` marker holding the traceback;
+    a marker left by an earlier run is removed first."""
     out_dir = Path(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "failed").unlink(missing_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     error = None
     try:

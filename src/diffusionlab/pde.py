@@ -38,6 +38,17 @@ from scipy.special import gamma as gamma_fn
 from .errors import DomainError, NewtonDivergence, StepTooSmall
 from .steady import SteadyProfile, scale_profile, shoot_unit_profile
 
+# Step-size ramp after an easy step (at most 5 Newton iterations).
+DT_GROWTH = 1.4
+# Newton stops once the max-norm residual is below NEWTON_TOL * max(u, eps),
+# and gives up (the caller halves dt) after MAX_NEWTON iterations.
+NEWTON_TOL = 1e-12
+MAX_NEWTON = 30
+# Norms and snapshots are recorded at this many log-spaced times per decade.
+SAMPLES_PER_DECADE = 20
+# A smooth cutoff at radius R starts at TAPER_START * R.
+TAPER_START = 0.8
+
 
 def sphere_area(n: int) -> float:
     """Surface area of the unit sphere in R^n: n pi^(n/2) / Gamma(n/2 + 1)."""
@@ -102,11 +113,11 @@ class InitialDatum:
         interp = PchipInterpolator(r, values, extrapolate=False)
         return cls(kind="table", description=description, fn=lambda x: interp(x), params={})
 
-    def tapered(self, R: float, start: float = 0.8) -> "InitialDatum":
-        """Multiply by a smooth cutoff that is 1 on [0, start*R] and reaches 0
+    def tapered(self, R: float) -> "InitialDatum":
+        """Multiply by a smooth cutoff that is 1 on [0, TAPER_START*R] and reaches 0
         at r = R; cutoffs at different R are pointwise ordered (larger R,
         larger datum), which the approximation ladder relies on."""
-        base = self.fn
+        base, start = self.fn, TAPER_START
 
         def fn(r):
             s = np.clip((np.asarray(r, dtype=float) / R - start) / (1.0 - start), 0.0, 1.0)
@@ -202,27 +213,14 @@ class EvolutionRun:
         norm = canonical_norm(norm_id)
         return self.times, np.array([_pick_norm(norm, s.linf, s.lq, "run") for s in self.samples])
 
-    def snapshot_at(self, t: float):
-        """(t_actual, u) of the stored snapshot closest to t."""
-        times = self.times
-        i = int(np.argmin(np.abs(times - t)))
-        return self.snapshots[i]
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     n_nodes: int = 512
     stretch: float = 1.0
-    dt_init: float | None = None  # default: 1e-7 * time span
     dt_rel_max: float = 0.05  # dt <= this * max(t, t_floor)
-    dt_growth: float = 1.4
-    newton_tol: float = 1e-12
-    max_newton: int = 30
-    samples_per_decade: int = 20
-    first_sample: float | None = None  # default: 1e-3 * t_end for runs from 0
     inner_radius: float | None = None  # default: R/4
     datum_mode: str = "max"  # "max": u0 v eps; "add": u0 + eps (ladder runs)
-    store_snapshots: bool = True
 
 
 def _laplacian_coeffs(r: np.ndarray, n: int):
@@ -249,13 +247,9 @@ def _laplacian_coeffs(r: np.ndarray, n: int):
 class _Stepper:
     """Backward-Euler stepper bound to one grid; reused across steps."""
 
-    def __init__(self, r: np.ndarray, n: int, p: float, eps: float,
-                 newton_tol: float = 1e-12, max_newton: int = 30):
-        self.r = r
+    def __init__(self, r: np.ndarray, n: int, p: float, eps: float):
         self.p = p
         self.eps = eps
-        self.newton_tol = newton_tol
-        self.max_newton = max_newton
         self.a, self.b, self.c = _laplacian_coeffs(r, n)
         self.floor = 0.5 * eps if eps > 0.0 else 1e-300
 
@@ -275,11 +269,11 @@ class _Stepper:
         p = self.p
         u_old = u
         scale = max(float(np.max(u_old)), self.eps, 1e-30)
-        tol = self.newton_tol * scale
+        tol = NEWTON_TOL * scale
         x = u_old.copy()
         res = self.residual(x, u_old, dt)
         rnorm = float(np.max(np.abs(res)))
-        for it in range(self.max_newton):
+        for it in range(MAX_NEWTON):
             if rnorm < tol:
                 return x, it
             lu = self.lap(x)
@@ -309,16 +303,15 @@ class _Stepper:
             if not improved:
                 raise NewtonDivergence(f"no descent at iteration {it} (res={rnorm:.3g})")
         if rnorm < tol:
-            return x, self.max_newton
+            return x, MAX_NEWTON
         raise NewtonDivergence(f"Newton stalled at residual {rnorm:.3g} (tol {tol:.3g})")
 
 
-def step_implicit(field: RadialField, dt: float,
-                  newton_tol: float = 1e-12, max_newton: int = 30) -> RadialField:
+def step_implicit(field: RadialField, dt: float) -> RadialField:
     """Advance one backward-Euler step; returns a new immutable field."""
     if dt <= 0.0:
         raise DomainError("dt must be positive")
-    stepper = _Stepper(field.r, field.n, field.p, field.eps, newton_tol, max_newton)
+    stepper = _Stepper(field.r, field.n, field.p, field.eps)
     u_new, _ = stepper.step(field.u[:-1].copy(), dt)
     u_full = np.concatenate((u_new, [field.eps]))
     return RadialField(
@@ -335,11 +328,10 @@ def lq_norm(r: np.ndarray, u: np.ndarray, q: float, n: int) -> float:
     return float((sphere_area(n) * np.trapezoid(integrand, r)) ** (1.0 / q))
 
 
-def _sample_times(t_start: float, t_end: float, per_decade: int, first: float) -> list[float]:
-    lo = first if t_start <= 0.0 else t_start * 10.0 ** (1.0 / per_decade)
+def _sample_times(t_start: float, t_end: float) -> list[float]:
+    ratio = 10.0 ** (1.0 / SAMPLES_PER_DECADE)
+    t = 1e-3 * t_end if t_start <= 0.0 else t_start * ratio
     out = []
-    t = lo
-    ratio = 10.0 ** (1.0 / per_decade)
     while t < t_end * (1.0 - 1e-12):
         out.append(t)
         t *= ratio
@@ -365,9 +357,7 @@ def evolve(
     if eps < 0.0:
         raise DomainError("eps must be nonnegative")
     cfg = config or SolverConfig()
-    span = t_end - t_start
-    dt_init = cfg.dt_init if cfg.dt_init is not None else 1e-7 * span
-    first = cfg.first_sample if cfg.first_sample is not None else 1e-3 * t_end
+    dt_init = 1e-7 * (t_end - t_start)
     inner = cfg.inner_radius if cfg.inner_radius is not None else R / 4.0
 
     r = build_grid(R, cfg.n_nodes, cfg.stretch)
@@ -380,7 +370,7 @@ def evolve(
         raise DomainError("initial state must be positive off the boundary")
     u0_sup = float(np.max(u))
 
-    stepper = _Stepper(r, n, p, eps, cfg.newton_tol, cfg.max_newton)
+    stepper = _Stepper(r, n, p, eps)
     inner_mask = r <= inner
 
     def record(t, u_full, semiconv, dt_step):
@@ -398,14 +388,13 @@ def evolve(
                 max_principle_slack=state.max_principle_slack(u0_sup),
             )
         )
-        if cfg.store_snapshots:
-            snapshots.append((t, u_full.copy()))
+        snapshots.append((t, u_full.copy()))
 
     samples: list = []
     snapshots: list = []
     record(t_start, u, None, 0.0)
 
-    targets = _sample_times(t_start, t_end, cfg.samples_per_decade, first)
+    targets = _sample_times(t_start, t_end)
     t = t_start
     dt = dt_init
     t_floor = 100.0 * dt_init
@@ -426,7 +415,7 @@ def evolve(
             u_prev = u_int
             u_int = u_new
             if iters <= 5:
-                dt *= cfg.dt_growth
+                dt *= DT_GROWTH
         # landed on the sample time; semi-convexity from the landing step
         log_ratio = np.log(u_int / u_prev) / dt_used
         semiconv = float(np.min(log_ratio + 1.0 / (p * t)))
@@ -455,7 +444,6 @@ class RescaledRun:
     taus: np.ndarray
     samples: list  # dicts: tau, t, linf, lq, min_inner
     snapshots: list  # (tau, v-array)
-    transform: str
 
 
 def rescale_to_v(run: EvolutionRun) -> RescaledRun:
@@ -465,7 +453,7 @@ def rescale_to_v(run: EvolutionRun) -> RescaledRun:
     p = run.p
     samples = []
     snapshots = []
-    for s, (ts, u) in zip(run.samples, run.snapshots or [(s.t, None) for s in run.samples]):
+    for s, (_, u) in zip(run.samples, run.snapshots):
         amp = (s.t + 1.0) ** (1.0 / p)
         samples.append(
             {
@@ -476,13 +464,11 @@ def rescale_to_v(run: EvolutionRun) -> RescaledRun:
                 "min_inner": amp * s.min_inner,
             }
         )
-        if u is not None:
-            snapshots.append((s.tau, amp * u))
+        snapshots.append((s.tau, amp * u))
     return RescaledRun(
         p=p, n=run.n, R=run.R, r=run.r,
         taus=np.array([s["tau"] for s in samples]),
         samples=samples, snapshots=snapshots,
-        transform="v = (t+1)^(1/p) u, tau = ln(t+1)",
     )
 
 
@@ -590,8 +576,11 @@ def read_jsonl_series(path, norm_id: str) -> tuple[np.ndarray, np.ndarray]:
     time, such as the fits that `difflab fit` appends, are skipped."""
     norm = canonical_norm(norm_id)
     times, values = [], []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        rec = json.loads(line)
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"{path}:{lineno}: not JSON ({exc})") from None
         if "t" in rec:
             times.append(rec["t"])
             values.append(_pick_norm(norm, rec["linf"], rec["lq"], path))

@@ -33,7 +33,11 @@ from .errors import DomainError, RangeError, SingularityError, ToleranceError, W
 from .rates import fit_decay
 from .rk import integrate_dp45
 
-F_FLOOR = 1e-300
+# Positivity floor of the profile integration: below it f is treated as zero.
+F_FLOOR = 1e-250
+# Interpolation tolerance that sets the finite-difference step of
+# self_similar_residual.
+INTERP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,6 @@ def integrate_profile(
     tol: float = 1e-10,
     n: int = 1,
     max_step_factor: float = 1e-3,
-    f_floor: float = F_FLOOR,
 ) -> Profile:
     """Integrate the profile ODE from the series start out to xi_max.
 
@@ -144,7 +147,7 @@ def integrate_profile(
     an implicit trapezoid scheme in (ln xi, ln f) variables, where the
     solution is a near-affine slow manifold.
 
-    Raises SingularityError if f falls below f_floor before xi_max (parameter
+    Raises SingularityError if f falls below F_FLOOR before xi_max (parameter
     regime outside the positivity theory, or numerical failure) and
     ToleranceError if the step size underflows.
     """
@@ -160,7 +163,6 @@ def integrate_profile(
     xi0 = 1e-5 * s0
     f0, fp0 = taylor_start(params, xi0, n)
     nm1 = n - 1.0
-    floor = max(f_floor, 1e-250)
 
     def rhs(xi, f, fp):
         fc = f if f > 1e-30 else 1e-30  # keeps trial stages finite; rejection handles the rest
@@ -168,7 +170,7 @@ def integrate_profile(
         return fp, fpp
 
     def stop(xi, f, fp):
-        if f < floor:
+        if f < F_FLOOR:
             return True
         # Stability watch: leave the explicit phase once the damping rate
         # times the step cap reaches O(1).  Computed in logs to avoid overflow.
@@ -191,12 +193,12 @@ def integrate_profile(
         raise SingularityError(
             f"profile integration stalled for {params} (f approaching zero)"
         ) from None
-    if fs[-1] < floor:
+    if fs[-1] < F_FLOOR:
         raise SingularityError(f"profile hit the positivity floor at xi={xs[-1]:.6g}")
 
     if xs[-1] < xi_max:
         xs2, fs2, fps2 = _integrate_tail(
-            params, n, xs[-1], fs[-1], fps[-1], xi_max, ds=2.0 * max_step_factor, floor=floor
+            params, n, xs[-1], fs[-1], fps[-1], xi_max, ds=2.0 * max_step_factor
         )
         xs += xs2
         fs += fs2
@@ -220,7 +222,7 @@ def integrate_profile(
     return prof
 
 
-def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds, floor=F_FLOOR):
+def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds):
     """Implicit trapezoid continuation of the profile in log-log variables.
 
     With s = ln xi, F = ln f, G = dF/ds the ODE becomes
@@ -237,7 +239,7 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds, floor=F_FLOOR):
     F = math.log(f_sw)
     G = xi_sw * fp_sw / f_sw
     two_minus_n = 2.0 - n
-    log_floor = math.log(floor)
+    log_floor = math.log(F_FLOOR)
 
     def phi(s_, F_, G_):
         arg = 2.0 * s_ - p * F_
@@ -384,21 +386,16 @@ def eval_self_similar(params: ProfileParams, profile: Profile, x, t: float):
     return float(vals) if np.isscalar(x) or np.asarray(x).ndim == 0 else vals
 
 
-def self_similar_residual(
-    params: ProfileParams,
-    profile: Profile,
-    points,
-    interp_tol: float = 1e-6,
-) -> float:
+def self_similar_residual(params: ProfileParams, profile: Profile, points) -> float:
     """Max of |u_t - u^p Lap(u)| / |u_t| over sample points (r, t).
 
     Derivatives are taken with 4th-order centered stencils; the step is the
-    cube root of the interpolation tolerance, scaled per coordinate (the
-    second-derivative stencil amplifies interpolant noise by 1/h^2, so the
-    declared tolerance is deliberately conservative).  Sample points must sit
+    cube root of INTERP_TOL, scaled per coordinate (the second-derivative
+    stencil amplifies interpolant noise by 1/h^2, so the declared tolerance
+    is deliberately conservative).  Sample points must sit
     strictly inside the valid similarity range.
     """
-    h_rel = interp_tol ** (1.0 / 3.0)
+    h_rel = INTERP_TOL ** (1.0 / 3.0)
     spline = profile.interpolant()
 
     def u(r, t):
@@ -440,13 +437,13 @@ def self_similar_residual(
 # ---------------------------------------------------------------------------
 
 
-def save_profile(profile: Profile, csv_path, sidecar_path=None) -> None:
+def save_profile(profile: Profile, csv_path) -> None:
+    """CSV `xi,f,fp` at full double precision plus a JSON sidecar beside it."""
     csv_path = Path(csv_path)
     with csv_path.open("w", encoding="utf-8") as fh:
         fh.write("xi,f,fp\n")
         for xi, f, fp in zip(profile.xi, profile.f, profile.fp):
             fh.write(f"{xi:.17g},{f:.17g},{fp:.17g}\n")
-    sidecar = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(".json")
     payload = {
         "p": profile.params.p,
         "alpha": profile.params.alpha,
@@ -456,14 +453,13 @@ def save_profile(profile: Profile, csv_path, sidecar_path=None) -> None:
         "self_similar": profile.params.is_self_similar,
         "solver": profile.meta,
     }
-    sidecar.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    csv_path.with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def load_profile(csv_path, sidecar_path=None) -> Profile:
+def load_profile(csv_path) -> Profile:
     csv_path = Path(csv_path)
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    sidecar = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(".json")
-    payload = json.loads(sidecar.read_text(encoding="utf-8"))
+    payload = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
     params = ProfileParams(
         p=payload["p"], alpha=payload["alpha"], beta=payload["beta"], A=payload["A"]
     )

@@ -104,14 +104,15 @@ def vartheta(theta: float, m: float) -> float:
     return theta / ((1.0 - m) * theta + 2.0)
 
 
-def exponent_roundtrip(theta: float, m: float, n: int = 1) -> float:
+def exponent_roundtrip(theta: float, m: float) -> float:
     """Consistency residual |m|*vartheta(theta, m) - rate_gamma(p, n, |m| theta, inf)
-    with p = (m-1)/m; identically zero in exact arithmetic."""
+    with p = (m-1)/m; identically zero in exact arithmetic (the sup-norm rate
+    does not depend on the dimension n)."""
     if m >= 0.0:
         raise DomainError("roundtrip requires m < 0")
     p = (m - 1.0) / m
     gamma = -m * theta
-    return abs(abs(m) * vartheta(theta, m) - rate_gamma(p, n, gamma, INF))
+    return abs(abs(m) * vartheta(theta, m) - rate_gamma(p, 1, gamma, INF))
 
 
 # ---------------------------------------------------------------------------

@@ -44,18 +44,20 @@ def integrate_dp45(
     x0: float,
     y0: tuple[float, float],
     x_end: float,
+    *,
+    max_step: Callable[[float], float] | float,
+    first_step: float,
     rtol: float = 1e-10,
     atol: tuple[float, float] = (0.0, 0.0),
-    max_step: Callable[[float], float] | float | None = None,
-    first_step: float | None = None,
     stop: Callable[[float, float, float], bool] | None = None,
 ):
     """Integrate y' = rhs(x, y0, y1) from x0 to x_end.
 
     Returns (xs, y0s, y1s) as Python lists covering every accepted step,
-    starting with the initial point.  ``max_step`` may be a constant or a
-    callable of x; ``stop`` is checked after each accepted step and, when
-    it returns True, integration ends at that point (no error).
+    starting with the initial point.  ``max_step`` caps every step and may
+    be a constant or a callable of x; ``first_step`` is the first trial
+    step.  ``stop`` is checked after each accepted step and, when it
+    returns True, integration ends at that point (no error).
 
     Raises ToleranceError if the step size underflows.
     """
@@ -66,14 +68,9 @@ def integrate_dp45(
     fy, fz = rhs(x, y, z)
 
     def cap(xx: float) -> float:
-        if max_step is None:
-            return x_end - x0
-        if callable(max_step):
-            return max_step(xx)
-        return max_step
+        return max_step(xx) if callable(max_step) else max_step
 
-    h = first_step if first_step is not None else min(cap(x), (x_end - x0) * 1e-6)
-    h = min(h, cap(x), x_end - x)
+    h = first_step
 
     xs = [x]
     ys = [y]

@@ -41,6 +41,16 @@ W_SWITCH_FRACTION = 0.05
 # a log factor at p = 2), so the sliver's contribution is exact at leading
 # order and O(w_floor^(3-p) v w_floor^(2/p)) beyond.
 W_FLOOR_FRACTION = 1e-8
+# Shots: relative tolerance, center value of the unit shot (any value works),
+# outward step caps as fractions of the curvature length at the center (the
+# re-shoots only need their crossing), and the re-shoot's bisection width.
+SHOT_TOL = 1e-11
+UNIT_SHOT_B = 1.0
+UNIT_STEP_FACTOR = 2e-3
+RESHOOT_STEP_FACTOR = 5e-3
+BISECT_TOL = 1e-12
+# steady_residual checks the nodes with w >= INTERIOR_FRACTION * center.
+INTERIOR_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -67,7 +77,7 @@ class SteadyProfile:
         return self.interpolant()(r)
 
 
-def _shoot(p: float, n: int, b: float, tol: float, max_step_factor: float, r_guard: float):
+def _shoot(p: float, n: int, b: float, max_step_factor: float, r_guard: float):
     """Integrate outward from w(0) = b and locate the zero crossing.
 
     Returns (r_nodes, w_nodes, wp_nodes, R_crossing); raises NoCrossingError
@@ -94,8 +104,8 @@ def _shoot(p: float, n: int, b: float, tol: float, max_step_factor: float, r_gua
         r0,
         (w0, wp0),
         r_guard,
-        rtol=tol,
-        atol=(tol * b * 1e-3, 0.0),
+        rtol=SHOT_TOL,
+        atol=(SHOT_TOL * b * 1e-3, 0.0),
         max_step=max_step_factor * ell,
         first_step=r0,
         stop=stop,
@@ -118,7 +128,7 @@ def _shoot(p: float, n: int, b: float, tol: float, max_step_factor: float, r_gua
         0.0,
         (r1, wp1),
         w1 - w_floor,
-        rtol=tol,
+        rtol=SHOT_TOL,
         atol=(0.0, 0.0),
         max_step=(w1 - w_floor) / 50.0,
         first_step=(w1 - w_floor) * 1e-3,
@@ -140,22 +150,15 @@ def _shoot(p: float, n: int, b: float, tol: float, max_step_factor: float, r_gua
     )
 
 
-def shoot_unit_profile(
-    p: float,
-    n: int,
-    tol: float = 1e-11,
-    b: float = 1.0,
-    max_step_factor: float = 2e-3,
-    r_guard: float = 1e4,
-) -> SteadyProfile:
+def shoot_unit_profile(p: float, n: int, r_guard: float = 1e4) -> SteadyProfile:
     """Positive Dirichlet profile on the unit ball, via one shot + rescaling.
 
-    The shooting center value b is arbitrary (default 1): the exact scaling
+    The shooting center value UNIT_SHOT_B is arbitrary: the exact scaling
     w_R = R^(2/p) w_1(./R) maps any shot onto the unit ball.
     """
     if p < 1.0 or n < 1:
         raise DomainError("shoot_unit_profile requires p >= 1 and n >= 1")
-    r, w, wp, R = _shoot(p, n, b, tol, max_step_factor, r_guard)
+    r, w, wp, R = _shoot(p, n, UNIT_SHOT_B, UNIT_STEP_FACTOR, r_guard)
     scale = R ** (-2.0 / p)
     return SteadyProfile(
         p=p,
@@ -164,7 +167,8 @@ def shoot_unit_profile(
         r=r / R,
         w=w * scale,
         wp=wp * scale * R,
-        meta={"tol": tol, "max_step_factor": max_step_factor, "shot_b": b, "shot_R": R},
+        meta={"tol": SHOT_TOL, "max_step_factor": UNIT_STEP_FACTOR, "shot_b": UNIT_SHOT_B,
+              "shot_R": R},
     )
 
 
@@ -186,14 +190,7 @@ def scale_profile(unit: SteadyProfile, R: float) -> SteadyProfile:
     )
 
 
-def shoot_profile_for_radius(
-    p: float,
-    n: int,
-    R_target: float,
-    tol: float = 1e-11,
-    max_step_factor: float = 5e-3,
-    bisect_tol: float = 1e-12,
-) -> SteadyProfile:
+def shoot_profile_for_radius(p: float, n: int, R_target: float) -> SteadyProfile:
     """Independent construction on B_R: bisect the center value b until the
     zero crossing lands on R_target.  Deliberately avoids the scaling law
     (that is what it is used to verify)."""
@@ -202,7 +199,7 @@ def shoot_profile_for_radius(
     guard = 1e4 * max(1.0, R_target)
 
     def crossing(b):
-        return _shoot(p, n, b, tol, max_step_factor, guard)[3]
+        return _shoot(p, n, b, RESHOOT_STEP_FACTOR, guard)[3]
 
     b_lo = b_hi = 1.0
     while crossing(b_lo) > R_target:
@@ -219,27 +216,27 @@ def shoot_profile_for_radius(
             b_lo = b_mid
         else:
             b_hi = b_mid
-        if (b_hi - b_lo) < bisect_tol * b_hi:
+        if (b_hi - b_lo) < BISECT_TOL * b_hi:
             break
     b_star = 0.5 * (b_lo + b_hi)
-    r, w, wp, R = _shoot(p, n, b_star, tol, max_step_factor, guard)
+    r, w, wp, R = _shoot(p, n, b_star, RESHOOT_STEP_FACTOR, guard)
     return SteadyProfile(
         p=p, n=n, R=R, r=r, w=w, wp=wp,
-        meta={"tol": tol, "bisected_b": b_star, "target_R": R_target},
+        meta={"tol": SHOT_TOL, "bisected_b": b_star, "target_R": R_target},
     )
 
 
-def verify_scaling_law(p: float, n: int, R_list, tol: float = 1e-11) -> float:
+def verify_scaling_law(p: float, n: int, R_list) -> float:
     """Max relative sup-norm deviation between independent re-shoots on B_R
     and the rescaled unit profile, over the given radii."""
     if not R_list:
         raise DomainError("R_list must be nonempty")
-    unit = shoot_unit_profile(p, n, tol=tol)
+    unit = shoot_unit_profile(p, n)
     worst = 0.0
     for R in R_list:
         if R == 1.0:
             continue  # scale_profile is the identity there by construction
-        reshot = shoot_profile_for_radius(p, n, R, tol=tol)
+        reshot = shoot_profile_for_radius(p, n, R)
         scaled = scale_profile(unit, R)
         # compare on the re-shot grid, away from the last node (w = 0 exactly)
         rr = reshot.r[:-1]
@@ -249,18 +246,18 @@ def verify_scaling_law(p: float, n: int, R_list, tol: float = 1e-11) -> float:
     return worst
 
 
-def steady_residual(profile: SteadyProfile, interior_fraction: float = 0.01) -> float:
+def steady_residual(profile: SteadyProfile) -> float:
     """Residual of the integrated radial equation
 
         r^(n-1) w'(r) + (1/p) int_0^r s^(n-1) w^(1-p) ds = 0
 
     via cumulative Simpson with cubic-Hermite midpoint values, normalized by
-    the larger of the two terms; checked at nodes with w >= interior_fraction
+    the larger of the two terms; checked at nodes with w >= INTERIOR_FRACTION
     * center (the integrand is not integrable up to the boundary for p >= 2).
     """
     p, n = profile.p, profile.n
     r, w, wp = profile.r, profile.w, profile.wp
-    keep = w >= interior_fraction * profile.center_value
+    keep = w >= INTERIOR_FRACTION * profile.center_value
     last = int(np.max(np.nonzero(keep)))
     r, w, wp = r[: last + 1], w[: last + 1], wp[: last + 1]
 
@@ -281,13 +278,12 @@ def steady_residual(profile: SteadyProfile, interior_fraction: float = 0.01) -> 
     return float(np.max(np.abs(resid[mask]) / denom[mask]))
 
 
-def save_steady(profile: SteadyProfile, csv_path, sidecar_path=None) -> None:
+def save_steady(profile: SteadyProfile, csv_path) -> None:
     """CSV `r,w` at full double precision plus a JSON settings sidecar."""
     csv_path = Path(csv_path)
     with csv_path.open("w", encoding="utf-8") as fh:
         fh.write("r,w\n")
         for r, w in zip(profile.r, profile.w):
             fh.write(f"{r:.17g},{w:.17g}\n")
-    sidecar = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(".json")
     payload = {"p": profile.p, "n": profile.n, "R": profile.R, "solver": profile.meta}
-    sidecar.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    csv_path.with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -105,6 +105,13 @@ class TestRun:
         rec = run_manifest(manifest(tmp_path, "heat2", "remark_heat", {"k": 2}))
         assert all(a.claim for a in rec.assertions)
 
+    def test_passing_rerun_clears_failed_marker(self, tmp_path):
+        # k = 3 is rejected (odd k), k = 4 passes; both write into tmp_path/heat
+        assert not run_manifest(manifest(tmp_path, "heat", "remark_heat", {"k": 3})).passed
+        assert (tmp_path / "heat" / "failed").exists()
+        assert run_manifest(manifest(tmp_path, "heat", "remark_heat", {"k": 4})).passed
+        assert not (tmp_path / "heat" / "failed").exists()
+
 
 class TestParameters:
     @pytest.mark.parametrize(
@@ -323,6 +330,44 @@ class TestCli:
         )
         rc = cli_main(["run", str(man)])
         assert rc == 1
+
+    def test_sweep_runs_past_unreadable_manifests(self, tmp_path, capsys):
+        man_dir = tmp_path / "manifests"
+        man_dir.mkdir()
+        for name, scenario in (("good", "remark_heat"), ("typo", "remark_haet")):
+            (man_dir / f"{name}.json").write_text(json.dumps(
+                {"schema": 1, "name": name, "scenario": scenario, "parameters": {},
+                 "output_dir": str(tmp_path / name)}))
+        (man_dir / "garbled.json").write_text("{not json")
+        rc = cli_main(["sweep", str(man_dir)])
+        assert rc == 2
+        assert (tmp_path / "good" / "record.json").exists()
+        assert not (tmp_path / "typo").exists()
+        err = capsys.readouterr().err
+        assert f"error: {man_dir / 'typo.json'}: " in err
+        assert f"error: {man_dir / 'garbled.json'}: " in err
+
+    @pytest.mark.parametrize("case", ["manifest_not_json", "manifest_is_list", "series_not_json",
+                                      "datum_not_number", "datum_missing_key"])
+    def test_malformed_input_is_an_error_not_a_crash(self, tmp_path, capsys, case):
+        bad = tmp_path / "bad.json"
+        evolve = ["evolve", "--p", "2", "--t-end", "10", "--n-nodes", "64", "--datum"]
+        if case == "manifest_not_json":
+            bad.write_text("{not json")
+            argv = ["run", str(bad)]
+        elif case == "manifest_is_list":
+            bad.write_text("[1, 2]")
+            argv = ["run", str(bad)]
+        elif case == "series_not_json":
+            bad.write_text('{"t": 1.0, "linf": 1.0, "lq": {}}\nnot json\n')
+            argv = ["fit", "--series", str(bad), "--window", "1", "200"]
+        elif case == "datum_not_number":
+            argv = evolve + ["gaussian:sigma=x"]
+        else:
+            argv = evolve + ["algebraic:C0=1"]
+        rc = cli_main(["--out", str(tmp_path), *argv])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_gaussian_datum_spec(self, tmp_path):
         rc = cli_main(

@@ -1,5 +1,6 @@
 """Tests for the steady Dirichlet profile solver."""
 
+import json
 import math
 
 import numpy as np
@@ -123,3 +124,6 @@ def test_csv_sidecar(tmp_path):
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     np.testing.assert_array_equal(data[:, 0], unit.r)
     np.testing.assert_array_equal(data[:, 1], unit.w)
+    solver = json.loads((tmp_path / "steady.json").read_text())["solver"]
+    assert solver == {"tol": 1e-11, "max_step_factor": 0.002, "shot_b": 1.0,
+                      "shot_R": unit.meta["shot_R"]}
