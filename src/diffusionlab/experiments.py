@@ -117,7 +117,11 @@ class ExperimentManifest:
     def load(cls, path) -> "ExperimentManifest":
         """Read a manifest file; DomainError names the file on any defect."""
         try:
-            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise DomainError(f"{path}: cannot read ({exc.strerror or exc})") from None
+        try:
+            return cls.from_dict(json.loads(text))
         except (json.JSONDecodeError, DomainError) as exc:
             raise DomainError(f"{path}: {exc}") from None
 

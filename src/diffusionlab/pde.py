@@ -575,15 +575,24 @@ def read_jsonl_series(path, norm_id: str) -> tuple[np.ndarray, np.ndarray]:
     """(times, values) of one norm from a run_to_jsonl file; lines without a
     time, such as the fits that `difflab fit` appends, are skipped."""
     norm = canonical_norm(norm_id)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"{path}: cannot read ({exc.strerror or exc})") from None
     times, values = [], []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DomainError(f"{path}:{lineno}: not JSON ({exc})") from None
-        if "t" in rec:
-            times.append(rec["t"])
-            values.append(_pick_norm(norm, rec["linf"], rec["lq"], path))
+        if not isinstance(rec, dict):
+            raise DomainError(f"{path}:{lineno}: not a JSON object")
+        if "t" not in rec:
+            continue
+        if "linf" not in rec or not isinstance(rec.get("lq"), dict):
+            raise DomainError(f"{path}:{lineno}: a timed sample needs 'linf' and an object 'lq'")
+        times.append(rec["t"])
+        values.append(_pick_norm(norm, rec["linf"], rec["lq"], path))
     return np.array(times), np.array(values)
 
 

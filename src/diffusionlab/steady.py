@@ -16,6 +16,12 @@ fraction of the center value the integration switches to the inverted
 system r(w) (with w as the independent variable), which locates the
 crossing stably; the boundary slope can diverge (p > 2) or vanish
 (1 < p < 2) and the inverted variables absorb both.
+
+The rescaling itself is verified against independent re-shoots on B_R.
+Each finds the center value b whose crossing lands on R without the
+scaling law: b is bracketed by doubling or halving from 1, and Brent's
+method solves log R_crossing(b) = log R in log b, typically in under ten
+shots.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from .errors import DomainError, NoCrossingError
 from .rk import integrate_dp45
@@ -43,12 +50,18 @@ W_SWITCH_FRACTION = 0.05
 W_FLOOR_FRACTION = 1e-8
 # Shots: relative tolerance, center value of the unit shot (any value works),
 # outward step caps as fractions of the curvature length at the center (the
-# re-shoots only need their crossing), and the re-shoot's bisection width.
+# re-shoots only need their crossing), and the re-shoot's Brent tolerance on
+# log b, which pins the center value b to 1e-12 relative.
 SHOT_TOL = 1e-11
 UNIT_SHOT_B = 1.0
 UNIT_STEP_FACTOR = 2e-3
 RESHOOT_STEP_FACTOR = 5e-3
-BISECT_TOL = 1e-12
+LOG_B_XTOL = 1e-12
+# The re-shoot's bracket on log b: steps of log 2 from b = 1, within
+# [1e-12, 1e12].
+_LN2 = math.log(2.0)
+_LOG_B_MIN = math.log(1e-12)
+_LOG_B_MAX = math.log(1e12)
 # steady_residual checks the nodes with w >= INTERIOR_FRACTION * center.
 INTERIOR_FRACTION = 0.01
 
@@ -191,38 +204,47 @@ def scale_profile(unit: SteadyProfile, R: float) -> SteadyProfile:
 
 
 def shoot_profile_for_radius(p: float, n: int, R_target: float) -> SteadyProfile:
-    """Independent construction on B_R: bisect the center value b until the
-    zero crossing lands on R_target.  Deliberately avoids the scaling law
-    (that is what it is used to verify)."""
+    """Independent construction on B_R: find the center value b whose zero
+    crossing lands on R_target.  Deliberately avoids the scaling law (that is
+    what it is used to verify).
+
+    b is bracketed by doubling or halving from 1, then Brent's method (Brent
+    1973) finds the root of log(R_crossing(b) / R_target) in log b to
+    LOG_B_XTOL.  Shots are kept by log b, so none is repeated: brentq's calls
+    at the bracket ends and the returned profile, its shot at the estimate
+    b*, reuse shots already made.
+    """
     if R_target <= 0.0:
         raise DomainError("target radius must be positive")
     guard = 1e4 * max(1.0, R_target)
+    shots = {}
 
-    def crossing(b):
-        return _shoot(p, n, b, RESHOOT_STEP_FACTOR, guard)[3]
+    def log_ratio(x):
+        if x not in shots:
+            shots[x] = _shoot(p, n, math.exp(x), RESHOOT_STEP_FACTOR, guard)
+        return math.log(shots[x][3] / R_target)
 
-    b_lo = b_hi = 1.0
-    while crossing(b_lo) > R_target:
-        b_lo *= 0.5
-        if b_lo < 1e-12:
-            raise NoCrossingError("bisection bracket collapsed (b_lo)")
-    while crossing(b_hi) < R_target:
-        b_hi *= 2.0
-        if b_hi > 1e12:
-            raise NoCrossingError("bisection bracket collapsed (b_hi)")
-    for _ in range(200):
-        b_mid = 0.5 * (b_lo + b_hi)
-        if crossing(b_mid) < R_target:
-            b_lo = b_mid
-        else:
-            b_hi = b_mid
-        if (b_hi - b_lo) < BISECT_TOL * b_hi:
-            break
-    b_star = 0.5 * (b_lo + b_hi)
-    r, w, wp, R = _shoot(p, n, b_star, RESHOOT_STEP_FACTOR, guard)
+    x_lo = x_hi = 0.0
+    while log_ratio(x_lo) > 0.0:
+        x_hi = x_lo
+        x_lo -= _LN2
+        if x_lo < _LOG_B_MIN:
+            raise NoCrossingError(
+                f"every center value b >= 1e-12 crosses beyond R={R_target:g} (p={p}, n={n})"
+            )
+    while log_ratio(x_hi) < 0.0:
+        x_lo = x_hi
+        x_hi += _LN2
+        if x_hi > _LOG_B_MAX:
+            raise NoCrossingError(
+                f"every center value b <= 1e12 crosses short of R={R_target:g} (p={p}, n={n})"
+            )
+    x_star = brentq(log_ratio, x_lo, x_hi, xtol=LOG_B_XTOL)
+    log_ratio(x_star)  # brentq returns a point it evaluated: no new shot
+    r, w, wp, R = shots[x_star]
     return SteadyProfile(
         p=p, n=n, R=R, r=r, w=w, wp=wp,
-        meta={"tol": SHOT_TOL, "bisected_b": b_star, "target_R": R_target},
+        meta={"tol": SHOT_TOL, "shot_b": math.exp(x_star), "target_R": R_target},
     )
 
 

@@ -347,27 +347,38 @@ class TestCli:
         assert f"error: {man_dir / 'typo.json'}: " in err
         assert f"error: {man_dir / 'garbled.json'}: " in err
 
-    @pytest.mark.parametrize("case", ["manifest_not_json", "manifest_is_list", "series_not_json",
-                                      "datum_not_number", "datum_missing_key"])
+    # case: the content of the input file (None: there is no file), or the
+    # --datum spec for the datum cases
+    MALFORMED = {
+        "manifest_not_json": "{not json",
+        "manifest_is_list": "[1, 2]",
+        "manifest_missing": None,
+        "series_not_json": '{"t": 1.0, "linf": 1.0, "lq": {}}\nnot json\n',
+        "series_missing": None,
+        "series_not_object": "5\n",
+        "series_without_lq": '{"t": 1.0, "linf": 1.0}\n',
+        "series_lq_not_object": '{"t": 1.0, "linf": 1.0, "lq": [2.0]}\n',
+        "datum_not_number": "gaussian:sigma=x",
+        "datum_missing_key": "algebraic:C0=1",
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
     def test_malformed_input_is_an_error_not_a_crash(self, tmp_path, capsys, case):
         bad = tmp_path / "bad.json"
-        evolve = ["evolve", "--p", "2", "--t-end", "10", "--n-nodes", "64", "--datum"]
-        if case == "manifest_not_json":
-            bad.write_text("{not json")
-            argv = ["run", str(bad)]
-        elif case == "manifest_is_list":
-            bad.write_text("[1, 2]")
-            argv = ["run", str(bad)]
-        elif case == "series_not_json":
-            bad.write_text('{"t": 1.0, "linf": 1.0, "lq": {}}\nnot json\n')
-            argv = ["fit", "--series", str(bad), "--window", "1", "200"]
-        elif case == "datum_not_number":
-            argv = evolve + ["gaussian:sigma=x"]
+        kind, content = case.split("_")[0], self.MALFORMED[case]
+        if kind == "datum":
+            argv = ["evolve", "--p", "2", "--t-end", "10", "--n-nodes", "64", "--datum", content]
         else:
-            argv = evolve + ["algebraic:C0=1"]
+            if content is not None:
+                bad.write_text(content)
+            argv = (["run", str(bad)] if kind == "manifest"
+                    else ["fit", "--series", str(bad), "--window", "1", "200"])
         rc = cli_main(["--out", str(tmp_path), *argv])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if kind != "datum":
+            assert str(bad) in err
 
     def test_gaussian_datum_spec(self, tmp_path):
         rc = cli_main(

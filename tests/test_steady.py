@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from diffusionlab import steady
 from diffusionlab.errors import DomainError, NoCrossingError
 from diffusionlab.steady import (
     scale_profile,
@@ -106,6 +108,51 @@ def test_center_value_scaling_exponent():
     )
     slope = np.polyfit(np.log(radii), np.log(centers), 1)[0]
     assert slope == pytest.approx(2.0 / p, abs=1e-6)
+
+
+# Each p is re-shot over R from 0.05 to 100.  The bracket doubles or halves b
+# from 1, one shot per factor 2, and Brent adds 1-2 shots, so the shot bound
+# holds while b* stays within about 2^(+-12) of 1.
+RESHOOT_GRID = [
+    (1.0, 1, 0.05), (1.0, 2, 2.0), (1.0, 3, 100.0),
+    (2.0, 1, 100.0), (2.0, 2, 0.05), (2.0, 3, 10.0),
+    (3.0, 1, 0.5), (3.0, 2, 100.0), (3.0, 3, 0.05),
+]
+
+
+@pytest.mark.parametrize("p, n, R", RESHOOT_GRID)
+def test_reshoot_lands_on_target_in_few_shots(monkeypatch, p, n, R):
+    shot_b = []
+    shoot = steady._shoot
+
+    def counted(p, n, b, *rest):
+        shot_b.append(b)
+        return shoot(p, n, b, *rest)
+
+    monkeypatch.setattr(steady, "_shoot", counted)
+    reshot = shoot_profile_for_radius(p, n, R)
+    assert len(shot_b) <= 15
+    assert len(set(shot_b)) == len(shot_b)  # no center value is shot twice
+    assert reshot.R == pytest.approx(R, rel=1e-10)
+    scaled = scale_profile(shoot_unit_profile(p, n), R)
+    assert reshot.center_value == pytest.approx(scaled.center_value, rel=1e-10)
+
+
+@pytest.mark.parametrize("R", [1e-3, 1e3])
+def test_reshoot_bracket_guard(monkeypatch, R):
+    # p=2, n=1 crosses near 1.75 b, so R=1e-3 and R=1e3 need b outside
+    # [1/64, 64].  At the real bounds [1e-12, 1e12] a shot underflows the
+    # DP45 step floor first, so the guard is tested on narrowed bounds.
+    monkeypatch.setattr(steady, "_LOG_B_MIN", math.log(1.0 / 64.0))
+    monkeypatch.setattr(steady, "_LOG_B_MAX", math.log(64.0))
+    with pytest.raises(NoCrossingError):
+        shoot_profile_for_radius(2.0, 1, R)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(p=st.floats(1.0, 3.0), n=st.integers(1, 3), R=st.floats(0.2, 20.0))
+def test_scaling_law_holds_for_random_p_and_radius(p, n, R):
+    assert verify_scaling_law(p, n, [R]) < 1e-5
 
 
 def test_no_crossing_guard():
