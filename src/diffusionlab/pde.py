@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -76,10 +76,8 @@ def build_grid(R: float, N: int, stretch: float = 1.0) -> np.ndarray:
 class InitialDatum:
     """Positive continuous initial datum, radial."""
 
-    kind: str
     description: str
     fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    params: dict = field(default_factory=dict)
 
     @classmethod
     def algebraic(cls, gamma: float, C0: float = 1.0) -> "InitialDatum":
@@ -87,10 +85,8 @@ class InitialDatum:
         if gamma <= 0.0 or C0 <= 0.0:
             raise DomainError("algebraic datum needs gamma > 0 and C0 > 0")
         return cls(
-            kind="algebraic",
             description=f"{C0:g}*(1+r)^-{gamma:g}",
             fn=lambda r: C0 * (1.0 + r) ** (-gamma),
-            params={"gamma": gamma, "C0": C0},
         )
 
     @classmethod
@@ -99,10 +95,8 @@ class InitialDatum:
         if sigma <= 0.0 or amplitude <= 0.0:
             raise DomainError("gaussian datum needs sigma > 0 and amplitude > 0")
         return cls(
-            kind="gaussian",
             description=f"{amplitude:g}*exp(-r^2/(2*{sigma:g}^2))",
             fn=lambda r: amplitude * np.exp(-(r**2) / (2.0 * sigma**2)),
-            params={"sigma": sigma, "amplitude": amplitude},
         )
 
     @classmethod
@@ -111,7 +105,7 @@ class InitialDatum:
         if np.any(np.asarray(values) <= 0.0):
             raise DomainError("tabulated datum must be positive")
         interp = PchipInterpolator(r, values, extrapolate=False)
-        return cls(kind="table", description=description, fn=lambda x: interp(x), params={})
+        return cls(description=description, fn=lambda x: interp(x))
 
     def tapered(self, R: float) -> "InitialDatum":
         """Multiply by a smooth cutoff that is 1 on [0, TAPER_START*R] and reaches 0
@@ -123,12 +117,7 @@ class InitialDatum:
             s = np.clip((np.asarray(r, dtype=float) / R - start) / (1.0 - start), 0.0, 1.0)
             return base(r) * np.cos(0.5 * math.pi * s) ** 2
 
-        return InitialDatum(
-            kind=self.kind + "+taper",
-            description=self.description + f" tapered to 0 at r={R:g}",
-            fn=fn,
-            params=dict(self.params, taper_R=R, taper_start=start),
-        )
+        return InitialDatum(description=self.description + f" tapered to 0 at r={R:g}", fn=fn)
 
     def __call__(self, r):
         return self.fn(np.asarray(r, dtype=float))
@@ -202,7 +191,6 @@ class EvolutionRun:
     u0_sup: float
     samples: list
     snapshots: list  # (t, u-array) aligned with samples
-    config: dict
 
     @property
     def times(self) -> np.ndarray:
@@ -421,11 +409,8 @@ def evolve(
         semiconv = float(np.min(log_ratio + 1.0 / (p * t)))
         record(t, np.concatenate((u_int, [eps])), semiconv, dt_used)
 
-    return EvolutionRun(
-        p=p, n=n, R=R, eps=eps, r=r, t_start=t_start, u0_sup=u0_sup,
-        samples=samples, snapshots=snapshots,
-        config=dict(asdict(cfg), datum=u0.description, norm_qs=list(norm_qs)),
-    )
+    return EvolutionRun(p=p, n=n, R=R, eps=eps, r=r, t_start=t_start, u0_sup=u0_sup,
+                        samples=samples, snapshots=snapshots)
 
 
 # ---------------------------------------------------------------------------

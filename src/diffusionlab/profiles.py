@@ -31,7 +31,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, RangeError, SingularityError, ToleranceError, WindowError
 from .rates import fit_decay
-from .rk import integrate_dp45
+from .rk import first_integral_residual, integrate_dp45
 
 # Positivity floor of the profile integration: below it f is treated as zero.
 F_FLOOR = 1e-250
@@ -136,8 +136,9 @@ def integrate_profile(
 ) -> Profile:
     """Integrate the profile ODE from the series start out to xi_max.
 
-    The accepted-step grid doubles as the sampling grid for the downstream
-    quadrature identity and tail fits, so steps are capped at
+    The accepted-step grid doubles as the sampling grid for the tail fits
+    and for the first-integral identity (Hermite-Simpson on the nodes, see
+    rk.first_integral_residual), so steps are capped at
     max_step_factor * max(s0, xi) with s0 = max(1, 1/sqrt(alpha)); this keeps
     the grid log-uniform in the tail and fine enough near the origin.
 
@@ -307,30 +308,19 @@ def check_integral_identity(profile: Profile) -> float:
         xi^(n-1) f' + (beta/(p-1)) (n + (p-1)alpha/beta) g(xi)
                     - (beta/(p-1)) xi^n f^(1-p) = 0,
 
-    with g(xi) = int_0^xi sigma^(n-1) f^(1-p) dsigma evaluated by cumulative
-    trapezoid of f^(1-p) against the exact panel moments of sigma^(n-1).
+    with g(xi) = int_0^xi sigma^(n-1) f^(1-p) dsigma, by
+    rk.first_integral_residual (cumulative Hermite-Simpson, normalized by the
+    largest term).
     """
     params = profile.params
     p, alpha, beta = params.p, params.alpha, params.beta
     if p <= 1.0:
         raise DomainError("the integral identity requires p > 1")
-    n = profile.n
-    xi, f, fp = profile.xi, profile.f, profile.fp
-
-    phi = f ** (1.0 - p)
-    moments = (xi[1:] ** n - xi[:-1] ** n) / n
-    g = np.concatenate(([0.0], np.cumsum(0.5 * (phi[1:] + phi[:-1]) * moments)))
-
     coeff = beta / (p - 1.0)
-    term1 = xi ** (n - 1) * fp if n > 1 else fp
-    term2 = coeff * (n + (p - 1.0) * alpha / beta) * g
-    term3 = -coeff * xi**n * phi
-    residual = term1 + term2 + term3
-    denom = np.maximum(np.abs(term1), np.maximum(np.abs(term2), np.abs(term3)))
-    rel = np.zeros_like(residual)
-    mask = denom > 0.0
-    rel[mask] = np.abs(residual[mask]) / denom[mask]
-    return float(rel.max())
+    return first_integral_residual(
+        profile.xi, profile.f, profile.fp, profile.n, p,
+        coeff * (profile.n + (p - 1.0) * alpha / beta), -coeff,
+    )
 
 
 def fit_tail_exponent(profile: Profile, window: tuple[float, float]):

@@ -36,7 +36,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import DomainError, NoCrossingError
-from .rk import integrate_dp45
+from .rk import first_integral_residual, integrate_dp45
 
 # Handoff height to the inverted system, as a fraction of the center value.
 # High enough that one capped outward step cannot overshoot past zero for any
@@ -273,31 +273,15 @@ def steady_residual(profile: SteadyProfile) -> float:
 
         r^(n-1) w'(r) + (1/p) int_0^r s^(n-1) w^(1-p) ds = 0
 
-    via cumulative Simpson with cubic-Hermite midpoint values, normalized by
-    the larger of the two terms; checked at nodes with w >= INTERIOR_FRACTION
-    * center (the integrand is not integrable up to the boundary for p >= 2).
+    by rk.first_integral_residual (cumulative Hermite-Simpson, normalized by
+    the larger term), checked at the nodes with w >= INTERIOR_FRACTION *
+    center (the integrand is not integrable up to the boundary for p >= 2).
     """
-    p, n = profile.p, profile.n
-    r, w, wp = profile.r, profile.w, profile.wp
-    keep = w >= INTERIOR_FRACTION * profile.center_value
-    last = int(np.max(np.nonzero(keep)))
-    r, w, wp = r[: last + 1], w[: last + 1], wp[: last + 1]
-
-    h = np.diff(r)
-    rm = 0.5 * (r[:-1] + r[1:])
-    # cubic Hermite midpoint of w
-    wm = 0.5 * (w[:-1] + w[1:]) + 0.125 * h * (wp[:-1] - wp[1:])
-    phi = r ** (n - 1) * w ** (1.0 - p) if n > 1 else w ** (1.0 - p)
-    phim = rm ** (n - 1) * wm ** (1.0 - p) if n > 1 else wm ** (1.0 - p)
-    panels = h / 6.0 * (phi[:-1] + 4.0 * phim + phi[1:])
-    integral = np.concatenate(([0.0], np.cumsum(panels)))
-
-    term1 = r ** (n - 1) * wp if n > 1 else wp
-    term2 = integral / p
-    resid = term1 + term2
-    denom = np.maximum(np.abs(term1), np.abs(term2))
-    mask = denom > 0.0
-    return float(np.max(np.abs(resid[mask]) / denom[mask]))
+    keep = profile.w >= INTERIOR_FRACTION * profile.center_value
+    end = int(np.max(np.nonzero(keep))) + 1
+    return first_integral_residual(
+        profile.r[:end], profile.w[:end], profile.wp[:end], profile.n, profile.p, 1.0 / profile.p
+    )
 
 
 def save_steady(profile: SteadyProfile, csv_path) -> None:

@@ -198,8 +198,7 @@ class TestRescaleToV:
             for t in (0.0, 1.0, 10.0, 100.0)
         ]
         run = EvolutionRun(p=p, n=1, R=1.0, eps=0.0, r=np.linspace(0, 1, 16),
-                           t_start=0.0, u0_sup=3.0, samples=samples, snapshots=[],
-                           config={})
+                           t_start=0.0, u0_sup=3.0, samples=samples, snapshots=[])
         v = rescale_to_v(run)
         for s in v.samples:
             assert s["linf"] == pytest.approx(3.0 * math.exp(s["tau"] / p), rel=1e-12)

@@ -140,11 +140,25 @@ def test_reshoot_lands_on_target_in_few_shots(monkeypatch, p, n, R):
 
 @pytest.mark.parametrize("R", [1e-3, 1e3])
 def test_reshoot_bracket_guard(monkeypatch, R):
-    # p=2, n=1 crosses near 1.75 b, so R=1e-3 and R=1e3 need b outside
-    # [1/64, 64].  At the real bounds [1e-12, 1e12] a shot underflows the
-    # DP45 step floor first, so the guard is tested on narrowed bounds.
+    # p=2, n=1 crosses near 1.77 b, so R=1e-3 and R=1e3 need b outside
+    # [1/64, 64].  Narrowed bounds keep the guard test to a few shots; the
+    # real bounds are reached in test_reshoot_range_guard.
     monkeypatch.setattr(steady, "_LOG_B_MIN", math.log(1.0 / 64.0))
     monkeypatch.setattr(steady, "_LOG_B_MAX", math.log(64.0))
+    with pytest.raises(NoCrossingError):
+        shoot_profile_for_radius(2.0, 1, R)
+
+
+@pytest.mark.parametrize("R", [1e-6, 1e6])
+def test_reshoot_range(R):
+    # The DP45 step floor is relative to the position, so shots at far center
+    # values do not underflow.
+    assert shoot_profile_for_radius(2.0, 1, R).R == pytest.approx(R, rel=1e-10)
+
+
+@pytest.mark.parametrize("R", [1e-13, 1e13])
+def test_reshoot_range_guard(R):
+    # R = 1e-13 and 1e13 need b beyond [1e-12, 1e12]
     with pytest.raises(NoCrossingError):
         shoot_profile_for_radius(2.0, 1, R)
 
