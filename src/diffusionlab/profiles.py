@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainError, RangeError, SingularityError, ToleranceError, WindowError
 from .rates import fit_decay
@@ -92,9 +92,14 @@ class Profile:
     def xi_max(self) -> float:
         return float(self.xi[-1])
 
-    def interpolant(self) -> PchipInterpolator:
-        """Monotone-cubic interpolant of f (preserves positivity and f' <= 0)."""
-        return PchipInterpolator(self.xi, self.f, extrapolate=False)
+    def interpolant(self) -> CubicHermiteSpline:
+        """Cubic Hermite interpolant of f through the solver's (f, f') nodes.
+
+        It is monotone, and so keeps f positive and nonincreasing, when every
+        interval meets the Fritsch-Carlson condition; integrate_profile
+        certifies that condition on the profiles it returns.
+        """
+        return CubicHermiteSpline(self.xi, self.f, self.fp, extrapolate=False)
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,7 @@ def integrate_profile(
     xi_max: float,
     tol: float = 1e-10,
     n: int = 1,
-    max_step_factor: float = 1e-3,
+    max_step_factor: float = 1e-2,
 ) -> Profile:
     """Integrate the profile ODE from the series start out to xi_max.
 
@@ -145,8 +150,9 @@ def integrate_profile(
     The equation turns stiff in the tail (the linearized damping rate grows
     like beta*xi*f^(-p)), so the explicit 5(4) pair is used only while it is
     stable at the step cap; beyond that point the integration continues with
-    an implicit trapezoid scheme in (ln xi, ln f) variables, where the
-    solution is a near-affine slow manifold.
+    third-order, L-stable 2-stage Radau IIA in (ln xi, ln f) variables, where
+    the solution is a near-affine slow manifold.  Its log step is capped at
+    2 * max_step_factor and held to the same tol; see _integrate_tail.
 
     Raises SingularityError if f falls below F_FLOOR before xi_max (parameter
     regime outside the positivity theory, or numerical failure) and
@@ -199,7 +205,7 @@ def integrate_profile(
 
     if xs[-1] < xi_max:
         xs2, fs2, fps2 = _integrate_tail(
-            params, n, xs[-1], fs[-1], fps[-1], xi_max, ds=2.0 * max_step_factor
+            params, n, xs[-1], fs[-1], fps[-1], xi_max, ds=2.0 * max_step_factor, tol=tol
         )
         xs += xs2
         fs += fs2
@@ -223,16 +229,25 @@ def integrate_profile(
     return prof
 
 
-def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds):
-    """Implicit trapezoid continuation of the profile in log-log variables.
+def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds, tol):
+    """2-stage Radau IIA continuation of the profile in log-log variables.
 
     With s = ln xi, F = ln f, G = dF/ds the ODE becomes
 
         F' = G,   G' = (2 - n) G - G^2 - e^(2s) f^(-p) (beta G + alpha),
 
     whose huge bracket coefficient pins G to the slow manifold G ~ -alpha/beta.
-    The trapezoid rule with an increment-based 2x2 Newton is A-stable there and
-    second-order accurate along the (nearly affine) solution.
+    Radau IIA (c = 1/3, 1; Hairer-Wanner, Solving ODEs II, IV.5) is order 3,
+    L-stable and stiffly accurate, so the new node is the second stage.  As
+    F' = G is linear, the stages F_i = F + h sum_j a_ij G_j are explicit in
+    (G1, G2) and Newton solves a closed-form 2x2 system in those two unknowns.
+
+    Steps are capped at ds.  Below the cap they are set by the local error of
+    F (the relative error of f), estimated as the gap to the second-order
+    trapezoid F + h (G + G2)/2 and held to tol with the step controller of
+    rk.integrate_dp45.  Far out on the slow manifold that error is tiny and
+    every step runs at the cap; it matters where the tail starts before G
+    has relaxed onto the manifold (steep profiles, alpha near 1/p).
     """
     p, alpha, beta = params.p, params.alpha, params.beta
     s = math.log(xi_sw)
@@ -241,52 +256,59 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds):
     G = xi_sw * fp_sw / f_sw
     two_minus_n = 2.0 - n
     log_floor = math.log(F_FLOOR)
+    a11, a12, a21, a22 = 5.0 / 12.0, -1.0 / 12.0, 0.75, 0.25
 
-    def phi(s_, F_, G_):
+    def stage(s_, F_, G_):
+        """G' and its partials in G and F at one stage."""
         arg = 2.0 * s_ - p * F_
-        if arg > 700.0:  # profile collapsing faster than doubles can follow
+        if arg > 700.0 or F_ < log_floor or F_ > 700.0:  # faster than doubles can follow
             raise SingularityError(
                 f"profile hit the positivity floor near xi={math.exp(s_):.6g}"
             )
         D = math.exp(arg)
-        return G_, two_minus_n * G_ - G_ * G_ - D * (beta * G_ + alpha)
+        bracket = beta * G_ + alpha
+        return (two_minus_n * G_ - G_ * G_ - D * bracket,
+                two_minus_n - 2.0 * G_ - D * beta,
+                p * D * bracket)
 
     xs, fs, fps = [], [], []
-    p1F, p1G = phi(s, F, G)
+    h_next = ds
     while s < s_end - 1e-14:
-        h = min(ds, s_end - s)
-        s_new = s + h
-        Fn, Gn = F + h * p1F, G  # predictor: stiff G stays put
-        converged = False
+        h = min(h_next, ds, s_end - s)
+        if h < 1e-12:
+            raise SingularityError(f"tail step underflow near xi={math.exp(s):.6g}")
+        s1, s2 = s + h / 3.0, s + h
+        G1 = G2 = G  # predictor: stiff G stays put
         for _ in range(30):
-            arg = 2.0 * s_new - p * Fn
-            if arg > 700.0 or Fn < log_floor or Fn > 700.0:
-                raise SingularityError(
-                    f"profile hit the positivity floor near xi={math.exp(s_new):.6g}"
-                )
-            D = math.exp(arg)
-            p2F = Gn
-            p2G = two_minus_n * Gn - Gn * Gn - D * (beta * Gn + alpha)
-            rF = Fn - F - 0.5 * h * (p1F + p2F)
-            rG = Gn - G - 0.5 * h * (p1G + p2G)
-            # Jacobian of the residual: I - (h/2) dphi/d(F,G)
-            j21 = -0.5 * h * (p * D * (beta * Gn + alpha))
-            j22 = 1.0 - 0.5 * h * (two_minus_n - 2.0 * Gn - D * beta)
-            j12 = -0.5 * h
-            det = j22 - j12 * j21  # [[1, j12], [j21, j22]]
-            dF = (-rF * j22 + rG * j12) / det
-            dG = (-rG + rF * j21) / det
-            Fn += dF
-            Gn += dG
-            if abs(dF) <= 1e-13 * (1.0 + abs(Fn)) and abs(dG) <= 1e-13 * (1.0 + abs(Gn)):
-                converged = True
+            F1 = F + h * (a11 * G1 + a12 * G2)
+            F2 = F + h * (a21 * G1 + a22 * G2)
+            g1, g1G, g1F = stage(s1, F1, G1)
+            g2, g2G, g2F = stage(s2, F2, G2)
+            r1 = G1 - G - h * (a11 * g1 + a12 * g2)
+            r2 = G2 - G - h * (a21 * g1 + a22 * g2)
+            # Jacobian d(r1, r2)/d(G1, G2); dF_j/dG_k = h a_jk
+            hh = h * h
+            j11 = 1.0 - h * a11 * g1G - hh * (a11 * g1F * a11 + a12 * g2F * a21)
+            j12 = -h * a12 * g2G - hh * (a11 * g1F * a12 + a12 * g2F * a22)
+            j21 = -h * a21 * g1G - hh * (a21 * g1F * a11 + a22 * g2F * a21)
+            j22 = 1.0 - h * a22 * g2G - hh * (a21 * g1F * a12 + a22 * g2F * a22)
+            det = j11 * j22 - j12 * j21
+            dG1 = (-r1 * j22 + r2 * j12) / det
+            dG2 = (-r2 * j11 + r1 * j21) / det
+            G1 += dG1
+            G2 += dG2
+            # The F stages move by h times these increments, so they pass too.
+            if abs(dG1) <= 1e-13 * (1.0 + abs(G1)) and abs(dG2) <= 1e-13 * (1.0 + abs(G2)):
                 break
-        if not converged:
+        else:
             raise SingularityError(
-                f"tail continuation did not converge near xi={math.exp(s_new):.6g}"
+                f"tail continuation did not converge near xi={math.exp(s2):.6g}"
             )
-        s, F, G = s_new, Fn, Gn
-        p1F, p1G = phi(s, F, G)
+        err = h * abs(0.75 * G1 - 0.25 * G2 - 0.5 * G) / tol
+        h_next = h * min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0.0 else 5.0 * h
+        if err > 1.0:
+            continue  # rejected: retry from the same node with the smaller step
+        s, F, G = s2, F + h * (a21 * G1 + a22 * G2), G2
         xi = math.exp(s)
         f = math.exp(F)
         xs.append(xi)
@@ -300,6 +322,18 @@ def _check_profile_invariants(prof: Profile) -> None:
         raise SingularityError("integrated profile is not positive")
     if prof.fp.max() > 1e-10 * prof.params.A:
         raise SingularityError("integrated profile is not monotone nonincreasing")
+    # Fritsch-Carlson (1980): with d = df/dxi on an interval, a = fp_left/d and
+    # b = fp_right/d, the cubic Hermite piece is monotone if a, b >= 0 and
+    # a^2 + b^2 <= 9.  Checked as fp * d >= 0 and fp_left^2 + fp_right^2 <= 9 d^2,
+    # which needs no division by d and also covers d = 0.
+    d = np.diff(prof.f) / np.diff(prof.xi)
+    left, right = prof.fp[:-1], prof.fp[1:]
+    bad = (left * d < 0.0) | (right * d < 0.0) | (left * left + right * right > 9.0 * d * d)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SingularityError(
+            f"profile interpolant is not monotone on [{prof.xi[i]:.6g}, {prof.xi[i + 1]:.6g}]"
+        )
 
 
 def check_integral_identity(profile: Profile) -> float:

@@ -1,8 +1,9 @@
 """Tests for the self-similar profile solver.
 
 The independent oracle for the integration route is scipy's Radau solver on
-the same ODE; the package's own path is the hybrid DP45 + implicit-tail
-stepper, so agreement is a genuine cross-check of two different methods.
+the same ODE; the package's own path is the hybrid DP45 + 2-stage Radau IIA
+tail in log-log variables, so agreement is a genuine cross-check of two
+different methods.
 """
 
 import math
@@ -17,6 +18,8 @@ from diffusionlab.profiles import (
     Profile,
     ProfileParams,
     TailBound,
+    _check_profile_invariants,
+    _integrate_tail,
     certify_tail_bounds,
     check_integral_identity,
     eval_self_similar,
@@ -128,6 +131,84 @@ def test_agrees_with_scipy_oracle():
     ref = reference_profile(pp, 1, pts)
     mine = prof.interpolant()(pts)
     assert np.max(np.abs(mine - ref) / ref) < 1e-7
+
+
+def test_interpolant_agrees_with_scipy_oracle_between_nodes():
+    # Dense sampling puts most points between nodes, where a slope-free
+    # interpolant (PCHIP) on the coarse grid misses by ~2e-5.
+    pp = ProfileParams.self_similar(2.0, 0.25, 1.0)
+    prof = integrate_profile(pp, 40.0, tol=1e-10, n=1)
+    pts = np.linspace(0.01, 39.9, 4000)
+    ref = reference_profile(pp, 1, pts)
+    mine = prof.interpolant()(pts)
+    assert np.max(np.abs(mine - ref) / ref) < 1e-7
+
+
+def test_tail_scheme_is_third_order():
+    # One fixed switch state, continued to xi=50 at three log steps; tol=1
+    # never rejects a step, so every step runs at ds.  The reference is
+    # scipy's adaptive Radau on the same log-log system.
+    p, alpha, n = 2.0, 0.25, 1
+    pp = ProfileParams.self_similar(p, alpha, 1.0)
+    start = integrate_profile(pp, 4.0, n=n)
+    xi_sw, f_sw, fp_sw = start.xi[-1], start.f[-1], start.fp[-1]
+    beta = pp.beta
+
+    def rhs(s, y):
+        F, G = y
+        return [G, (2 - n) * G - G * G - math.exp(2 * s - p * F) * (beta * G + alpha)]
+
+    def jac(s, y):
+        F, G = y
+        D = math.exp(2 * s - p * F)
+        return [[0.0, 1.0], [p * D * (beta * G + alpha), (2 - n) - 2 * G - D * beta]]
+
+    sol = solve_ivp(rhs, (math.log(xi_sw), math.log(50.0)),
+                    [math.log(f_sw), xi_sw * fp_sw / f_sw], method="Radau", jac=jac,
+                    rtol=1e-13, atol=1e-14)
+    assert sol.success
+    errs = []
+    for ds in (0.02, 0.01, 0.005):
+        _, fs, _ = _integrate_tail(pp, n, xi_sw, f_sw, fp_sw, 50.0, ds, tol=1.0)
+        errs.append(abs(math.log(fs[-1]) - sol.y[0, -1]))
+    orders = [math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])]
+    assert min(orders) > 2.5, orders
+
+
+class TestMonotoneInterpolantCertificate:
+    pp = ProfileParams.self_similar(2.0, 0.25, 1.0)
+
+    def test_accepts_exact_power_law_slopes(self):
+        xi = np.geomspace(1.0, 1e3, 200)
+        prof = Profile(params=self.pp, n=1, xi=xi, f=xi**-1.5, fp=-1.5 * xi**-2.5)
+        _check_profile_invariants(prof)
+
+    def test_rejects_steep_node_slope(self):
+        # Interval [0, 1]: d = -0.5, a = 0, b = 10, so a^2 + b^2 = 100 > 9 and the
+        # Hermite cubic undershoots f(1) before reaching it.
+        prof = Profile(params=self.pp, n=1, xi=np.array([0.0, 1.0, 2.0]),
+                       f=np.array([1.0, 0.5, 0.25]), fp=np.array([0.0, -5.0, -0.25]))
+        assert np.any(np.diff(prof.interpolant()(np.linspace(0.0, 2.0, 201))) > 0.0)
+        with pytest.raises(SingularityError, match="not monotone"):
+            _check_profile_invariants(prof)
+
+    def test_rejects_slope_against_the_data(self):
+        # fp(1) is positive but inside the 1e-10*A allowance of the sign check;
+        # on a decreasing interval it still gives b < 0.
+        prof = Profile(params=self.pp, n=1, xi=np.array([0.0, 1.0, 2.0]),
+                       f=np.array([1.0, 0.5, 0.25]), fp=np.array([0.0, 1e-11, -0.25]))
+        with pytest.raises(SingularityError, match="not monotone"):
+            _check_profile_invariants(prof)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0])
+def test_steep_profile_meets_identity_bound(p):
+    # alpha near 1/p: the tail starts before G has relaxed onto its slow
+    # manifold, so the tail steps there must be held to tol (at a fixed log
+    # step of 0.02 the residual is 1e-4 at p = 1.5).
+    pp = ProfileParams.self_similar(p, 0.8 / p, 1.0)
+    prof = integrate_profile(pp, 50.0, n=1)
+    assert check_integral_identity(prof) < 1e-6  # criterion 1's bound
 
 
 def test_singularity_error_for_unsustainable_regime():

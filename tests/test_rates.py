@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffusionlab.errors import DomainError, WindowError
 from diffusionlab.rates import (
@@ -112,6 +113,30 @@ class TestVartheta:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             vartheta(2.0, 0.5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    p=st.floats(1.0, 10.0),
+    n=st.integers(1, 5),
+    q0=st.floats(0.05, 20.0),
+    q_steps=st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
+    gamma=st.floats(0.05, 50.0),
+    q_rel=st.floats(1.01, 1e4),
+    theta=st.floats(0.01, 1e3),
+    m=st.floats(-100.0, -0.01),
+)
+def test_closed_form_exponent_identities(p, n, q0, q_steps, gamma, q_rel, theta, m):
+    nu = rate_nu(p, n, q0)
+    assert rate_lq(p, n, q0, INF) == nu
+    # q0 < q1 < q2 < inf: the L^q rate increases in q toward nu
+    q1 = q0 * (1.0 + q_steps[0])
+    q2 = q1 * (1.0 + q_steps[1])
+    assert 0.0 < rate_lq(p, n, q0, q1) < rate_lq(p, n, q0, q2) < nu
+    # every finite q > n/gamma decays slower than the sup norm
+    assert rate_gamma(p, n, gamma, q_rel * n / gamma) < rate_gamma(p, n, gamma, INF)
+    assert 0.0 < vartheta(theta, m) < 1.0 / (1.0 - m)
+    assert exponent_roundtrip(theta, m) < 1e-15
 
 
 class TestHeatPolynomials:
