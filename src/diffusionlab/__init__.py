@@ -46,9 +46,7 @@ from .pde import (
 from .rates import (
     INF,
     DecayFit,
-    ExponentTable,
     exponent_roundtrip,
-    exponent_table,
     fit_decay,
     heat_poly_inf,
     heat_polynomial,
@@ -70,7 +68,6 @@ __all__ = [
     "SteadyProfile", "scale_profile", "shoot_unit_profile", "verify_scaling_law",
     "EvolutionRun", "InitialDatum", "RadialField", "SolverConfig", "build_grid",
     "evolve", "rescale_to_v", "separated_subsolution", "step_implicit",
-    "INF", "DecayFit", "ExponentTable", "exponent_roundtrip", "exponent_table",
-    "fit_decay", "heat_poly_inf", "heat_polynomial", "rate_fast", "rate_gamma",
-    "rate_lq", "rate_nu", "vartheta",
+    "INF", "DecayFit", "exponent_roundtrip", "fit_decay", "heat_poly_inf",
+    "heat_polynomial", "rate_fast", "rate_gamma", "rate_lq", "rate_nu", "vartheta",
 ]

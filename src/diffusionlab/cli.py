@@ -76,7 +76,6 @@ def cmd_evolve(args, out: Path) -> int:
     datum = _parse_datum(args.datum)
     cfg = pde.SolverConfig(
         n_nodes=args.n_nodes,
-        stretch=args.stretch,
         dt_rel_max=args.dt_rel,
         inner_radius=args.inner_radius,
     )
@@ -188,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="algebraic:gamma=2,C0=1 | gaussian:sigma=2 | table:<csv>")
     e.add_argument("--norm-qs", dest="norm_qs", default="1,2")
     e.add_argument("--n-nodes", dest="n_nodes", type=int, default=512)
-    e.add_argument("--stretch", type=float, default=1.0)
     e.add_argument("--dt-rel", dest="dt_rel", type=float, default=0.05)
     e.add_argument("--inner-radius", dest="inner_radius", type=float, default=None)
     e.add_argument("--snapshots", action="store_true")

@@ -257,7 +257,7 @@ def run_steady_scaling(params: dict, out_dir: Path, tol_scale: float):
 
 # Solver settings every evolve scenario accepts besides p, n, R, eps, t_end
 # and n_nodes; inner_radius None means R/4.
-_SOLVER = {"stretch": 1.0, "dt_rel_max": 0.02, "inner_radius": None}
+_SOLVER = {"dt_rel_max": 0.02, "inner_radius": None}
 
 
 def _evolve_from_params(params: dict, datum: pde.InitialDatum, norm_qs, out_dir: Path):
@@ -265,7 +265,6 @@ def _evolve_from_params(params: dict, datum: pde.InitialDatum, norm_qs, out_dir:
     returns (run, path)."""
     cfg = pde.SolverConfig(
         n_nodes=params["n_nodes"],
-        stretch=params["stretch"],
         dt_rel_max=params["dt_rel_max"],
         inner_radius=params["inner_radius"],
     )
@@ -453,9 +452,8 @@ def run_prop103(params: dict, out_dir: Path, tol_scale: float):
     datum = pde.InitialDatum.gaussian(params["sigma"])
     run, jsonl = _evolve_from_params(params, datum, params["norm_qs"], out_dir)
 
-    vrun = pde.rescale_to_v(run)
-    ts = np.array([s["t"] for s in vrun.samples])
-    mins = np.array([s["min_inner"] for s in vrun.samples])
+    ts = run.times
+    mins = pde.rescale_to_v(run).min_inner
     checks = params["t_checks"]
     picked = [float(mins[int(np.argmin(np.abs(ts - tv)))]) for tv in checks]
     assertions = []

@@ -6,7 +6,7 @@ space is the monotone double limit eps -> 0, R -> infinity, realized here
 as a ladder of runs whose pointwise orderings are checkable (decreasing in
 eps, increasing in R).
 
-Scheme: second-order radial Laplacian on a (possibly graded) grid with a
+Scheme: second-order radial Laplacian on a uniform grid with a
 symmetry closure at r = 0 and the Dirichlet value pinned at r = R, stepped
 by backward Euler with a damped Newton solve of
 
@@ -55,21 +55,13 @@ def sphere_area(n: int) -> float:
     return n * math.pi ** (n / 2.0) / gamma_fn(n / 2.0 + 1.0)
 
 
-def build_grid(R: float, N: int, stretch: float = 1.0) -> np.ndarray:
-    """Graded radial grid on [0, R], clustered near r = R where the boundary
-    layer lives.  stretch = h_first/h_last >= 1; stretch = 1 is uniform."""
+def build_grid(R: float, N: int) -> np.ndarray:
+    """Uniform radial grid of N nodes on [0, R]."""
     if N < 16:
         raise DomainError("grid needs at least 16 nodes")
-    if R <= 0.0 or stretch < 1.0:
-        raise DomainError("need R > 0 and stretch >= 1")
-    if stretch == 1.0:
-        return np.linspace(0.0, R, N)
-    rho = stretch ** (-1.0 / (N - 2))
-    h = rho ** np.arange(N - 1)
-    grid = np.concatenate(([0.0], np.cumsum(h)))
-    grid *= R / grid[-1]
-    grid[-1] = R
-    return grid
+    if R <= 0.0:
+        raise DomainError("need R > 0")
+    return np.linspace(0.0, R, N)
 
 
 @dataclass(frozen=True)
@@ -187,8 +179,6 @@ class EvolutionRun:
     R: float
     eps: float
     r: np.ndarray
-    t_start: float
-    u0_sup: float
     samples: list
     snapshots: list  # (t, u-array) aligned with samples
 
@@ -205,7 +195,6 @@ class EvolutionRun:
 @dataclass(frozen=True)
 class SolverConfig:
     n_nodes: int = 512
-    stretch: float = 1.0
     dt_rel_max: float = 0.05  # dt <= this * max(t, t_floor)
     inner_radius: float | None = None  # default: R/4
     datum_mode: str = "max"  # "max": u0 v eps; "add": u0 + eps (ladder runs)
@@ -348,7 +337,7 @@ def evolve(
     dt_init = 1e-7 * (t_end - t_start)
     inner = cfg.inner_radius if cfg.inner_radius is not None else R / 4.0
 
-    r = build_grid(R, cfg.n_nodes, cfg.stretch)
+    r = build_grid(R, cfg.n_nodes)
     vals = np.asarray(u0(r), dtype=float)
     if np.any(~np.isfinite(vals)) or np.any(vals < 0.0):
         raise DomainError("initial datum must be finite and nonnegative on the grid")
@@ -409,8 +398,7 @@ def evolve(
         semiconv = float(np.min(log_ratio + 1.0 / (p * t)))
         record(t, np.concatenate((u_int, [eps])), semiconv, dt_used)
 
-    return EvolutionRun(p=p, n=n, R=R, eps=eps, r=r, t_start=t_start, u0_sup=u0_sup,
-                        samples=samples, snapshots=snapshots)
+    return EvolutionRun(p=p, n=n, R=R, eps=eps, r=r, samples=samples, snapshots=snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +410,9 @@ def evolve(
 class RescaledRun:
     """Evolution run mapped to (x, tau) variables: v = (t+1)^(1/p) u."""
 
-    p: float
-    n: int
-    R: float
     r: np.ndarray
     taus: np.ndarray
-    samples: list  # dicts: tau, t, linf, lq, min_inner
+    min_inner: np.ndarray  # inner-ball minimum of v, one per sample
     snapshots: list  # (tau, v-array)
 
 
@@ -435,25 +420,12 @@ def rescale_to_v(run: EvolutionRun) -> RescaledRun:
     """Map a run to the rescaled picture; at t = 0 the slice is the datum."""
     if not run.samples:
         raise DomainError("run has no samples")
-    p = run.p
-    samples = []
-    snapshots = []
-    for s, (_, u) in zip(run.samples, run.snapshots):
-        amp = (s.t + 1.0) ** (1.0 / p)
-        samples.append(
-            {
-                "tau": s.tau,
-                "t": s.t,
-                "linf": amp * s.linf,
-                "lq": {k: amp * v for k, v in s.lq.items()},
-                "min_inner": amp * s.min_inner,
-            }
-        )
-        snapshots.append((s.tau, amp * u))
+    amps = [(s.t + 1.0) ** (1.0 / run.p) for s in run.samples]
     return RescaledRun(
-        p=p, n=run.n, R=run.R, r=run.r,
-        taus=np.array([s["tau"] for s in samples]),
-        samples=samples, snapshots=snapshots,
+        r=run.r,
+        taus=np.array([s.tau for s in run.samples]),
+        min_inner=np.array([a * s.min_inner for a, s in zip(amps, run.samples)]),
+        snapshots=[(s.tau, a * u) for a, s, (_, u) in zip(amps, run.samples, run.snapshots)],
     )
 
 

@@ -152,7 +152,8 @@ def integrate_profile(
     stable at the step cap; beyond that point the integration continues with
     third-order, L-stable 2-stage Radau IIA in (ln xi, ln f) variables, where
     the solution is a near-affine slow manifold.  Its log step is capped at
-    2 * max_step_factor and held to the same tol; see _integrate_tail.
+    2 * max_step_factor (less for tails steeper than xi^-3) and held to the
+    same tol; see _integrate_tail.
 
     Raises SingularityError if f falls below F_FLOOR before xi_max (parameter
     regime outside the positivity theory, or numerical failure) and
@@ -242,7 +243,10 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds, tol):
     F' = G is linear, the stages F_i = F + h sum_j a_ij G_j are explicit in
     (G1, G2) and Newton solves a closed-form 2x2 system in those two unknowns.
 
-    Steps are capped at ds.  Below the cap they are set by the local error of
+    Steps are capped at ds * min(1, 3 beta/alpha): the tail f ~ xi^(-alpha/beta)
+    is resolved by the cubic Hermite pieces of Profile.interpolant only while
+    (alpha/beta) * step stays small, and the cap leaves every profile with
+    alpha/beta <= 3 at ds.  Below the cap steps are set by the local error of
     F (the relative error of f), estimated as the gap to the second-order
     trapezoid F + h (G + G2)/2 and held to tol with the step controller of
     rk.integrate_dp45.  Far out on the slow manifold that error is tiny and
@@ -250,6 +254,7 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds, tol):
     has relaxed onto the manifold (steep profiles, alpha near 1/p).
     """
     p, alpha, beta = params.p, params.alpha, params.beta
+    ds *= min(1.0, 3.0 * beta / alpha)
     s = math.log(xi_sw)
     s_end = math.log(xi_max)
     F = math.log(f_sw)

@@ -7,9 +7,8 @@ formulas branch explicitly on it; it is never emulated by a large number.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -33,28 +32,6 @@ class DecayFit:
             raise WindowError("accepted fits need a positive window of at least two decades")
         if not math.isfinite(self.stderr):
             raise WindowError("fit standard error is not finite")
-
-
-@dataclass(frozen=True)
-class ExponentTable:
-    """Named closed-form exponents for one parameter point."""
-
-    p: float
-    n: int
-    q0: float | None = None
-    q: float | None = None
-    gamma: float | None = None
-    theta: float | None = None
-    m: float | None = None
-    lq_rate: float | None = None
-    nu: float | None = None
-    fast_rate: float | None = None
-    gamma_rate: float | None = None
-    growth_rate: float | None = None
-
-    def to_json(self) -> str:
-        payload = {k: ("inf" if v == INF else v) for k, v in asdict(self).items()}
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def rate_lq(p: float, n: int, q0: float, q: float) -> float:
@@ -201,31 +178,3 @@ def fit_decay(times, values, window: tuple[float, float], norm_id: str = "") -> 
     dof = max(len(lx) - 2, 1)
     stderr = math.sqrt(float((resid**2).sum()) / dof / sxx)
     return DecayFit(slope=slope, stderr=stderr, window=(lo, hi), norm_id=norm_id)
-
-
-def exponent_table(
-    p: float,
-    n: int,
-    q0: float | None = None,
-    q: float | None = None,
-    gamma: float | None = None,
-    theta: float | None = None,
-    m: float | None = None,
-) -> ExponentTable:
-    """Collect every applicable closed-form exponent for one parameter point."""
-    return ExponentTable(
-        p=p,
-        n=n,
-        q0=q0,
-        q=q,
-        gamma=gamma,
-        theta=theta,
-        m=m,
-        lq_rate=rate_lq(p, n, q0, q) if (q0 is not None and q is not None) else None,
-        nu=rate_nu(p, n, q0) if q0 is not None else None,
-        fast_rate=rate_fast(p),
-        gamma_rate=rate_gamma(p, n, gamma, q if q is not None else INF)
-        if gamma is not None
-        else None,
-        growth_rate=vartheta(theta, m) if (theta is not None and m is not None) else None,
-    )

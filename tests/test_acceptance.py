@@ -294,9 +294,8 @@ def test_criterion_08_monotone_ladder():
 def test_criterion_09_rescaled_minimum_diverges():
     run = evolve(InitialDatum.gaussian(2.0), p=2.0, n=1, R=40.0, eps=1e-9, t_end=1e3,
                  norm_qs=(1.0,), config=SolverConfig(n_nodes=512, inner_radius=2.0))
-    v = rescale_to_v(run)
-    ts = np.array([s["t"] for s in v.samples])
-    mins = np.array([s["min_inner"] for s in v.samples])
+    ts = run.times
+    mins = rescale_to_v(run).min_inner
     picked = [float(mins[int(np.argmin(np.abs(ts - tv)))]) for tv in (10.0, 100.0, 1000.0)]
     ok = picked[0] < picked[1] < picked[2]
     record_criterion(9, "inner-ball min of (t+1)^(1/p) u strictly increasing over decades",

@@ -12,7 +12,6 @@ from diffusionlab.rates import (
     INF,
     DecayFit,
     exponent_roundtrip,
-    exponent_table,
     fit_decay,
     heat_poly_inf,
     heat_poly_residual,
@@ -194,12 +193,3 @@ class TestFitDecay:
     def test_decayfit_invariant(self):
         with pytest.raises(WindowError):
             DecayFit(slope=-1.0, stderr=0.0, window=(1.0, 10.0), norm_id="l2")
-
-
-def test_exponent_table_json_roundtrip():
-    tab = exponent_table(2.0, 1, q0=1.0, q=INF, gamma=2.0, theta=2.0, m=-1.0)
-    assert tab.lq_rate == tab.nu
-    assert tab.gamma_rate == pytest.approx(1.0 / 3.0)
-    assert tab.growth_rate == pytest.approx(1.0 / 3.0)
-    payload = tab.to_json()
-    assert '"q": "inf"' in payload
