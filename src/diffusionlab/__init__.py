@@ -35,13 +35,11 @@ from .steady import SteadyProfile, scale_profile, shoot_unit_profile, verify_sca
 from .pde import (
     EvolutionRun,
     InitialDatum,
-    RadialField,
     SolverConfig,
     build_grid,
     evolve,
     rescale_to_v,
     separated_subsolution,
-    step_implicit,
 )
 from .rates import (
     INF,
@@ -66,8 +64,8 @@ __all__ = [
     "check_integral_identity", "eval_self_similar", "fit_tail_exponent",
     "integrate_profile", "self_similar_residual", "taylor_start",
     "SteadyProfile", "scale_profile", "shoot_unit_profile", "verify_scaling_law",
-    "EvolutionRun", "InitialDatum", "RadialField", "SolverConfig", "build_grid",
-    "evolve", "rescale_to_v", "separated_subsolution", "step_implicit",
+    "EvolutionRun", "InitialDatum", "SolverConfig", "build_grid",
+    "evolve", "rescale_to_v", "separated_subsolution",
     "INF", "DecayFit", "exponent_roundtrip", "fit_decay", "heat_poly_inf",
     "heat_polynomial", "rate_fast", "rate_gamma", "rate_lq", "rate_nu", "vartheta",
 ]

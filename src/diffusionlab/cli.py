@@ -33,13 +33,17 @@ def _parse_datum(spec: str) -> pde.InitialDatum:
             return pde.InitialDatum.algebraic(kv["gamma"], kv.get("C0", 1.0))
         if kind == "gaussian":
             return pde.InitialDatum.gaussian(kv["sigma"], kv.get("amplitude", 1.0))
+        if kind == "table":
+            data = np.loadtxt(rest, delimiter=",", skiprows=1, ndmin=2)
+            if data.shape[1] < 2:
+                raise DomainError(f"datum spec '{spec}': the table needs two columns r,u")
+            return pde.InitialDatum.table(data[:, 0], data[:, 1], description=rest)
     except KeyError as exc:
         raise DomainError(f"datum spec '{spec}' lacks {exc.args[0]}=<number>") from None
     except ValueError as exc:
         raise DomainError(f"datum spec '{spec}': {exc}") from None
-    if kind == "table":
-        data = np.loadtxt(rest, delimiter=",", skiprows=1)
-        return pde.InitialDatum.table(data[:, 0], data[:, 1], description=rest)
+    except OSError as exc:
+        raise DomainError(f"datum spec '{spec}': cannot read ({exc.strerror or exc})") from None
     raise DiffusionLabError(f"unknown datum spec '{spec}'")
 
 
@@ -74,6 +78,10 @@ def cmd_steady(args, out: Path) -> int:
 
 def cmd_evolve(args, out: Path) -> int:
     datum = _parse_datum(args.datum)
+    try:
+        norm_qs = tuple(float(q) for q in args.norm_qs.split(","))
+    except ValueError:
+        raise DomainError(f"--norm-qs '{args.norm_qs}' is not a comma-separated list of numbers") from None
     cfg = pde.SolverConfig(
         n_nodes=args.n_nodes,
         dt_rel_max=args.dt_rel,
@@ -86,7 +94,7 @@ def cmd_evolve(args, out: Path) -> int:
         R=args.R,
         eps=args.eps,
         t_end=args.t_end,
-        norm_qs=tuple(float(q) for q in args.norm_qs.split(",")),
+        norm_qs=norm_qs,
         config=cfg,
         t_start=args.t_start,
     )

@@ -619,13 +619,17 @@ def sweep(manifests, parallelism: int = 1, tol_scale: float = 1.0) -> list:
 
 
 def load_records(directory) -> list:
-    """All record.json files under a directory tree, sorted by name."""
+    """All record.json files under a directory tree, sorted by name;
+    DomainError names a file that is not a readable result record."""
     recs = []
     for path in sorted(Path(directory).rglob("record.json")):
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["assertions"] = [Assertion(**a) for a in payload["assertions"]]
-        payload.setdefault("plots", [])
-        recs.append((path.parent, ResultRecord(**payload)))
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload["assertions"] = [Assertion(**a) for a in payload["assertions"]]
+            payload.setdefault("plots", [])
+            recs.append((path.parent, ResultRecord(**payload)))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise DomainError(f"{path}: not a result record ({type(exc).__name__}: {exc})") from None
     return recs
 
 

@@ -15,6 +15,8 @@ by backward Euler with a damped Newton solve of
 per step.  Backward Euler rather than a second-order one-step scheme:
 positivity robustness near the degenerate boundary layer matters more than
 formal order, and accuracy is recovered by the relative dt cap.
+`evolve` is the one stepping entry point: a step whose Newton solve fails
+is retried at half the step size.
 
 The module also exposes the rescaled picture v = (t+1)^(1/p) u on the
 log-time axis tau = ln(t+1), in which v solves v_tau = v^p Lap(v) + v/p and
@@ -113,31 +115,6 @@ class InitialDatum:
 
     def __call__(self, r):
         return self.fn(np.asarray(r, dtype=float))
-
-
-@dataclass(frozen=True)
-class RadialField:
-    """Discretized radial state u(r, t) on B_R with the boundary at eps."""
-
-    p: float
-    n: int
-    R: float
-    eps: float
-    r: np.ndarray
-    u: np.ndarray
-    t: float
-
-    def max_principle_slack(self, u0_sup: float) -> float:
-        """How far the field escapes [eps, max(u0_sup, eps)]; ~0 for a valid state."""
-        upper = max(u0_sup, self.eps)
-        return float(max(self.eps - self.u.min(), self.u.max() - upper, 0.0))
-
-    def symmetry_defect(self) -> float:
-        """One-sided derivative at r = 0 (second order); vanishes with the grid."""
-        h = self.r[1] - self.r[0]
-        return float(
-            abs(-3.0 * self.u[0] + 4.0 * self.u[1] - self.u[2]) / (2.0 * h)
-        )
 
 
 def canonical_norm(norm_id: str) -> str:
@@ -284,19 +261,6 @@ class _Stepper:
         raise NewtonDivergence(f"Newton stalled at residual {rnorm:.3g} (tol {tol:.3g})")
 
 
-def step_implicit(field: RadialField, dt: float) -> RadialField:
-    """Advance one backward-Euler step; returns a new immutable field."""
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
-    stepper = _Stepper(field.r, field.n, field.p, field.eps)
-    u_new, _ = stepper.step(field.u[:-1].copy(), dt)
-    u_full = np.concatenate((u_new, [field.eps]))
-    return RadialField(
-        p=field.p, n=field.n, R=field.R, eps=field.eps,
-        r=field.r, u=u_full, t=field.t + dt,
-    )
-
-
 def lq_norm(r: np.ndarray, u: np.ndarray, q: float, n: int) -> float:
     """L^q norm over the ball: (area(S^(n-1)) * trapz(u^q r^(n-1)))^(1/q)."""
     if q == math.inf:
@@ -333,6 +297,8 @@ def evolve(
         raise DomainError("t_end must exceed t_start")
     if eps < 0.0:
         raise DomainError("eps must be nonnegative")
+    if not all(q > 0.0 for q in norm_qs):
+        raise DomainError(f"norm exponents q must be positive, got {tuple(norm_qs)}")
     cfg = config or SolverConfig()
     dt_init = 1e-7 * (t_end - t_start)
     inner = cfg.inner_radius if cfg.inner_radius is not None else R / 4.0
@@ -352,7 +318,8 @@ def evolve(
 
     def record(t, u_full, semiconv, dt_step):
         lq = {f"{q:g}": lq_norm(r, u_full, q, n) for q in norm_qs}
-        state = RadialField(p=p, n=n, R=R, eps=eps, r=r, u=u_full, t=t)
+        # how far the state escapes [eps, max(u0_sup, eps)]; ~0 for a valid state
+        slack = max(eps - u_full.min(), u_full.max() - max(u0_sup, eps), 0.0)
         samples.append(
             SampleRecord(
                 t=t,
@@ -362,7 +329,7 @@ def evolve(
                 min_inner=float(np.min(u_full[inner_mask])),
                 semiconv_min=semiconv,
                 dt_step=dt_step,
-                max_principle_slack=state.max_principle_slack(u0_sup),
+                max_principle_slack=float(slack),
             )
         )
         snapshots.append((t, u_full.copy()))
@@ -548,8 +515,12 @@ def read_jsonl_series(path, norm_id: str) -> tuple[np.ndarray, np.ndarray]:
             continue
         if "linf" not in rec or not isinstance(rec.get("lq"), dict):
             raise DomainError(f"{path}:{lineno}: a timed sample needs 'linf' and an object 'lq'")
+        value = _pick_norm(norm, rec["linf"], rec["lq"], path)
+        for key, v in (("t", rec["t"]), ("linf", rec["linf"]), (norm, value)):
+            if type(v) not in (int, float) or not math.isfinite(v):
+                raise DomainError(f"{path}:{lineno}: '{key}' is not a finite number: {v!r}")
         times.append(rec["t"])
-        values.append(_pick_norm(norm, rec["linf"], rec["lq"], path))
+        values.append(value)
     return np.array(times), np.array(values)
 
 

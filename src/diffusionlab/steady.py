@@ -48,12 +48,14 @@ W_SWITCH_FRACTION = 0.05
 # a log factor at p = 2), so the sliver's contribution is exact at leading
 # order and O(w_floor^(3-p) v w_floor^(2/p)) beyond.
 W_FLOOR_FRACTION = 1e-8
-# Shots: relative tolerance, center value of the unit shot (any value works),
-# outward step caps as fractions of the curvature length at the center (the
-# re-shoots only need their crossing), and the re-shoot's Brent tolerance on
-# log b, which pins the center value b to 1e-12 relative.
+# Shots: relative tolerance, center value of the unit shot (any value works)
+# and the radius by which it must cross zero, outward step caps as fractions
+# of the curvature length at the center (the re-shoots only need their
+# crossing), and the re-shoot's Brent tolerance on log b, which pins the
+# center value b to 1e-12 relative.
 SHOT_TOL = 1e-11
 UNIT_SHOT_B = 1.0
+UNIT_R_GUARD = 1e4
 UNIT_STEP_FACTOR = 2e-3
 RESHOOT_STEP_FACTOR = 5e-3
 LOG_B_XTOL = 1e-12
@@ -163,7 +165,7 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float, r_guard: float):
     )
 
 
-def shoot_unit_profile(p: float, n: int, r_guard: float = 1e4) -> SteadyProfile:
+def shoot_unit_profile(p: float, n: int) -> SteadyProfile:
     """Positive Dirichlet profile on the unit ball, via one shot + rescaling.
 
     The shooting center value UNIT_SHOT_B is arbitrary: the exact scaling
@@ -171,7 +173,7 @@ def shoot_unit_profile(p: float, n: int, r_guard: float = 1e4) -> SteadyProfile:
     """
     if p < 1.0 or n < 1:
         raise DomainError("shoot_unit_profile requires p >= 1 and n >= 1")
-    r, w, wp, R = _shoot(p, n, UNIT_SHOT_B, UNIT_STEP_FACTOR, r_guard)
+    r, w, wp, R = _shoot(p, n, UNIT_SHOT_B, UNIT_STEP_FACTOR, UNIT_R_GUARD)
     scale = R ** (-2.0 / p)
     return SteadyProfile(
         p=p,

@@ -1,7 +1,8 @@
-"""The benchmark's tracer (perfbench/layers.py) wraps diffusionlab names from
-outside the package.  These tests make a deleted or renamed traced name fail
-here, in the test suite, rather than in a traced benchmark run."""
+"""The benchmark (perfbench/) reads and wraps diffusionlab names from outside
+the package.  These tests make a deleted or renamed name that it uses fail
+here, in the test suite, rather than in a benchmark run."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -10,7 +11,9 @@ import pytest
 
 from diffusionlab import rates
 
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
+MODULES = ("experiments", "pde", "profiles", "rates", "rk", "steady")
 
 
 @pytest.fixture(scope="module")
@@ -39,3 +42,18 @@ def test_installed_wraps_and_restores_the_originals(layers):
     assert tracer.counts["rates.fit_calls"] == 1
     for owner, name, original in originals:
         assert owner.__dict__[name] is original, f"{owner.__name__}.{name}"
+
+
+def test_every_module_name_the_benchmark_reads_exists():
+    # every `<module>.<name>` in perfbench/*.py, for the diffusionlab modules
+    # it imports under their own names
+    read = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in MODULES):
+                read.add((node.value.id, node.attr))
+    assert read  # the walk found the benchmark's reads
+    missing = [f"{mod}.{name}" for mod, name in sorted(read)
+               if not hasattr(importlib.import_module(f"diffusionlab.{mod}"), name)]
+    assert not missing

@@ -347,38 +347,58 @@ class TestCli:
         assert f"error: {man_dir / 'typo.json'}: " in err
         assert f"error: {man_dir / 'garbled.json'}: " in err
 
-    # case: the content of the input file (None: there is no file), or the
-    # --datum spec for the datum cases
+    EVOLVE = ["evolve", "--p", "2", "--t-end", "10", "--n-nodes", "64"]
+    FIT = ["fit", "--series", "{bad}", "--window", "1", "200"]
+    # case: (the content of the input file `bad`, None for no file; the argv,
+    # where {bad} and {dir} stand for the file and its directory, and the
+    # error must then name the file)
     MALFORMED = {
-        "manifest_not_json": "{not json",
-        "manifest_is_list": "[1, 2]",
-        "manifest_missing": None,
-        "series_not_json": '{"t": 1.0, "linf": 1.0, "lq": {}}\nnot json\n',
-        "series_missing": None,
-        "series_not_object": "5\n",
-        "series_without_lq": '{"t": 1.0, "linf": 1.0}\n',
-        "series_lq_not_object": '{"t": 1.0, "linf": 1.0, "lq": [2.0]}\n',
-        "datum_not_number": "gaussian:sigma=x",
-        "datum_missing_key": "algebraic:C0=1",
+        "manifest_not_json": ("{not json", ["run", "{bad}"]),
+        "manifest_is_list": ("[1, 2]", ["run", "{bad}"]),
+        "manifest_missing": (None, ["run", "{bad}"]),
+        "series_not_json": ('{"t": 1.0, "linf": 1.0, "lq": {}}\nnot json\n', FIT),
+        "series_missing": (None, FIT),
+        "series_not_object": ("5\n", FIT),
+        "series_without_lq": ('{"t": 1.0, "linf": 1.0}\n', FIT),
+        "series_lq_not_object": ('{"t": 1.0, "linf": 1.0, "lq": [2.0]}\n', FIT),
+        "series_t_not_number": ('{"t": "abc", "linf": 1.0, "lq": {}}\n', FIT),
+        "series_linf_not_number": ('{"t": 1.0, "linf": "abc", "lq": {}}\n', FIT),
+        "series_lq_not_number": ('{"t": 1.0, "linf": 1.0, "lq": {"2": "abc"}}\n', [*FIT, "--norm", "l2"]),
+        "datum_not_number": (None, [*EVOLVE, "--datum", "gaussian:sigma=x"]),
+        "datum_missing_key": (None, [*EVOLVE, "--datum", "algebraic:C0=1"]),
+        "datum_table_missing": (None, [*EVOLVE, "--datum", "table:{bad}"]),
+        "datum_table_one_column": ("r\n0\n1\n2\n", [*EVOLVE, "--datum", "table:{bad}"]),
+        "norm_qs_not_number": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--norm-qs", "1,x"]),
+        "norm_qs_zero": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--norm-qs", "0"]),
+        "record_not_json": ("{not json", ["report", "{dir}"]),
+        "record_lacks_fields": ('{"name": "x", "assertions": []}', ["report", "{dir}"]),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
     def test_malformed_input_is_an_error_not_a_crash(self, tmp_path, capsys, case):
-        bad = tmp_path / "bad.json"
-        kind, content = case.split("_")[0], self.MALFORMED[case]
-        if kind == "datum":
-            argv = ["evolve", "--p", "2", "--t-end", "10", "--n-nodes", "64", "--datum", content]
-        else:
-            if content is not None:
-                bad.write_text(content)
-            argv = (["run", str(bad)] if kind == "manifest"
-                    else ["fit", "--series", str(bad), "--window", "1", "200"])
-        rc = cli_main(["--out", str(tmp_path), *argv])
+        content, argv = self.MALFORMED[case]
+        bad = tmp_path / "in" / "record.json"  # the name `report` looks for
+        bad.parent.mkdir()
+        if content is not None:
+            bad.write_text(content)
+        rc = cli_main(["--out", str(tmp_path), *(a.format(bad=bad, dir=bad.parent) for a in argv)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        if kind != "datum":
+        if any("{" in a for a in argv):
             assert str(bad) in err
+
+    def test_report_names_a_malformed_series(self, tmp_path, capsys):
+        rec_dir = tmp_path / "rec"
+        rec_dir.mkdir()
+        (rec_dir / "record.json").write_text(json.dumps(
+            {"name": "x", "scenario": "s", "manifest_hash": "", "started": "", "finished": "",
+             "produced_files": [], "assertions": [], "passed": True,
+             "plots": [{"series": "run.jsonl", "norm": "linf", "rate": 0.5, "label": "l"}]}))
+        (rec_dir / "run.jsonl").write_text('{"t": "abc", "linf": 1.0, "lq": {}}\n')
+        rc = cli_main(["--out", str(tmp_path / "rep"), "report", str(rec_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {rec_dir / 'run.jsonl'}:1: ")
 
     def test_gaussian_datum_spec(self, tmp_path):
         rc = cli_main(

@@ -169,9 +169,10 @@ def test_scaling_law_holds_for_random_p_and_radius(p, n, R):
     assert verify_scaling_law(p, n, [R]) < 1e-5
 
 
-def test_no_crossing_guard():
+def test_no_crossing_guard(monkeypatch):
+    monkeypatch.setattr(steady, "UNIT_R_GUARD", 0.5)  # crossing sits near r=1.75
     with pytest.raises(NoCrossingError):
-        shoot_unit_profile(2.0, 1, r_guard=0.5)  # crossing sits near r=1.75
+        shoot_unit_profile(2.0, 1)
 
 
 def test_csv_sidecar(tmp_path):
