@@ -232,7 +232,7 @@ def run_steady_scaling(params: dict, out_dir: Path, tol_scale: float):
             csv = out_dir / f"steady_unit_p={p:g}_n={n}.csv"
             steady.save_steady(unit, csv)
             files += [csv.name, csv.with_suffix(".json").name]
-            dev = steady.verify_scaling_law(p, n, params["R_list"])
+            dev = steady.verify_scaling_law(unit, params["R_list"])
             assertions.append(
                 _check_le(
                     f"scaling[p={p:g},n={n}]",
@@ -626,7 +626,11 @@ def load_records(directory) -> list:
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
             payload["assertions"] = [Assertion(**a) for a in payload["assertions"]]
-            payload.setdefault("plots", [])
+            payload["plots"] = [
+                {"series": str(pl["series"]), "norm": str(pl["norm"]), "rate": float(pl["rate"]),
+                 "label": str(pl["label"])}
+                for pl in payload.get("plots", [])
+            ]
             recs.append((path.parent, ResultRecord(**payload)))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"{path}: not a result record ({type(exc).__name__}: {exc})") from None

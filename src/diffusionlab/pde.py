@@ -455,7 +455,7 @@ def subsolution_margin(vrun: RescaledRun, sub: SeparatedSubsolution, tau: float)
     i = int(np.argmin(np.abs(vrun.taus - tau)))
     tau_actual, v = vrun.snapshots[i]
     mask = vrun.r <= sub.R
-    wvals = sub.w(np.minimum(vrun.r[mask], sub.R))
+    wvals = sub.w.interpolant()(np.minimum(vrun.r[mask], sub.R))
     lower = sub.y(tau_actual) * wvals
     return float(np.min(v[mask] - lower) / np.max(lower))
 

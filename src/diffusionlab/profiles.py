@@ -31,7 +31,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainError, RangeError, SingularityError, ToleranceError, WindowError
 from .rates import fit_decay
-from .rk import first_integral_residual, integrate_dp45
+from .rk import first_integral_residual, first_nonmonotone_interval, integrate_dp45
 
 # Positivity floor of the profile integration: below it f is treated as zero.
 F_FLOOR = 1e-250
@@ -327,15 +327,8 @@ def _check_profile_invariants(prof: Profile) -> None:
         raise SingularityError("integrated profile is not positive")
     if prof.fp.max() > 1e-10 * prof.params.A:
         raise SingularityError("integrated profile is not monotone nonincreasing")
-    # Fritsch-Carlson (1980): with d = df/dxi on an interval, a = fp_left/d and
-    # b = fp_right/d, the cubic Hermite piece is monotone if a, b >= 0 and
-    # a^2 + b^2 <= 9.  Checked as fp * d >= 0 and fp_left^2 + fp_right^2 <= 9 d^2,
-    # which needs no division by d and also covers d = 0.
-    d = np.diff(prof.f) / np.diff(prof.xi)
-    left, right = prof.fp[:-1], prof.fp[1:]
-    bad = (left * d < 0.0) | (right * d < 0.0) | (left * left + right * right > 9.0 * d * d)
-    if bad.any():
-        i = int(np.argmax(bad))
+    i = first_nonmonotone_interval(prof.xi, prof.f, prof.fp)
+    if i >= 0:
         raise SingularityError(
             f"profile interpolant is not monotone on [{prof.xi[i]:.6g}, {prof.xi[i + 1]:.6g}]"
         )
@@ -399,7 +392,7 @@ def certify_tail_bounds(profile: Profile, window: tuple[float, float]) -> TailBo
 
 
 def eval_self_similar(params: ProfileParams, profile: Profile, x, t: float):
-    """u(x, t) = t^(-alpha) f(t^(-beta) |x|) with monotone-cubic interpolation.
+    """u(x, t) = t^(-alpha) f(t^(-beta) |x|) with cubic Hermite interpolation.
 
     Accepts a scalar or array radius; raises RangeError if the similarity
     coordinate leaves the tabulated grid.

@@ -10,9 +10,10 @@ tiny and the per-step array overhead would dominate the run time.
 A per-position step cap is supported because several downstream checks
 need the accepted step sequence itself to be a usable sampling grid: the
 log-log tail fits, and the first-integral residual below that certifies both
-radial ODEs.  That residual integrates by cumulative Simpson with
-cubic-Hermite midpoint values built from the stored (y, y') pairs, so it is
-fourth order in the step and needs no extra right-hand-side evaluations.
+radial ODEs.  Between its nodes a profile of either kind is the cubic
+Hermite spline of its (y, y') pairs: first_nonmonotone_interval certifies it
+monotone, and the residual integrates it by cumulative Simpson (fourth order,
+with no extra right-hand-side evaluations).
 """
 
 from __future__ import annotations
@@ -138,6 +139,16 @@ def integrate_dp45(
         h *= min(5.0, max(0.2, factor))
 
     return xs, ys, zs
+
+
+def first_nonmonotone_interval(x, y, yp) -> int:
+    """First interval i on which the cubic Hermite spline of (y, y') may not be
+    monotone, or -1.  By Fritsch-Carlson (1980) a piece with secant slope d is
+    monotone if yp * d >= 0 at both ends and yp_left^2 + yp_right^2 <= 9 d^2."""
+    d = np.diff(y) / np.diff(x)
+    left, right = yp[:-1], yp[1:]
+    bad = (left * d < 0.0) | (right * d < 0.0) | (left * left + right * right > 9.0 * d * d)
+    return int(np.argmax(bad)) if bad.any() else -1
 
 
 def first_integral_residual(x, y, yp, n: int, p: float, c_int: float, c_pt: float = 0.0) -> float:

@@ -32,11 +32,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
-from .errors import DomainError, NoCrossingError
-from .rk import first_integral_residual, integrate_dp45
+from .errors import DomainError, NoCrossingError, SingularityError
+from .rk import first_integral_residual, first_nonmonotone_interval, integrate_dp45
 
 # Handoff height to the inverted system, as a fraction of the center value.
 # High enough that one capped outward step cannot overshoot past zero for any
@@ -84,19 +84,16 @@ class SteadyProfile:
     def center_value(self) -> float:
         return float(self.w[0])
 
-    def interpolant(self) -> PchipInterpolator:
-        return PchipInterpolator(self.r, self.w, extrapolate=False)
-
-    def __call__(self, r):
-        """Evaluate w at radii inside [0, R] (monotone-cubic)."""
-        return self.interpolant()(r)
+    def interpolant(self) -> CubicHermiteSpline:
+        return CubicHermiteSpline(self.r, self.w, self.wp, extrapolate=False)
 
 
 def _shoot(p: float, n: int, b: float, max_step_factor: float, r_guard: float):
     """Integrate outward from w(0) = b and locate the zero crossing.
 
     Returns (r_nodes, w_nodes, wp_nodes, R_crossing); raises NoCrossingError
-    if w has not crossed zero by r_guard.
+    if w has not crossed zero by r_guard, and SingularityError if the cubic
+    Hermite interpolant of the nodes fails the Fritsch-Carlson certificate.
     """
     invp = 1.0 / p
     nm1 = n - 1.0
@@ -148,21 +145,26 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float, r_guard: float):
         max_step=(w1 - w_floor) / 50.0,
         first_step=(w1 - w_floor) * 1e-3,
     )
-    # Drop the duplicated switch point, append the extrapolated crossing.
-    r_nodes = rs + rsi[1:]
-    w_nodes = ws + [w1 - q for q in qs[1:]]
-    wp_nodes = wps + wpsi[1:]
+    # Drop the duplicated switch point and every node on which r advances by
+    # no more than 1e-11 r (for p > 2 w falls much faster than R - r, and for
+    # p >= 3.5 the sweep runs on after R - r falls below float spacing, where
+    # r / R or scale_profile would merge nodes), then append the crossing,
+    # extrapolated from the last node kept.
+    rsi, wsi, wpsi = np.array(rsi), w1 - np.array(qs), np.array(wpsi)
+    keep = np.flatnonzero(np.diff(rsi) > 1e-11 * rsi[1:]) + 1
+    k = keep[-1]
     kappa = min(1.0, 2.0 / p)  # boundary exponent of w in (R - r)
-    R = rsi[-1] + kappa * (w1 - qs[-1]) / abs(wpsi[-1])
-    r_nodes.append(R)
-    w_nodes.append(0.0)
-    wp_nodes.append(wpsi[-1])
-    return (
-        np.concatenate(([0.0], r_nodes)),
-        np.concatenate(([b], w_nodes)),
-        np.concatenate(([0.0], wp_nodes)),
-        R,
-    )
+    R = float(rsi[k] + kappa * wsi[k] / abs(wpsi[k]))
+    r_nodes = np.concatenate(([0.0], rs, rsi[keep], [R]))
+    w_nodes = np.concatenate(([b], ws, wsi[keep], [0.0]))
+    wp_nodes = np.concatenate(([0.0], wps, wpsi[keep], [wpsi[k]]))
+    i = first_nonmonotone_interval(r_nodes, w_nodes, wp_nodes)
+    if i >= 0:
+        raise SingularityError(
+            f"steady interpolant is not monotone on [{r_nodes[i]:.6g}, {r_nodes[i + 1]:.6g}]"
+            f" (p={p}, n={n}, b={b})"
+        )
+    return r_nodes, w_nodes, wp_nodes, R
 
 
 def shoot_unit_profile(p: float, n: int) -> SteadyProfile:
@@ -250,22 +252,21 @@ def shoot_profile_for_radius(p: float, n: int, R_target: float) -> SteadyProfile
     )
 
 
-def verify_scaling_law(p: float, n: int, R_list) -> float:
+def verify_scaling_law(unit: SteadyProfile, R_list) -> float:
     """Max relative sup-norm deviation between independent re-shoots on B_R
     and the rescaled unit profile, over the given radii."""
     if not R_list:
         raise DomainError("R_list must be nonempty")
-    unit = shoot_unit_profile(p, n)
     worst = 0.0
     for R in R_list:
         if R == 1.0:
             continue  # scale_profile is the identity there by construction
-        reshot = shoot_profile_for_radius(p, n, R)
+        reshot = shoot_profile_for_radius(unit.p, unit.n, R)
         scaled = scale_profile(unit, R)
         # compare on the re-shot grid, away from the last node (w = 0 exactly)
         rr = reshot.r[:-1]
         inside = rr <= min(reshot.R, scaled.R)
-        diff = np.abs(reshot.w[:-1][inside] - scaled(rr[inside]))
+        diff = np.abs(reshot.w[:-1][inside] - scaled.interpolant()(rr[inside]))
         worst = max(worst, float(diff.max() / reshot.center_value))
     return worst
 

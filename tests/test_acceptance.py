@@ -142,7 +142,7 @@ def test_criterion_04_steady_scaling():
     worst = 0.0
     for p in (1.0, 2.0):
         for n in (1, 2, 3):
-            dev = verify_scaling_law(p, n, [0.5, 2.0, 10.0])
+            dev = verify_scaling_law(shoot_unit_profile(p, n), [0.5, 2.0, 10.0])
             worst = max(worst, dev)
     closed_worst = 0.0
     for n in (1, 2, 3):

@@ -105,6 +105,14 @@ class TestRun:
         rec = run_manifest(manifest(tmp_path, "heat2", "remark_heat", {"k": 2}))
         assert all(a.claim for a in rec.assertions)
 
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_default_manifest_passes(self, tmp_path, scenario):
+        # The default manifests certify the paper: a verdict that flips is a
+        # regression, whatever its cause.
+        rec = run_manifest(manifest(tmp_path, scenario, scenario, {}))
+        assert rec.error is None
+        assert rec.passed
+
     def test_passing_rerun_clears_failed_marker(self, tmp_path):
         # k = 3 is rejected (odd k), k = 4 passes; both write into tmp_path/heat
         assert not run_manifest(manifest(tmp_path, "heat", "remark_heat", {"k": 3})).passed
@@ -372,6 +380,12 @@ class TestCli:
         "norm_qs_zero": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--norm-qs", "0"]),
         "record_not_json": ("{not json", ["report", "{dir}"]),
         "record_lacks_fields": ('{"name": "x", "assertions": []}', ["report", "{dir}"]),
+        "record_plot_lacks_fields": (
+            json.dumps({"name": "x", "scenario": "s", "manifest_hash": "", "started": "",
+                        "finished": "", "produced_files": [], "assertions": [], "passed": True,
+                        "plots": [{"series": "run.jsonl"}]}),
+            ["report", "{dir}"],
+        ),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))

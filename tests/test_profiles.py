@@ -30,6 +30,7 @@ from diffusionlab.profiles import (
     self_similar_residual,
     taylor_start,
 )
+from diffusionlab.rk import first_nonmonotone_interval
 
 
 def reference_profile(params, n, xi_pts, xi0=1e-7):
@@ -181,6 +182,7 @@ class TestMonotoneInterpolantCertificate:
     def test_accepts_exact_power_law_slopes(self):
         xi = np.geomspace(1.0, 1e3, 200)
         prof = Profile(params=self.pp, n=1, xi=xi, f=xi**-1.5, fp=-1.5 * xi**-2.5)
+        assert first_nonmonotone_interval(prof.xi, prof.f, prof.fp) == -1
         _check_profile_invariants(prof)
 
     def test_rejects_steep_node_slope(self):
@@ -189,7 +191,8 @@ class TestMonotoneInterpolantCertificate:
         prof = Profile(params=self.pp, n=1, xi=np.array([0.0, 1.0, 2.0]),
                        f=np.array([1.0, 0.5, 0.25]), fp=np.array([0.0, -5.0, -0.25]))
         assert np.any(np.diff(prof.interpolant()(np.linspace(0.0, 2.0, 201))) > 0.0)
-        with pytest.raises(SingularityError, match="not monotone"):
+        assert first_nonmonotone_interval(prof.xi, prof.f, prof.fp) == 0
+        with pytest.raises(SingularityError, match=r"not monotone on \[0, 1\]"):
             _check_profile_invariants(prof)
 
     def test_rejects_slope_against_the_data(self):
@@ -197,8 +200,16 @@ class TestMonotoneInterpolantCertificate:
         # on a decreasing interval it still gives b < 0.
         prof = Profile(params=self.pp, n=1, xi=np.array([0.0, 1.0, 2.0]),
                        f=np.array([1.0, 0.5, 0.25]), fp=np.array([0.0, 1e-11, -0.25]))
-        with pytest.raises(SingularityError, match="not monotone"):
+        assert first_nonmonotone_interval(prof.xi, prof.f, prof.fp) == 0
+        with pytest.raises(SingularityError, match=r"not monotone on \[0, 1\]"):
             _check_profile_invariants(prof)
+
+    def test_reports_the_first_bad_interval(self):
+        # Only [2, 3] fails: a = 0 and b = -4 / -1 = 4 there.
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        y = np.array([3.0, 2.0, 1.0, 0.0])
+        assert first_nonmonotone_interval(x, y, np.array([-1.0, -1.0, 0.0, -4.0])) == 2
+        assert first_nonmonotone_interval(x, y, np.array([-1.0, -1.0, 0.0, -2.0])) == -1
 
 
 @pytest.mark.parametrize("p, rel", [

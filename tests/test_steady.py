@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffusionlab import steady
-from diffusionlab.errors import DomainError, NoCrossingError
+from diffusionlab.errors import DomainError, NoCrossingError, SingularityError
 from diffusionlab.steady import (
     scale_profile,
     shoot_profile_for_radius,
@@ -27,6 +27,15 @@ def test_p1_closed_form(n):
     exact = (1.0 - unit.r**2) / (2 * n)
     assert unit.center_value == pytest.approx(1.0 / (2 * n), abs=1e-12)
     assert np.max(np.abs(unit.w - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_p1_interpolant_matches_closed_form_between_nodes(n):
+    # The cubic Hermite of the shot's (w, w') reproduces the quadratic
+    # (1 - r^2)/(2n) exactly; a PCHIP of w alone misses it by 1e-8.
+    unit = shoot_unit_profile(1.0, n)
+    mid = 0.5 * (unit.r[:-1] + unit.r[1:])
+    assert np.max(np.abs(unit.interpolant()(mid) - (1.0 - mid**2) / (2 * n))) < 1e-12
 
 
 def test_p2_profile_is_positive_concave_with_small_residual():
@@ -86,17 +95,44 @@ class TestScaleProfile:
 
 class TestVerifyScalingLaw:
     def test_p1_closed_form_family(self):
-        assert verify_scaling_law(1.0, 1, [0.5, 2.0, 10.0]) < 1e-6
+        assert verify_scaling_law(shoot_unit_profile(1.0, 1), [0.5, 2.0, 10.0]) < 1e-6
 
     def test_p2_numerical_family(self):
-        assert verify_scaling_law(2.0, 2, [1.0, 4.0]) < 1e-5
+        assert verify_scaling_law(shoot_unit_profile(2.0, 2), [1.0, 4.0]) < 1e-5
 
     def test_single_unit_radius_is_exact(self):
-        assert verify_scaling_law(2.0, 1, [1.0]) == 0.0
+        assert verify_scaling_law(shoot_unit_profile(2.0, 1), [1.0]) == 0.0
 
     def test_rejects_empty_list(self):
         with pytest.raises(DomainError):
-            verify_scaling_law(2.0, 1, [])
+            verify_scaling_law(shoot_unit_profile(2.0, 1), [])
+
+    @pytest.mark.parametrize("p, n", [(p, n) for p in (1.0, 2.0) for n in (1, 2, 3)])
+    def test_default_grid_is_at_interpolation_floor(self, p, n):
+        # The steady_scaling defaults: the scaled unit profile is evaluated by
+        # the cubic Hermite of its own (w, w'), so what is left is the shots'
+        # own error, not an interpolation error of 2e-7.
+        assert verify_scaling_law(shoot_unit_profile(p, n), [0.5, 2.0, 10.0]) < 1e-9
+
+
+@pytest.mark.parametrize("p", [4.0, 6.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_steep_boundary_shots_have_distinct_nodes(p, n):
+    # For p >= 3.5 the inverted sweep runs on after R - r falls below float
+    # spacing; such nodes are dropped, so r stays strictly increasing on the
+    # unit ball and after rescaling to the extremes of the tested radii.
+    unit = shoot_unit_profile(p, n)
+    for R in (1.0, 1e-3, 1e4):
+        assert np.all(np.diff(scale_profile(unit, R).r) > 0.0)
+    assert verify_scaling_law(unit, [0.5, 2.0, 10.0]) < 1e-5
+
+
+def test_shot_certifies_its_interpolant(monkeypatch):
+    # _shoot rejects nodes whose cubic Hermite fails the Fritsch-Carlson
+    # certificate; a steady shot has none, so force one.
+    monkeypatch.setattr(steady, "first_nonmonotone_interval", lambda r, w, wp: 3)
+    with pytest.raises(SingularityError, match="steady interpolant is not monotone"):
+        shoot_unit_profile(2.0, 1)
 
 
 def test_center_value_scaling_exponent():
@@ -166,7 +202,7 @@ def test_reshoot_range_guard(R):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(p=st.floats(1.0, 3.0), n=st.integers(1, 3), R=st.floats(0.2, 20.0))
 def test_scaling_law_holds_for_random_p_and_radius(p, n, R):
-    assert verify_scaling_law(p, n, [R]) < 1e-5
+    assert verify_scaling_law(shoot_unit_profile(p, n), [R]) < 1e-5
 
 
 def test_no_crossing_guard(monkeypatch):
