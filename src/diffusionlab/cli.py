@@ -3,8 +3,8 @@
     difflab [--out DIR] [--workers K] [--tol-scale F] <verb> ...
 
 Verbs: profile, steady, evolve, fit, run <manifest.json>, sweep <dir>,
-report <dir>.  Exit status is 0 iff every assertion of every executed
-scenario passed.
+report <dir>, scenarios.  Exit status is 0 iff every assertion of every
+executed scenario passed.
 """
 
 from __future__ import annotations
@@ -157,6 +157,14 @@ def cmd_report(args, out: Path) -> int:
     return 0 if all(rec.passed for _, rec in records) else 1
 
 
+def cmd_scenarios(args, out: Path) -> int:
+    for name, defaults in experiments.DEFAULTS.items():
+        print(name)
+        for key, value in defaults.items():
+            print(f"  {key} = {json.dumps(value)}")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="difflab", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -216,6 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="summarize records under a directory")
     rep.set_defaults(func=cmd_report)
     rep.add_argument("directory")
+
+    sc = sub.add_parser("scenarios", help="list the scenarios with their default parameters")
+    sc.set_defaults(func=cmd_scenarios)
     return ap
 
 

@@ -71,9 +71,33 @@ def _check_value(key, value, default):
         raise DomainError(f"parameter '{key}' must be finite, got {value!r}")
 
 
+# The domain of each parameter that a scenario may declare, as (test, what
+# the test asks); a scenario that declares `window` also declares `t_end`.
+_DOMAINS = {
+    "p": (lambda v: v > 0.0, "> 0"),
+    "n": (lambda v: v >= 1, ">= 1"),
+    "R": (lambda v: v > 0.0, "> 0"),
+    "eps": (lambda v: v >= 0.0, ">= 0"),
+    "n_nodes": (lambda v: v >= 16, ">= 16"),
+}
+
+
+def _check_domain(params: dict) -> None:
+    """DomainError naming the first resolved parameter outside its domain, so
+    that such a value is rejected before any solver runs."""
+    for key, (inside, want) in _DOMAINS.items():
+        if key in params and not inside(params[key]):
+            raise DomainError(f"parameter '{key}' must be {want}, got {params[key]!r}")
+    if "window" in params:
+        window, t_end = params["window"], params["t_end"]
+        if not (len(window) == 2 and 0.0 < window[0] < window[1] <= t_end):
+            raise DomainError(f"parameter 'window' must be two increasing times in "
+                              f"(0, t_end = {t_end:g}], got {window!r}")
+
+
 def _resolve_parameters(name: str, parameters) -> dict:
     """The scenario's defaults updated by the manifest parameters; DomainError
-    names the first unknown, ill-typed or non-finite parameter."""
+    names the first unknown, ill-typed, non-finite or out-of-domain parameter."""
     if not isinstance(parameters, dict):
         raise DomainError(f"parameters must be an object, got {parameters!r}")
     defaults = DEFAULTS[name]
@@ -81,7 +105,9 @@ def _resolve_parameters(name: str, parameters) -> dict:
         if key not in defaults:
             raise DomainError(f"unknown parameter '{key}' for {name}; known: {sorted(defaults)}")
         _check_value(key, value, defaults[key])
-    return dict(defaults, **parameters)
+    params = dict(defaults, **parameters)
+    _check_domain(params)
+    return params
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,14 @@ by backward Euler with a damped Newton solve of
 
     F(u+) = u+ - u - dt * (u+)^p * L u+ = 0
 
-per step.  Backward Euler rather than a second-order one-step scheme:
-positivity robustness near the degenerate boundary layer matters more than
-formal order, and accuracy is recovered by the relative dt cap.
+per step.  Each Newton iteration is one direct LAPACK gtsv solve of the
+tridiagonal Jacobian (`solve_banded`).  The Jacobian is assembled in a band
+buffer that the stepper allocates once, from the Laplacian that the
+residual of the same iterate has already computed.
+
+Backward Euler rather than a second-order one-step scheme: positivity
+robustness near the degenerate boundary layer matters more than formal
+order, and accuracy is recovered by the relative dt cap.
 `evolve` is the one stepping entry point: a step whose Newton solve fails
 is retried at half the step size.
 
@@ -34,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, NewtonDivergence, StepTooSmall
@@ -198,6 +203,26 @@ def _laplacian_coeffs(r: np.ndarray, n: int):
     return a, b, c
 
 
+def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system held in scipy's (1, 1) banded storage
+    (ab[0, 1:] upper, ab[1] main, ab[2, :-1] lower diagonal) by one LAPACK
+    gtsv call.  This is the routine `scipy.linalg.solve_banded` calls for
+    these bands, so the solution is the same bit for bit, without scipy's
+    input validation and batch dispatch.  As there, non-finite input raises
+    ValueError and a singular matrix np.linalg.LinAlgError; neither input
+    is overwritten."""
+    if tuple(l_and_u) != (1, 1):
+        raise ValueError(f"only (1, 1) bands are supported, got {tuple(l_and_u)}")
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
+    return x
+
+
 class _Stepper:
     """Backward-Euler stepper bound to one grid; reused across steps."""
 
@@ -206,6 +231,9 @@ class _Stepper:
         self.eps = eps
         self.a, self.b, self.c = _laplacian_coeffs(r, n)
         self.floor = 0.5 * eps if eps > 0.0 else 1e-300
+        # Newton matrix in (1, 1) banded storage, refilled at every iteration;
+        # its unused corners ab[0, 0] and ab[2, -1] stay zero.
+        self.ab = np.zeros((3, len(r) - 1))
 
     def lap(self, u_int: np.ndarray) -> np.ndarray:
         lu = self.b * u_int
@@ -215,30 +243,27 @@ class _Stepper:
         return lu
 
     def residual(self, u_new, u_old, dt):
-        return u_new - u_old - dt * u_new**self.p * self.lap(u_new)
+        """(F(u_new), L u_new): the Laplacian is kept for the Newton matrix."""
+        lu = self.lap(u_new)
+        return u_new - u_old - dt * u_new**self.p * lu, lu
 
     def step(self, u: np.ndarray, dt: float):
         """One backward-Euler step of the interior unknowns; returns
         (u_new, newton_iterations).  Raises NewtonDivergence."""
-        p = self.p
+        p, ab = self.p, self.ab
         u_old = u
         scale = max(float(np.max(u_old)), self.eps, 1e-30)
         tol = NEWTON_TOL * scale
         x = u_old.copy()
-        res = self.residual(x, u_old, dt)
+        res, lu = self.residual(x, u_old, dt)
         rnorm = float(np.max(np.abs(res)))
         for it in range(MAX_NEWTON):
             if rnorm < tol:
                 return x, it
-            lu = self.lap(x)
             xp = x**p
-            diag = 1.0 - dt * (p * x ** (p - 1.0) * lu + xp * self.b)
-            lower = -dt * xp[1:] * self.a[1:]
-            upper = -dt * xp[:-1] * self.c[:-1]
-            ab = np.zeros((3, len(x)))
-            ab[0, 1:] = upper
-            ab[1, :] = diag
-            ab[2, :-1] = lower
+            ab[0, 1:] = -dt * xp[:-1] * self.c[:-1]
+            ab[1] = 1.0 - dt * (p * x ** (p - 1.0) * lu + xp * self.b)
+            ab[2, :-1] = -dt * xp[1:] * self.a[1:]
             try:
                 delta = solve_banded((1, 1), ab, -res)
             except np.linalg.LinAlgError:
@@ -247,10 +272,10 @@ class _Stepper:
             improved = False
             while lam > 1e-6:
                 trial = np.maximum(x + lam * delta, self.floor)
-                res_t = self.residual(trial, u_old, dt)
+                res_t, lu_t = self.residual(trial, u_old, dt)
                 rn_t = float(np.max(np.abs(res_t)))
                 if math.isfinite(rn_t) and (rn_t < rnorm or rn_t < tol):
-                    x, res, rnorm = trial, res_t, rn_t
+                    x, res, lu, rnorm = trial, res_t, lu_t, rn_t
                     improved = True
                     break
                 lam *= 0.5

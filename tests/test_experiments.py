@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from diffusionlab import pde
 from diffusionlab.cli import main as cli_main
 from diffusionlab.errors import DomainError
 from diffusionlab.experiments import (
     DEFAULTS,
     SCENARIOS,
     ExperimentManifest,
+    _resolve_parameters,
     load_records,
     report,
     run_manifest,
@@ -142,6 +144,40 @@ class TestParameters:
         assert (tmp_path / "bad" / "failed").exists()
         assert json.loads((tmp_path / "bad" / "record.json").read_text())["error"] == rec.error
 
+    @pytest.mark.parametrize(
+        "scenario,params,key",
+        [
+            ("theorem2000_upper", {"p": 0.0}, "p"),
+            ("prop103", {"p": -1.0}, "p"),
+            ("theorem200", {"n": 0}, "n"),
+            ("theorem2000_lower", {"R": 0.0}, "R"),
+            ("theorem100", {"eps": -1e-7}, "eps"),
+            ("prop103", {"n_nodes": 15}, "n_nodes"),
+            ("theorem200", {"window": [1e2]}, "window"),
+            ("theorem2000_upper", {"window": [1e3, 1e2]}, "window"),
+            ("theorem2000_lower", {"window": [0.0, 1e2]}, "window"),
+            ("theorem100", {"window": [1e2, 2e4]}, "window"),
+            ("theorem2000_upper", {"t_end": 1e3}, "window"),  # the default window ends at 1e4
+        ],
+    )
+    def test_out_of_domain_parameter_is_rejected_before_the_run(
+            self, tmp_path, monkeypatch, scenario, params, key):
+        def no_solver(*args, **kwargs):
+            raise RuntimeError("the solver ran")
+
+        monkeypatch.setattr(pde, "evolve", no_solver)
+        rec = run_manifest(manifest(tmp_path, "bad", scenario, params))
+        assert rec.error.startswith("DomainError") and f"'{key}'" in rec.error
+        assert not rec.passed and rec.assertions == []
+
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_defaults_resolve_unchanged(self, scenario):
+        assert _resolve_parameters(scenario, {}) == DEFAULTS[scenario]
+
+    def test_window_ending_at_t_end_is_accepted(self):
+        params = _resolve_parameters("theorem2000_upper", {"t_end": 1e3, "window": [10.0, 1e3]})
+        assert params["window"] == [10.0, 1e3]
+
     @pytest.mark.parametrize("scenario", ["remark_heat", "vartheta_table"])
     def test_full_declared_table_matches_empty(self, tmp_path, scenario):
         full = run_manifest(manifest(tmp_path, "full", scenario, dict(DEFAULTS[scenario])))
@@ -256,6 +292,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "identity residual" in out
         assert list(tmp_path.glob("profile_*.csv"))
+
+    def test_scenarios_verb_lists_every_default_table(self, tmp_path, capsys):
+        assert cli_main(["--out", str(tmp_path), "scenarios"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [line for line in lines if not line.startswith(" ")]
+        assert names == list(DEFAULTS)
+        table = lines[lines.index("theorem2000_upper") + 1:lines.index("theorem2000_lower")]
+        assert table == [f"  {k} = {json.dumps(v)}" for k, v in DEFAULTS["theorem2000_upper"].items()]
 
     def test_steady_verb(self, tmp_path, capsys):
         rc = cli_main(["--out", str(tmp_path), "steady", "--p", "1", "--n", "1", "--R", "2"])

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import solve_banded as scipy_solve_banded
 
 from diffusionlab import pde
 from diffusionlab.errors import DomainError, NewtonDivergence, StepTooSmall
@@ -171,6 +172,96 @@ class TestDtHalvingRetry:
         monkeypatch.setattr(pde._Stepper, "step", always_fails)
         with pytest.raises(StepTooSmall):
             self._evolve()
+
+
+def _tridiagonal(N, seed, dominant):
+    """(1, 1) banded storage of a random N x N tridiagonal matrix, strictly
+    diagonally dominant or with entries of mixed sign and size, and a
+    right-hand side; the unused corners are zero, as in the stepper."""
+    rng = np.random.default_rng(seed)
+    ab = np.zeros((3, N))
+    if dominant:
+        ab[0, 1:] = -rng.random(N - 1)
+        ab[2, :-1] = -rng.random(N - 1)
+        ab[1] = 2.0 + rng.random(N)
+    else:
+        ab[0, 1:] = rng.standard_normal(N - 1) * 10.0 ** rng.uniform(-3, 3, N - 1)
+        ab[2, :-1] = rng.standard_normal(N - 1) * 10.0 ** rng.uniform(-3, 3, N - 1)
+        ab[1] = rng.standard_normal(N) * 10.0 ** rng.uniform(-3, 3, N)
+    return ab, rng.standard_normal(N)
+
+
+class TestSolveBanded:
+    """pde.solve_banded is scipy.linalg.solve_banded((1, 1), ...) bit for bit."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(N=st.integers(16, 400), seed=st.integers(0, 2**32 - 1), dominant=st.booleans())
+    def test_bit_identical_to_scipy(self, N, seed, dominant):
+        ab, b = _tridiagonal(N, seed, dominant)
+        ab_in, b_in = ab.copy(), b.copy()
+        try:
+            expected = scipy_solve_banded((1, 1), ab, b)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                pde.solve_banded((1, 1), ab, b)
+            return
+        np.testing.assert_array_equal(pde.solve_banded((1, 1), ab, b), expected)
+        np.testing.assert_array_equal(ab, ab_in)  # inputs are not overwritten
+        np.testing.assert_array_equal(b, b_in)
+
+    @pytest.mark.parametrize("dominant", [True, False])
+    def test_bit_identical_on_the_fine_grid_size(self, dominant):
+        ab, b = _tridiagonal(3999, 7, dominant)
+        np.testing.assert_array_equal(pde.solve_banded((1, 1), ab, b),
+                                      scipy_solve_banded((1, 1), ab, b))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["upper", "diag", "lower", "corner", "rhs"])
+    def test_non_finite_input_raises_value_error(self, bad, where):
+        ab, b = _tridiagonal(32, 0, True)
+        target, index = {"upper": (ab, (0, 5)), "diag": (ab, (1, 5)), "lower": (ab, (2, 5)),
+                         "corner": (ab, (0, 0)), "rhs": (b, 5)}[where]
+        target[index] = bad
+        for solve in (pde.solve_banded, scipy_solve_banded):
+            with pytest.raises(ValueError):
+                solve((1, 1), ab, b)
+
+    def test_singular_matrix_raises_lin_alg_error(self):
+        ab, b = _tridiagonal(32, 0, True)
+        ab[1, 0] = ab[2, 0] = 0.0  # first column zero
+        for solve in (pde.solve_banded, scipy_solve_banded):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve((1, 1), ab, b)
+
+    def test_only_one_one_bands(self):
+        with pytest.raises(ValueError):
+            pde.solve_banded((2, 1), np.ones((4, 16)), np.ones(16))
+
+    def test_stepper_turns_a_singular_matrix_into_newton_divergence(self, monkeypatch):
+        solve = pde.solve_banded
+        monkeypatch.setattr(pde, "solve_banded", lambda l_and_u, ab, b: solve(l_and_u, 0.0 * ab, b))
+        r = build_grid(1.0, 32)
+        u = 1e-2 + 0.5 * (1.0 - r[:-1] ** 2)
+        with pytest.raises(NewtonDivergence, match="singular"):
+            pde._Stepper(r, 1, 2.0, 1e-2).step(u, 1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_evolve_is_bit_identical_with_scipy_solve_banded(monkeypatch, n):
+    # the set-up of the short_run fixture, in one and three dimensions
+    def run():
+        return evolve(InitialDatum.algebraic(2.0), p=2.0, n=n, R=20.0, eps=1e-3, t_end=10.0,
+                      norm_qs=(0.5, 1.0, 2.0), config=SolverConfig(n_nodes=256))
+
+    fast = run()
+    with monkeypatch.context() as m:
+        m.setattr(pde, "solve_banded", scipy_solve_banded)
+        reference = run()
+    assert fast.samples == reference.samples
+    assert len(fast.snapshots) == len(reference.snapshots)
+    for (t, u), (t_ref, u_ref) in zip(fast.snapshots, reference.snapshots):
+        assert t == t_ref
+        np.testing.assert_array_equal(u, u_ref)
 
 
 def test_self_similar_reproduction_short():
