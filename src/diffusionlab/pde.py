@@ -268,6 +268,8 @@ class _Stepper:
                 delta = solve_banded((1, 1), ab, -res)
             except np.linalg.LinAlgError:
                 raise NewtonDivergence("singular Newton matrix")
+            except ValueError:  # the Newton matrix or residual overflowed
+                raise NewtonDivergence("non-finite Newton matrix")
             lam = 1.0
             improved = False
             while lam > 1e-6:

@@ -19,9 +19,10 @@ crossing stably; the boundary slope can diverge (p > 2) or vanish
 
 The rescaling itself is verified against independent re-shoots on B_R.
 Each finds the center value b whose crossing lands on R without the
-scaling law: b is bracketed by doubling or halving from 1, and Brent's
-method solves log R_crossing(b) = log R in log b, typically in under ten
-shots.
+scaling law: the secant method, started from b = 1 and b = 2, solves
+log R_crossing(b) = log R in log b.  A shot's step cap, first step and
+tolerances all scale with b, so log R_crossing is affine in log b to
+rounding and the secant lands in 3-4 shots.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
+from scipy.optimize import newton
 
 from .errors import DomainError, NoCrossingError, SingularityError
 from .rk import first_integral_residual, first_nonmonotone_interval, integrate_dp45
@@ -51,7 +52,7 @@ W_FLOOR_FRACTION = 1e-8
 # Shots: relative tolerance, center value of the unit shot (any value works)
 # and the radius by which it must cross zero, outward step caps as fractions
 # of the curvature length at the center (the re-shoots only need their
-# crossing), and the re-shoot's Brent tolerance on log b, which pins the
+# crossing), and the re-shoot's secant tolerance on log b, which pins the
 # center value b to 1e-12 relative.
 SHOT_TOL = 1e-11
 UNIT_SHOT_B = 1.0
@@ -59,8 +60,8 @@ UNIT_R_GUARD = 1e4
 UNIT_STEP_FACTOR = 2e-3
 RESHOOT_STEP_FACTOR = 5e-3
 LOG_B_XTOL = 1e-12
-# The re-shoot's bracket on log b: steps of log 2 from b = 1, within
-# [1e-12, 1e12].
+# The re-shoot's secant starts from log b = 0 and log 2; a log b it reaches
+# outside [log 1e-12, log 1e12] is refused before it is shot.
 _LN2 = math.log(2.0)
 _LOG_B_MIN = math.log(1e-12)
 _LOG_B_MAX = math.log(1e12)
@@ -212,11 +213,12 @@ def shoot_profile_for_radius(p: float, n: int, R_target: float) -> SteadyProfile
     crossing lands on R_target.  Deliberately avoids the scaling law (that is
     what it is used to verify).
 
-    b is bracketed by doubling or halving from 1, then Brent's method (Brent
-    1973) finds the root of log(R_crossing(b) / R_target) in log b to
-    LOG_B_XTOL.  Shots are kept by log b, so none is repeated: brentq's calls
-    at the bracket ends and the returned profile, its shot at the estimate
-    b*, reuse shots already made.
+    The secant method (scipy.optimize.newton without a derivative) finds the
+    root of log(R_crossing(b) / R_target) in log b to LOG_B_XTOL, starting
+    from b = 1 and b = 2, not from the scaling law.  A log b outside
+    [_LOG_B_MIN, _LOG_B_MAX] raises NoCrossingError before it is shot.
+    Shots are kept by log b, so the returned profile reuses its shot at the
+    estimate b* when the secant has already made it.
     """
     if R_target <= 0.0:
         raise DomainError("target radius must be positive")
@@ -224,27 +226,17 @@ def shoot_profile_for_radius(p: float, n: int, R_target: float) -> SteadyProfile
     shots = {}
 
     def log_ratio(x):
+        if not _LOG_B_MIN <= x <= _LOG_B_MAX:
+            raise NoCrossingError(
+                f"R={R_target:g} needs a center value b = 10^{x / math.log(10.0):.3g},"
+                f" outside [1e-12, 1e12] (p={p}, n={n})"
+            )
         if x not in shots:
             shots[x] = _shoot(p, n, math.exp(x), RESHOOT_STEP_FACTOR, guard)
         return math.log(shots[x][3] / R_target)
 
-    x_lo = x_hi = 0.0
-    while log_ratio(x_lo) > 0.0:
-        x_hi = x_lo
-        x_lo -= _LN2
-        if x_lo < _LOG_B_MIN:
-            raise NoCrossingError(
-                f"every center value b >= 1e-12 crosses beyond R={R_target:g} (p={p}, n={n})"
-            )
-    while log_ratio(x_hi) < 0.0:
-        x_lo = x_hi
-        x_hi += _LN2
-        if x_hi > _LOG_B_MAX:
-            raise NoCrossingError(
-                f"every center value b <= 1e12 crosses short of R={R_target:g} (p={p}, n={n})"
-            )
-    x_star = brentq(log_ratio, x_lo, x_hi, xtol=LOG_B_XTOL)
-    log_ratio(x_star)  # brentq returns a point it evaluated: no new shot
+    x_star = newton(log_ratio, 0.0, x1=_LN2, tol=LOG_B_XTOL)
+    log_ratio(x_star)
     r, w, wp, R = shots[x_star]
     return SteadyProfile(
         p=p, n=n, R=R, r=r, w=w, wp=wp,

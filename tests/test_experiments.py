@@ -204,8 +204,12 @@ class TestSweep:
         recs = sweep([m], parallelism=4)
         assert len(recs) == 1 and recs[0].passed
 
-    def test_determinism_modulo_timestamps(self, tmp_path):
-        m = manifest(tmp_path, "det", "vartheta_table", {"n_theta": 5, "n_m": 5})
+    @pytest.mark.parametrize("scenario, params", [
+        ("vartheta_table", {"n_theta": 5, "n_m": 5}),
+        ("steady_scaling", {"p_list": [2.0], "n_list": [1], "R_list": [0.5, 2.0]}),
+    ])
+    def test_determinism_modulo_timestamps(self, tmp_path, scenario, params):
+        m = manifest(tmp_path, "det", scenario, params)
         run_manifest(m)
         first = (tmp_path / "det" / "record.json").read_text()
         run_manifest(m)

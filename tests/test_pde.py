@@ -165,6 +165,20 @@ class TestDtHalvingRetry:
         np.testing.assert_allclose(run.times, [0.0, *pde._sample_times(0.0, 10.0)], rtol=1e-12)
         assert all(np.all(u > 0.0) for _, u in run.snapshots)
 
+    def test_non_finite_newton_matrix_is_retried(self, monkeypatch):
+        solve, calls = pde.solve_banded, []
+
+        def rejects_first(l_and_u, ab, b):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ValueError("array must not contain infs or NaNs")
+            return solve(l_and_u, ab, b)
+
+        monkeypatch.setattr(pde, "solve_banded", rejects_first)
+        run = self._evolve()
+        assert run.times[-1] == pytest.approx(10.0, rel=1e-12)
+        assert max(s.max_principle_slack for s in run.samples) == 0.0
+
     def test_persistent_failure_ends_in_step_too_small(self, monkeypatch):
         def always_fails(self, u, dt):
             raise NewtonDivergence("injected")
@@ -244,6 +258,14 @@ class TestSolveBanded:
         u = 1e-2 + 0.5 * (1.0 - r[:-1] ** 2)
         with pytest.raises(NewtonDivergence, match="singular"):
             pde._Stepper(r, 1, 2.0, 1e-2).step(u, 1e-3)
+
+    def test_stepper_turns_an_overflowed_matrix_into_newton_divergence(self):
+        # at dt = 1e308 the Newton matrix overflows and solve_banded refuses it
+        r = build_grid(1.0, 32)
+        u = 1e-2 + 0.5 * (1.0 - r[:-1] ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NewtonDivergence, match="non-finite"):
+                pde._Stepper(r, 1, 2.0, 1e-2).step(u, 1e308)
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -146,9 +146,24 @@ def test_center_value_scaling_exponent():
     assert slope == pytest.approx(2.0 / p, abs=1e-6)
 
 
-# Each p is re-shot over R from 0.05 to 100.  The bracket doubles or halves b
-# from 1, one shot per factor 2, and Brent adds 1-2 shots, so the shot bound
-# holds while b* stays within about 2^(+-12) of 1.
+@pytest.fixture
+def shot_b(monkeypatch):
+    """The center values of every _shoot call, in order."""
+    calls = []
+    shoot = steady._shoot
+
+    def counted(p, n, b, *rest):
+        calls.append(b)
+        return shoot(p, n, b, *rest)
+
+    monkeypatch.setattr(steady, "_shoot", counted)
+    return calls
+
+
+# Each p is re-shot over R from 0.05 to 100.  log R_crossing is affine in
+# log b, so the secant's first step from b = 1 and b = 2 lands on b*: two
+# shots to start, one at that step and one at the confirming step, however
+# far b* lies from 1 (p = 1, n = 3, R = 100 needs b* = 1.7e3).
 RESHOOT_GRID = [
     (1.0, 1, 0.05), (1.0, 2, 2.0), (1.0, 3, 100.0),
     (2.0, 1, 100.0), (2.0, 2, 0.05), (2.0, 3, 10.0),
@@ -157,17 +172,9 @@ RESHOOT_GRID = [
 
 
 @pytest.mark.parametrize("p, n, R", RESHOOT_GRID)
-def test_reshoot_lands_on_target_in_few_shots(monkeypatch, p, n, R):
-    shot_b = []
-    shoot = steady._shoot
-
-    def counted(p, n, b, *rest):
-        shot_b.append(b)
-        return shoot(p, n, b, *rest)
-
-    monkeypatch.setattr(steady, "_shoot", counted)
+def test_reshoot_lands_on_target_in_few_shots(shot_b, p, n, R):
     reshot = shoot_profile_for_radius(p, n, R)
-    assert len(shot_b) <= 15
+    assert len(shot_b) <= 4
     assert len(set(shot_b)) == len(shot_b)  # no center value is shot twice
     assert reshot.R == pytest.approx(R, rel=1e-10)
     scaled = scale_profile(shoot_unit_profile(p, n), R)
@@ -183,6 +190,15 @@ def test_reshoot_bracket_guard(monkeypatch, R):
     monkeypatch.setattr(steady, "_LOG_B_MAX", math.log(64.0))
     with pytest.raises(NoCrossingError):
         shoot_profile_for_radius(2.0, 1, R)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_out_of_range_reshoot_fails_fast(shot_b, n):
+    # p = 1 crosses at R = sqrt(2 n b), so R = 1e-6 needs b = 5e-13 / n, below
+    # 1e-12: the secant's first step leaves the range and is refused unshot.
+    with pytest.raises(NoCrossingError):
+        shoot_profile_for_radius(1.0, n, 1e-6)
+    assert len(shot_b) <= 3
 
 
 @pytest.mark.parametrize("R", [1e-6, 1e6])
