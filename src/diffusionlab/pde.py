@@ -14,8 +14,12 @@ by backward Euler with a damped Newton solve of
 
 per step.  Each Newton iteration is one direct LAPACK gtsv solve of the
 tridiagonal Jacobian (`solve_banded`).  The Jacobian is assembled in a band
-buffer that the stepper allocates once, from the Laplacian that the
-residual of the same iterate has already computed.
+buffer that the stepper allocates once, from the Laplacian L u+ and the
+power (u+)^p that the residual of the same iterate has already computed.
+Both are carried on into the next step, whose Newton solve starts from the
+accepted iterate; that is exact, because the carry is used only for the
+read-only array the stepper itself returned, so the same operations on the
+same values would give the same bits.
 
 Backward Euler rather than a second-order one-step scheme: positivity
 robustness near the degenerate boundary layer matters more than formal
@@ -224,46 +228,69 @@ def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """Backward-Euler stepper bound to one grid; reused across steps."""
+    """Backward-Euler stepper bound to one grid; reused across steps.
+
+    Each Newton iterate x costs one Laplacian L x and one power x^p: the
+    residual computes both, and the Newton matrix at x reuses them.  The
+    (x, L x, x^p) of the accepted iterate is carried into the next step,
+    whose first residual is taken at x = u_old: it is used only when `step`
+    is passed the very array it last returned, which is returned read-only,
+    so the carried arrays are the ones the same operations would compute
+    again from the same values, and the carry changes no bit.
+    """
 
     def __init__(self, r: np.ndarray, n: int, p: float, eps: float):
         self.p = p
         self.eps = eps
-        self.a, self.b, self.c = _laplacian_coeffs(r, n)
+        a, self.b, c = _laplacian_coeffs(r, n)
+        # the off-diagonal coefficients as the Laplacian and the bands use them
+        self.a_low, self.c_up, self.c_eps = a[1:], c[:-1], c[-1] * eps
         self.floor = 0.5 * eps if eps > 0.0 else 1e-300
         # Newton matrix in (1, 1) banded storage, refilled at every iteration;
         # its unused corners ab[0, 0] and ab[2, -1] stay zero.
         self.ab = np.zeros((3, len(r) - 1))
+        # (x, L x, x^p) of the array `step` last returned, or None
+        self.carry = None
 
     def lap(self, u_int: np.ndarray) -> np.ndarray:
         lu = self.b * u_int
-        lu[:-1] += self.c[:-1] * u_int[1:]
-        lu[-1] += self.c[-1] * self.eps
-        lu[1:] += self.a[1:] * u_int[:-1]
+        lu[:-1] += self.c_up * u_int[1:]
+        lu[-1] += self.c_eps
+        lu[1:] += self.a_low * u_int[:-1]
         return lu
 
     def residual(self, u_new, u_old, dt):
-        """(F(u_new), L u_new): the Laplacian is kept for the Newton matrix."""
+        """(F(u_new), L u_new, u_new^p): the Newton matrix at u_new reuses the last two."""
         lu = self.lap(u_new)
-        return u_new - u_old - dt * u_new**self.p * lu, lu
+        up = u_new**self.p
+        return u_new - u_old - dt * up * lu, lu, up
 
     def step(self, u: np.ndarray, dt: float):
         """One backward-Euler step of the interior unknowns; returns
-        (u_new, newton_iterations).  Raises NewtonDivergence."""
+        (u_new, newton_iterations), u_new read-only.  Raises NewtonDivergence."""
         p, ab = self.p, self.ab
         u_old = u
-        scale = max(float(np.max(u_old)), self.eps, 1e-30)
+        scale = max(float(u_old.max()), self.eps, 1e-30)
         tol = NEWTON_TOL * scale
         x = u_old.copy()
-        res, lu = self.residual(x, u_old, dt)
-        rnorm = float(np.max(np.abs(res)))
-        for it in range(MAX_NEWTON):
+        if self.carry is not None and self.carry[0] is u_old:
+            _, lu, xp = self.carry
+            res = x - u_old - dt * xp * lu
+        else:
+            res, lu, xp = self.residual(x, u_old, dt)
+        rnorm = float(np.abs(res).max())
+        for it in range(MAX_NEWTON + 1):
             if rnorm < tol:
-                return x, it
-            xp = x**p
-            ab[0, 1:] = -dt * xp[:-1] * self.c[:-1]
-            ab[1] = 1.0 - dt * (p * x ** (p - 1.0) * lu + xp * self.b)
-            ab[2, :-1] = -dt * xp[1:] * self.a[1:]
+                break
+            if it == MAX_NEWTON:
+                raise NewtonDivergence(f"Newton stalled at residual {rnorm:.3g} (tol {tol:.3g})")
+            mdx = -dt * xp
+            np.multiply(mdx[:-1], self.c_up, out=ab[0, 1:])
+            diag = p * x ** (p - 1.0) * lu
+            diag += xp * self.b
+            diag *= dt
+            np.subtract(1.0, diag, out=ab[1])
+            np.multiply(mdx[1:], self.a_low, out=ab[2, :-1])
             try:
                 delta = solve_banded((1, 1), ab, -res)
             except np.linalg.LinAlgError:
@@ -271,21 +298,19 @@ class _Stepper:
             except ValueError:  # the Newton matrix or residual overflowed
                 raise NewtonDivergence("non-finite Newton matrix")
             lam = 1.0
-            improved = False
             while lam > 1e-6:
-                trial = np.maximum(x + lam * delta, self.floor)
-                res_t, lu_t = self.residual(trial, u_old, dt)
-                rn_t = float(np.max(np.abs(res_t)))
+                trial = np.maximum(x + (delta if lam == 1.0 else lam * delta), self.floor)
+                res_t, lu_t, xp_t = self.residual(trial, u_old, dt)
+                rn_t = float(np.abs(res_t).max())
                 if math.isfinite(rn_t) and (rn_t < rnorm or rn_t < tol):
-                    x, res, lu, rnorm = trial, res_t, lu_t, rn_t
-                    improved = True
+                    x, res, lu, xp, rnorm = trial, res_t, lu_t, xp_t, rn_t
                     break
                 lam *= 0.5
-            if not improved:
+            else:
                 raise NewtonDivergence(f"no descent at iteration {it} (res={rnorm:.3g})")
-        if rnorm < tol:
-            return x, MAX_NEWTON
-        raise NewtonDivergence(f"Newton stalled at residual {rnorm:.3g} (tol {tol:.3g})")
+        x.flags.writeable = False
+        self.carry = (x, lu, xp)
+        return x, it
 
 
 def lq_norm(r: np.ndarray, u: np.ndarray, q: float, n: int) -> float:

@@ -136,6 +136,13 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float, r_guard: float):
         w = w1 - q
         return -1.0 / wp, (nm1 / r * wp + invp * w ** (1.0 - p)) / wp
 
+    r_last = r1
+
+    def stalled(q, r, wp):
+        nonlocal r_last
+        stop, r_last = r - r_last <= 1e-11 * r, r
+        return stop
+
     qs, rsi, wpsi = integrate_dp45(
         rhs_inv,
         0.0,
@@ -145,12 +152,15 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float, r_guard: float):
         atol=(0.0, 0.0),
         max_step=(w1 - w_floor) / 50.0,
         first_step=(w1 - w_floor) * 1e-3,
+        stop=stalled,
     )
-    # Drop the duplicated switch point and every node on which r advances by
-    # no more than 1e-11 r (for p > 2 w falls much faster than R - r, and for
-    # p >= 3.5 the sweep runs on after R - r falls below float spacing, where
-    # r / R or scale_profile would merge nodes), then append the crossing,
-    # extrapolated from the last node kept.
+    # For p > 2 w falls much faster than R - r, and the sweep stalls: r stops
+    # advancing by more than 1e-11 r (for p >= 3.5 R - r falls below float
+    # spacing, where r / R or scale_profile would merge nodes).  Once r has
+    # stalled it does not advance again (checked for p from 2.5 to 6 and
+    # n = 1-3), so the sweep stops at the first stalled node.  Drop the
+    # duplicated switch point and the stalled node by the same test, then
+    # append the crossing, extrapolated from the last node kept.
     rsi, wsi, wpsi = np.array(rsi), w1 - np.array(qs), np.array(wpsi)
     keep = np.flatnonzero(np.diff(rsi) > 1e-11 * rsi[1:]) + 1
     k = keep[-1]

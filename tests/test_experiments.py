@@ -207,6 +207,7 @@ class TestSweep:
     @pytest.mark.parametrize("scenario, params", [
         ("vartheta_table", {"n_theta": 5, "n_m": 5}),
         ("steady_scaling", {"p_list": [2.0], "n_list": [1], "R_list": [0.5, 2.0]}),
+        ("prop103", {"t_end": 100.0, "t_checks": [10.0, 100.0]}),
     ])
     def test_determinism_modulo_timestamps(self, tmp_path, scenario, params):
         m = manifest(tmp_path, "det", scenario, params)

@@ -286,6 +286,67 @@ def test_evolve_is_bit_identical_with_scipy_solve_banded(monkeypatch, n):
         np.testing.assert_array_equal(u, u_ref)
 
 
+class TestCarriedState:
+    """The stepper carries (x, L x, x^p) of its last accepted iterate into the
+    next step's first residual; the carry must change no bit."""
+
+    @staticmethod
+    def _run(monkeypatch, evolve_run, clear_carry):
+        """The run, its solve_banded calls and its residual evaluations; the
+        tenth solve fails, so one step is retried at half dt."""
+        solve, residual, step = pde.solve_banded, pde._Stepper.residual, pde._Stepper.step
+        calls, residuals = [], []
+
+        def counted_solve(l_and_u, ab, b):
+            calls.append(1)
+            if len(calls) == 10:
+                raise ValueError("array must not contain infs or NaNs")
+            return solve(l_and_u, ab, b)
+
+        def counted_residual(self, u_new, u_old, dt):
+            residuals.append(1)
+            return residual(self, u_new, u_old, dt)
+
+        def step_without_carry(self, u, dt):
+            self.carry = None
+            return step(self, u, dt)
+
+        with monkeypatch.context() as m:
+            m.setattr(pde, "solve_banded", counted_solve)
+            m.setattr(pde._Stepper, "residual", counted_residual)
+            if clear_carry:
+                m.setattr(pde._Stepper, "step", step_without_carry)
+            run = evolve_run()
+        return run, len(calls), len(residuals)
+
+    @pytest.mark.parametrize("evolve_run", [
+        lambda: evolve(InitialDatum.algebraic(2.0), p=2.0, n=1, R=20.0, eps=1e-3, t_end=10.0,
+                       norm_qs=(0.5, 1.0, 2.0), config=SolverConfig(n_nodes=256)),
+        TestDtHalvingRetry._evolve,
+    ], ids=["short_run", "dt_halving_retry"])
+    def test_carry_changes_no_bit(self, monkeypatch, evolve_run):
+        carried, solves, residuals = self._run(monkeypatch, evolve_run, clear_carry=False)
+        fresh, solves_fresh, residuals_fresh = self._run(monkeypatch, evolve_run, clear_carry=True)
+        assert solves == solves_fresh
+        assert residuals < residuals_fresh  # the carry is used
+        assert carried.samples == fresh.samples
+        assert len(carried.snapshots) == len(fresh.snapshots)
+        for (t, u), (t_fresh, u_fresh) in zip(carried.snapshots, fresh.snapshots):
+            assert t == t_fresh
+            assert u.tobytes() == u_fresh.tobytes()
+
+    def test_returned_state_is_read_only_and_steps_like_a_copy(self):
+        r = build_grid(1.0, 32)
+        stepper = pde._Stepper(r, 1, 2.0, 1e-2)
+        u, _ = stepper.step(1e-2 + 0.5 * (1.0 - r[:-1] ** 2), 1e-3)
+        with pytest.raises(ValueError):
+            u[0] = 1.0
+        carried, iters = stepper.step(u, 1e-3)
+        fresh, iters_fresh = stepper.step(u.copy(), 1e-3)
+        assert iters == iters_fresh
+        assert carried.tobytes() == fresh.tobytes()
+
+
 def test_self_similar_reproduction_short():
     pp = ProfileParams.self_similar(2.0, 0.25, 1.0)
     prof = integrate_profile(pp, 70.0, tol=1e-10, n=1)

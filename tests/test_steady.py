@@ -118,13 +118,34 @@ class TestVerifyScalingLaw:
 @pytest.mark.parametrize("p", [4.0, 6.0])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_steep_boundary_shots_have_distinct_nodes(p, n):
-    # For p >= 3.5 the inverted sweep runs on after R - r falls below float
-    # spacing; such nodes are dropped, so r stays strictly increasing on the
-    # unit ball and after rescaling to the extremes of the tested radii.
+    # For p >= 3.5 R - r falls below float spacing before the inverted sweep
+    # reaches its floor; the sweep stops there and drops the stalled node, so
+    # r stays strictly increasing on the unit ball and after rescaling to the
+    # extremes of the tested radii.
     unit = shoot_unit_profile(p, n)
     for R in (1.0, 1e-3, 1e4):
         assert np.all(np.diff(scale_profile(unit, R).r) > 0.0)
     assert verify_scaling_law(unit, [0.5, 2.0, 10.0]) < 1e-5
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+@pytest.mark.parametrize("n", [1, 3])
+def test_inverted_sweep_stops_once_r_stalls(monkeypatch, p, n):
+    # The sweep ends at the first node where r advances by no more than
+    # 1e-11 r, so the keep rule in _shoot drops at most that one node (and
+    # the duplicated switch point), not the run of stalled nodes down to
+    # W_FLOOR_FRACTION * b.
+    integrate, sweeps = steady.integrate_dp45, []
+
+    def recorded(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        sweeps.append(np.array(out[1]))
+        return out
+
+    monkeypatch.setattr(steady, "integrate_dp45", recorded)
+    shoot_unit_profile(p, n)
+    rs = sweeps[1]  # the outward phase, then the inverted sweep
+    assert np.count_nonzero(np.diff(rs) <= 1e-11 * rs[1:]) <= 1
 
 
 def test_shot_certifies_its_interpolant(monkeypatch):
