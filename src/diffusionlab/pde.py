@@ -581,11 +581,10 @@ def snapshots_to_csv(run: EvolutionRun, out_dir) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
+    r = run.r.tolist()
     for t, u in run.snapshots:
         f = out_dir / f"snapshot_t{t:.6g}.csv"
-        with f.open("w", encoding="utf-8") as fh:
-            fh.write("r,u\n")
-            for rr, uu in zip(run.r, u):
-                fh.write(f"{rr:.17g},{uu:.17g}\n")
+        rows = "".join(f"{rr:.17g},{uu:.17g}\n" for rr, uu in zip(r, u.tolist()))
+        f.write_text("r,u\n" + rows, encoding="utf-8")
         files.append(f)
     return files

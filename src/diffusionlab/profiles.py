@@ -462,10 +462,11 @@ def self_similar_residual(params: ProfileParams, profile: Profile, points) -> fl
 def save_profile(profile: Profile, csv_path) -> None:
     """CSV `xi,f,fp` at full double precision plus a JSON sidecar beside it."""
     csv_path = Path(csv_path)
-    with csv_path.open("w", encoding="utf-8") as fh:
-        fh.write("xi,f,fp\n")
-        for xi, f, fp in zip(profile.xi, profile.f, profile.fp):
-            fh.write(f"{xi:.17g},{f:.17g},{fp:.17g}\n")
+    rows = "".join(
+        f"{xi:.17g},{f:.17g},{fp:.17g}\n"
+        for xi, f, fp in zip(profile.xi.tolist(), profile.f.tolist(), profile.fp.tolist())
+    )
+    csv_path.write_text("xi,f,fp\n" + rows, encoding="utf-8")
     payload = {
         "p": profile.params.p,
         "alpha": profile.params.alpha,

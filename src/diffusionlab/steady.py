@@ -22,7 +22,9 @@ Each finds the center value b whose crossing lands on R without the
 scaling law: the secant method, started from b = 1 and b = 2, solves
 log R_crossing(b) = log R in log b.  A shot's step cap, first step and
 tolerances all scale with b, so log R_crossing is affine in log b to
-rounding and the secant lands in 3-4 shots.
+rounding and the secant lands in 3-4 shots.  A shot's nodes depend on
+(p, n, b) alone, so the re-shoots of one scaling check share their shots
+at b = 1 and b = 2: at most 2 + 2k shots for k radii.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ W_SWITCH_FRACTION = 0.05
 # order and O(w_floor^(3-p) v w_floor^(2/p)) beyond.
 W_FLOOR_FRACTION = 1e-8
 # Shots: relative tolerance, center value of the unit shot (any value works)
-# and the radius by which it must cross zero, outward step caps as fractions
+# and the radius by which it must cross zero (a re-shoot's is that radius
+# times max(1, R_target)), outward step caps as fractions
 # of the curvature length at the center (the re-shoots only need their
 # crossing), and the re-shoot's secant tolerance on log b, which pins the
 # center value b to 1e-12 relative.
@@ -93,8 +96,11 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float, r_guard: float):
     """Integrate outward from w(0) = b and locate the zero crossing.
 
     Returns (r_nodes, w_nodes, wp_nodes, R_crossing); raises NoCrossingError
-    if w has not crossed zero by r_guard, and SingularityError if the cubic
-    Hermite interpolant of the nodes fails the Fritsch-Carlson certificate.
+    if w has not approached zero by the first node beyond r_guard, and
+    SingularityError if the cubic Hermite interpolant of the nodes fails the
+    Fritsch-Carlson certificate.  The guard only stops the outward
+    integration and never shortens a step, so the nodes of a shot that is
+    not refused do not depend on r_guard.
     """
     invp = 1.0 / p
     nm1 = n - 1.0
@@ -110,13 +116,13 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float, r_guard: float):
         return wp, -nm1 / r * wp - invp * wc ** (1.0 - p)
 
     def stop(r, w, wp):
-        return w < w_switch
+        return w < w_switch or r > r_guard
 
     rs, ws, wps = integrate_dp45(
         rhs,
         r0,
         (w0, wp0),
-        r_guard,
+        math.inf,
         rtol=SHOT_TOL,
         atol=(SHOT_TOL * b * 1e-3, 0.0),
         max_step=max_step_factor * ell,
@@ -218,7 +224,9 @@ def scale_profile(unit: SteadyProfile, R: float) -> SteadyProfile:
     )
 
 
-def shoot_profile_for_radius(p: float, n: int, R_target: float) -> SteadyProfile:
+def shoot_profile_for_radius(
+    p: float, n: int, R_target: float, shots: dict | None = None
+) -> SteadyProfile:
     """Independent construction on B_R: find the center value b whose zero
     crossing lands on R_target.  Deliberately avoids the scaling law (that is
     what it is used to verify).
@@ -227,13 +235,17 @@ def shoot_profile_for_radius(p: float, n: int, R_target: float) -> SteadyProfile
     root of log(R_crossing(b) / R_target) in log b to LOG_B_XTOL, starting
     from b = 1 and b = 2, not from the scaling law.  A log b outside
     [_LOG_B_MIN, _LOG_B_MAX] raises NoCrossingError before it is shot.
-    Shots are kept by log b, so the returned profile reuses its shot at the
-    estimate b* when the secant has already made it.
+    Shots are kept by log b in `shots`, so the returned profile reuses its
+    shot at the estimate b* when the secant has already made it.  Re-shoots
+    of one (p, n) may pass the same `shots` table to share their starting
+    shots at b = 1 and b = 2; the profile is the same, bit for bit, as with
+    a fresh table.
     """
     if R_target <= 0.0:
         raise DomainError("target radius must be positive")
-    guard = 1e4 * max(1.0, R_target)
-    shots = {}
+    guard = UNIT_R_GUARD * max(1.0, R_target)
+    if shots is None:
+        shots = {}
 
     def log_ratio(x):
         if not _LOG_B_MIN <= x <= _LOG_B_MAX:
@@ -241,7 +253,10 @@ def shoot_profile_for_radius(p: float, n: int, R_target: float) -> SteadyProfile
                 f"R={R_target:g} needs a center value b = 10^{x / math.log(10.0):.3g},"
                 f" outside [1e-12, 1e12] (p={p}, n={n})"
             )
-        if x not in shots:
+        # A shot's nodes do not depend on its guard, so a shot made for
+        # another target is this one's if its crossing lies inside this
+        # guard.  Otherwise shoot again: a fresh shot may be refused here.
+        if x not in shots or shots[x][3] >= guard:
             shots[x] = _shoot(p, n, math.exp(x), RESHOOT_STEP_FACTOR, guard)
         return math.log(shots[x][3] / R_target)
 
@@ -256,14 +271,18 @@ def shoot_profile_for_radius(p: float, n: int, R_target: float) -> SteadyProfile
 
 def verify_scaling_law(unit: SteadyProfile, R_list) -> float:
     """Max relative sup-norm deviation between independent re-shoots on B_R
-    and the rescaled unit profile, over the given radii."""
+    and the rescaled unit profile, over the given radii.
+
+    The re-shoots share one shot table, so each starting shot (b = 1 and
+    b = 2) is made once per call: at most 2 + 2k shots for k radii."""
     if not R_list:
         raise DomainError("R_list must be nonempty")
     worst = 0.0
+    shots = {}
     for R in R_list:
         if R == 1.0:
             continue  # scale_profile is the identity there by construction
-        reshot = shoot_profile_for_radius(unit.p, unit.n, R)
+        reshot = shoot_profile_for_radius(unit.p, unit.n, R, shots)
         scaled = scale_profile(unit, R)
         # compare on the re-shot grid, away from the last node (w = 0 exactly)
         rr = reshot.r[:-1]
@@ -292,9 +311,7 @@ def steady_residual(profile: SteadyProfile) -> float:
 def save_steady(profile: SteadyProfile, csv_path) -> None:
     """CSV `r,w` at full double precision plus a JSON settings sidecar."""
     csv_path = Path(csv_path)
-    with csv_path.open("w", encoding="utf-8") as fh:
-        fh.write("r,w\n")
-        for r, w in zip(profile.r, profile.w):
-            fh.write(f"{r:.17g},{w:.17g}\n")
+    rows = "".join(f"{r:.17g},{w:.17g}\n" for r, w in zip(profile.r.tolist(), profile.w.tolist()))
+    csv_path.write_text("r,w\n" + rows, encoding="utf-8")
     payload = {"p": profile.p, "n": profile.n, "R": profile.R, "solver": profile.meta}
     csv_path.with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

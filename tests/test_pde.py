@@ -519,7 +519,10 @@ def test_jsonl_and_csv_outputs(tmp_path, short_run):
 
     files = snapshots_to_csv(short_run, tmp_path / "snaps")
     assert len(files) == len(short_run.snapshots)
-    assert files[0].read_text().splitlines()[0] == "r,u"
+    for f, (_, u) in zip(files, short_run.snapshots):
+        # the same bytes as formatting the numpy scalars row by row
+        rows = "".join(f"{rr:.17g},{uu:.17g}\n" for rr, uu in zip(short_run.r, u))
+        assert f.read_bytes() == ("r,u\n" + rows).encode()
 
 
 @pytest.mark.parametrize("line", [

@@ -403,6 +403,8 @@ def test_csv_roundtrip(tmp_path):
     prof = integrate_profile(pp, 10.0, tol=1e-10, n=3)
     csv = tmp_path / "profile.csv"
     save_profile(prof, csv)
+    rows = "".join(f"{x:.17g},{f:.17g},{fp:.17g}\n" for x, f, fp in zip(prof.xi, prof.f, prof.fp))
+    assert csv.read_bytes() == ("xi,f,fp\n" + rows).encode()
     back = load_profile(csv)
     assert back.n == 3
     assert back.params == pp

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from diffusionlab import steady
 from diffusionlab.errors import DomainError, NoCrossingError, SingularityError
+from diffusionlab.experiments import ExperimentManifest, run_manifest
 from diffusionlab.steady import (
     scale_profile,
     shoot_profile_for_radius,
@@ -248,12 +249,107 @@ def test_no_crossing_guard(monkeypatch):
         shoot_unit_profile(2.0, 1)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shot_nodes_do_not_depend_on_its_guard(p, n):
+    # A guard at the switch radius r1 (the first node below the switch
+    # height), or between r1 and the node before it, stops the outward phase
+    # at r1 as a far guard does; it must not shorten the steps leading there.
+    far = steady._shoot(p, n, 1.0, steady.RESHOOT_STEP_FACTOR, 1e4)
+    r, w = far[0], far[1]
+    i = int(np.argmax(w < steady.W_SWITCH_FRACTION))
+    for guard in (r[i], 0.5 * (r[i - 1] + r[i])):
+        near = steady._shoot(p, n, 1.0, steady.RESHOOT_STEP_FACTOR, guard)
+        for a, b in zip(near[:3], far[:3]):
+            np.testing.assert_array_equal(a, b)
+        assert near[3] == far[3]
+
+
+# p = 1, R = 1e-6 needs b below 1e-12 and is refused with or without a table.
+# The order mixes large and small targets, whose guards differ.
+SHARED_RADII = [0.5, 1e6, 1e-6, 20.0, 1e-2]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shared_table_reshoots_are_bit_identical(monkeypatch, p, n):
+    shots, landed = {}, []
+    for R in SHARED_RADII:
+        try:
+            fresh = shoot_profile_for_radius(p, n, R)
+        except NoCrossingError:
+            with pytest.raises(NoCrossingError):
+                shoot_profile_for_radius(p, n, R, shots)
+            continue
+        shared = shoot_profile_for_radius(p, n, R, shots)
+        for name in ("r", "w", "wp"):
+            np.testing.assert_array_equal(getattr(shared, name), getattr(fresh, name))
+        assert (shared.R, shared.meta) == (fresh.R, fresh.meta)
+        landed.append(R)
+    unit = shoot_unit_profile(p, n)
+    worst = verify_scaling_law(unit, landed)
+    reshoot = steady.shoot_profile_for_radius
+    monkeypatch.setattr(steady, "shoot_profile_for_radius",
+                        lambda p, n, R, shots: reshoot(p, n, R))  # a fresh table each
+    assert verify_scaling_law(unit, landed) == worst
+
+
+def test_stored_shot_outside_a_later_guard_is_shot_again(monkeypatch):
+    # Guards shrunk to max(1, R): the shot at b = 1 crosses near r = 1.77,
+    # inside the guard of R = 10 but outside that of R = 0.5, so R = 0.5 is
+    # refused with the table R = 10 filled, as it is with a fresh one.
+    unit = shoot_unit_profile(2.0, 1)
+    monkeypatch.setattr(steady, "UNIT_R_GUARD", 1.0)
+    shots = {}
+    shoot_profile_for_radius(2.0, 1, 10.0, shots)
+    assert shots[0.0][3] > 1.0
+    with pytest.raises(NoCrossingError):
+        shoot_profile_for_radius(2.0, 1, 0.5)
+    with pytest.raises(NoCrossingError):
+        shoot_profile_for_radius(2.0, 1, 0.5, shots)
+    with pytest.raises(NoCrossingError):
+        verify_scaling_law(unit, [10.0, 0.5])
+
+
+def test_default_scaling_check_shoots_each_start_once(monkeypatch, tmp_path):
+    # Six (p, n) cells, each one unit shot and one check over three radii:
+    # 6 + 6 * (2 + 2 * 3) = 54 shots, where a re-shoot that made its own
+    # starting shots needed 78.
+    shots, checks = [], []
+    shoot, verify = steady._shoot, steady.verify_scaling_law
+
+    def counted(p, n, b, *rest):
+        shots.append((p, n, b))
+        return shoot(p, n, b, *rest)
+
+    def check(unit, R_list):
+        start = len(shots)
+        try:
+            return verify(unit, R_list)
+        finally:
+            checks.append(shots[start:])
+
+    monkeypatch.setattr(steady, "_shoot", counted)
+    monkeypatch.setattr(steady, "verify_scaling_law", check)
+    rec = run_manifest(ExperimentManifest.from_dict({
+        "schema": 1, "name": "steady", "scenario": "steady_scaling", "parameters": {},
+        "output_dir": str(tmp_path / "steady"),
+    }))
+    assert rec.passed
+    assert len(checks) == 6
+    assert len(shots) <= 54
+    for made in checks:
+        assert len(set(made)) == len(made)  # no (p, n, b) shot twice in one check
+
+
 def test_csv_sidecar(tmp_path):
     unit = shoot_unit_profile(2.0, 1)
     out = tmp_path / "steady.csv"
     save_steady(unit, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "r,w"
+    rows = "".join(f"{r:.17g},{w:.17g}\n" for r, w in zip(unit.r, unit.w))
+    assert out.read_bytes() == ("r,w\n" + rows).encode()
     assert len(lines) == len(unit.r) + 1
     assert (tmp_path / "steady.json").exists()
     data = np.loadtxt(out, delimiter=",", skiprows=1)
