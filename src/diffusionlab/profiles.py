@@ -206,7 +206,8 @@ def integrate_profile(
 
     if xs[-1] < xi_max:
         xs2, fs2, fps2 = _integrate_tail(
-            params, n, xs[-1], fs[-1], fps[-1], xi_max, ds=2.0 * max_step_factor, tol=tol
+            params, n, xs[-1], fs[-1], fps[-1], xi_max, ds=2.0 * max_step_factor, tol=tol,
+            h0=math.log(xs[-1] / xs[-2]),
         )
         xs += xs2
         fs += fs2
@@ -230,7 +231,7 @@ def integrate_profile(
     return prof
 
 
-def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds, tol):
+def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds, tol, h0):
     """2-stage Radau IIA continuation of the profile in log-log variables.
 
     With s = ln xi, F = ln f, G = dF/ds the ODE becomes
@@ -251,7 +252,10 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds, tol):
     trapezoid F + h (G + G2)/2 and held to tol with the step controller of
     rk.integrate_dp45.  Far out on the slow manifold that error is tiny and
     every step runs at the cap; it matters where the tail starts before G
-    has relaxed onto the manifold (steep profiles, alpha near 1/p).
+    has relaxed onto the manifold (steep profiles, alpha near 1/p).  The
+    first trial step is h0, the last explicit step in log units (capped at
+    ds): the explicit phase can end error-limited well below its cap, and a
+    first trial at the cap would then be rejected.
     """
     p, alpha, beta = params.p, params.alpha, params.beta
     ds *= min(1.0, 3.0 * beta / alpha)
@@ -277,7 +281,7 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds, tol):
                 p * D * bracket)
 
     xs, fs, fps = [], [], []
-    h_next = ds
+    h_next = h0
     while s < s_end - 1e-14:
         h = min(h_next, ds, s_end - s)
         if h < 1e-12:

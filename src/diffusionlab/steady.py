@@ -20,11 +20,13 @@ crossing stably; the boundary slope can diverge (p > 2) or vanish
 The rescaling itself is verified against independent re-shoots on B_R.
 Each finds the center value b whose crossing lands on R without the
 scaling law: the secant method, started from b = 1 and b = 2, solves
-log R_crossing(b) = log R in log b.  A shot's step cap, first step and
-tolerances all scale with b, so log R_crossing is affine in log b to
-rounding and the secant lands in 3-4 shots.  A shot's nodes depend on
-(p, n, b) alone, so the re-shoots of one scaling check share their shots
-at b = 1 and b = 2: at most 2 + 2k shots for k radii.
+log R_crossing(b) = log R in log b and stops at the first shot whose
+crossing lands within (p/2) * LOG_B_XTOL of log R.  A shot's step cap,
+first step and tolerances all scale with b, so log R_crossing is affine in
+log b to rounding: the secant's first step lands, and a re-shoot takes 3
+shots.  A shot's nodes depend on (p, n, b) alone, so the re-shoots of one
+scaling check share their shots at b = 1 and b = 2: at most 2 + k shots
+for k radii.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import newton
 
 from .errors import DomainError, NoCrossingError, SingularityError
 from .rk import first_integral_residual, first_nonmonotone_interval, integrate_dp45
@@ -55,8 +56,9 @@ W_FLOOR_FRACTION = 1e-8
 # and the radius by which it must cross zero (a re-shoot's is that radius
 # times max(1, R_target)), outward step caps as fractions
 # of the curvature length at the center (the re-shoots only need their
-# crossing), and the re-shoot's secant tolerance on log b, which pins the
-# center value b to 1e-12 relative.
+# crossing), and the re-shoot's tolerance on log b: log R_crossing has slope
+# p/2 in log b, so a shot lands once its crossing is within (p/2) * LOG_B_XTOL
+# of log R, which pins the center value b to 1e-12 relative.
 SHOT_TOL = 1e-11
 UNIT_SHOT_B = 1.0
 UNIT_R_GUARD = 1e4
@@ -231,15 +233,17 @@ def shoot_profile_for_radius(
     crossing lands on R_target.  Deliberately avoids the scaling law (that is
     what it is used to verify).
 
-    The secant method (scipy.optimize.newton without a derivative) finds the
-    root of log(R_crossing(b) / R_target) in log b to LOG_B_XTOL, starting
-    from b = 1 and b = 2, not from the scaling law.  A log b outside
-    [_LOG_B_MIN, _LOG_B_MAX] raises NoCrossingError before it is shot.
-    Shots are kept by log b in `shots`, so the returned profile reuses its
-    shot at the estimate b* when the secant has already made it.  Re-shoots
-    of one (p, n) may pass the same `shots` table to share their starting
-    shots at b = 1 and b = 2; the profile is the same, bit for bit, as with
-    a fresh table.
+    The secant method solves log(R_crossing(b) / R_target) = 0 in log b,
+    starting from b = 1 and b = 2, not from the scaling law, and returns the
+    first shot whose crossing lands: |log(R_crossing / R_target)| <=
+    (p/2) * LOG_B_XTOL, that is log b within LOG_B_XTOL of its root.  A
+    starting shot that lands is returned as it is.  NoCrossingError is raised
+    for a log b outside [_LOG_B_MIN, _LOG_B_MAX] (before it is shot), for two
+    shots that cross at the same radius, for a step that is not finite and
+    after 10 shots that do not land.  Shots are kept by log b in `shots`:
+    re-shoots of one (p, n) may pass the same table to share their starting
+    shots at b = 1 and b = 2; the profile is the same, bit for bit, as with a
+    fresh table.
     """
     if R_target <= 0.0:
         raise DomainError("target radius must be positive")
@@ -260,12 +264,27 @@ def shoot_profile_for_radius(
             shots[x] = _shoot(p, n, math.exp(x), RESHOOT_STEP_FACTOR, guard)
         return math.log(shots[x][3] / R_target)
 
-    x_star = newton(log_ratio, 0.0, x1=_LN2, tol=LOG_B_XTOL)
-    log_ratio(x_star)
-    r, w, wp, R = shots[x_star]
+    def refused(why):
+        return NoCrossingError(f"re-shoot for R={R_target:g} {why} (p={p}, n={n})")
+
+    tol = 0.5 * p * LOG_B_XTOL
+    x0 = f0 = None
+    x = 0.0
+    for _ in range(10):
+        f = log_ratio(x)
+        if abs(f) <= tol:
+            break
+        if f == f0:
+            raise refused(f"met two shots crossing at r={shots[x][3]:.17g}")
+        x0, f0, x = x, f, _LN2 if x0 is None else x - f * (x - x0) / (f - f0)
+        if not math.isfinite(x):
+            raise refused("took a secant step that is not finite")
+    else:
+        raise refused("did not land in 10 shots")
+    r, w, wp, R = shots[x]
     return SteadyProfile(
         p=p, n=n, R=R, r=r, w=w, wp=wp,
-        meta={"tol": SHOT_TOL, "shot_b": math.exp(x_star), "target_R": R_target},
+        meta={"tol": SHOT_TOL, "shot_b": math.exp(x), "target_R": R_target},
     )
 
 
@@ -274,7 +293,8 @@ def verify_scaling_law(unit: SteadyProfile, R_list) -> float:
     and the rescaled unit profile, over the given radii.
 
     The re-shoots share one shot table, so each starting shot (b = 1 and
-    b = 2) is made once per call: at most 2 + 2k shots for k radii."""
+    b = 2) is made once per call, and each re-shoot lands at its first
+    secant step: at most 2 + k shots for k radii."""
     if not R_list:
         raise DomainError("R_list must be nonempty")
     worst = 0.0

@@ -6,6 +6,7 @@ tail in log-log variables, so agreement is a genuine cross-check of two
 different methods.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from diffusionlab import profiles
 from diffusionlab.errors import DomainError, RangeError, SingularityError, WindowError
 from diffusionlab.profiles import (
     Profile,
@@ -30,6 +32,7 @@ from diffusionlab.profiles import (
     self_similar_residual,
     taylor_start,
 )
+from diffusionlab.experiments import DEFAULTS
 from diffusionlab.rk import first_nonmonotone_interval
 
 
@@ -170,10 +173,34 @@ def test_tail_scheme_is_third_order():
     assert sol.success
     errs = []
     for ds in (0.02, 0.01, 0.005):
-        _, fs, _ = _integrate_tail(pp, n, xi_sw, f_sw, fp_sw, 50.0, ds, tol=1.0)
+        _, fs, _ = _integrate_tail(pp, n, xi_sw, f_sw, fp_sw, 50.0, ds, tol=1.0, h0=ds)
         errs.append(abs(math.log(fs[-1]) - sol.y[0, -1]))
     orders = [math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])]
     assert min(orders) > 2.5, orders
+
+
+ATLAS = DEFAULTS["profile_atlas"]
+
+
+@pytest.mark.parametrize("p, rel, A, n", list(itertools.product(
+    ATLAS["ps"], ATLAS["alpha_rels"], ATLAS["A_list"], ATLAS["n_list"])))
+def test_tail_starts_no_longer_than_the_last_explicit_step(monkeypatch, p, rel, A, n):
+    # The tail's first trial step is the last DP45 step in log units, so the
+    # first step it keeps is no longer.  A first trial at the cap gave 75
+    # rejected tail steps over these 36 profiles, against 24.
+    starts = []
+
+    def recorded(params, n, xi_sw, *rest, **kwargs):
+        starts.append(xi_sw)
+        return _integrate_tail(params, n, xi_sw, *rest, **kwargs)
+
+    monkeypatch.setattr(profiles, "_integrate_tail", recorded)
+    pp = ProfileParams.self_similar(p, rel / p, A)
+    xi = integrate_profile(pp, ATLAS["xi_max"], tol=ATLAS["tol"], n=n).xi
+    assert len(starts) == 1
+    i = int(np.searchsorted(xi, starts[0]))
+    assert xi[i] == starts[0]
+    assert math.log(xi[i + 1] / xi[i]) <= math.log(xi[i] / xi[i - 1]) + 1e-12
 
 
 class TestMonotoneInterpolantCertificate:

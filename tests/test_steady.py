@@ -183,9 +183,9 @@ def shot_b(monkeypatch):
 
 
 # Each p is re-shot over R from 0.05 to 100.  log R_crossing is affine in
-# log b, so the secant's first step from b = 1 and b = 2 lands on b*: two
-# shots to start, one at that step and one at the confirming step, however
-# far b* lies from 1 (p = 1, n = 3, R = 100 needs b* = 1.7e3).
+# log b, so the secant's first step from b = 1 and b = 2 lands on b*, and
+# the re-shoot returns that third shot without confirming it, however far b*
+# lies from 1 (p = 1, n = 3, R = 100 needs b* = 1.7e3).
 RESHOOT_GRID = [
     (1.0, 1, 0.05), (1.0, 2, 2.0), (1.0, 3, 100.0),
     (2.0, 1, 100.0), (2.0, 2, 0.05), (2.0, 3, 10.0),
@@ -196,11 +196,41 @@ RESHOOT_GRID = [
 @pytest.mark.parametrize("p, n, R", RESHOOT_GRID)
 def test_reshoot_lands_on_target_in_few_shots(shot_b, p, n, R):
     reshot = shoot_profile_for_radius(p, n, R)
-    assert len(shot_b) <= 4
+    assert len(shot_b) <= 3
     assert len(set(shot_b)) == len(shot_b)  # no center value is shot twice
     assert reshot.R == pytest.approx(R, rel=1e-10)
     scaled = scale_profile(shoot_unit_profile(p, n), R)
     assert reshot.center_value == pytest.approx(scaled.center_value, rel=1e-10)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(p=st.floats(1.0, 4.0), n=st.integers(1, 3), R=st.floats(1e-3, 1e3))
+def test_reshoot_crossing_lands_within_the_log_b_tolerance(p, n, R):
+    # log R_crossing has slope p/2 in log b, so this pins log b to LOG_B_XTOL.
+    reshot = shoot_profile_for_radius(p, n, R)
+    assert abs(math.log(reshot.R / R)) <= 0.5 * p * steady.LOG_B_XTOL
+
+
+def test_start_shot_that_lands_is_returned_unconfirmed(shot_b):
+    # p = 1, n = 1 crosses at sqrt(2 b): the b = 2 start crosses at 2 + 3.6e-15.
+    reshot = shoot_profile_for_radius(1.0, 1, 2.0)
+    assert shot_b == [1.0, 2.0]
+    assert reshot.meta["shot_b"] == 2.0
+
+
+@pytest.mark.parametrize("crossing, why", [
+    (lambda b: 3.0, "two shots crossing at"),  # zero secant denominator
+    (lambda b: 3.0 if b == 1.0 else math.nan, "not finite"),
+    (lambda b: math.exp((math.log(b) - 1.0) ** 3), "did not land in 10 shots"),
+], ids=["same_radius", "nan_radius", "triple_root"])
+def test_secant_guards(monkeypatch, crossing, why):
+    # A crossing that does not depend on b, one that is not a number, and a
+    # triple root, which the secant approaches too slowly.  Each is refused
+    # by name, without a ZeroDivisionError or a RuntimeWarning.
+    monkeypatch.setattr(steady, "_shoot", lambda p, n, b, *rest: (None, None, None, crossing(b)))
+    with pytest.raises(NoCrossingError, match=why) as err:
+        shoot_profile_for_radius(1.5, 2, 1.0)
+    assert "R=1 " in str(err.value) and "(p=1.5, n=2)" in str(err.value)
 
 
 @pytest.mark.parametrize("R", [1e-3, 1e3])
@@ -311,25 +341,21 @@ def test_stored_shot_outside_a_later_guard_is_shot_again(monkeypatch):
         verify_scaling_law(unit, [10.0, 0.5])
 
 
-def test_default_scaling_check_shoots_each_start_once(monkeypatch, tmp_path):
-    # Six (p, n) cells, each one unit shot and one check over three radii:
-    # 6 + 6 * (2 + 2 * 3) = 54 shots, where a re-shoot that made its own
-    # starting shots needed 78.
-    shots, checks = [], []
-    shoot, verify = steady._shoot, steady.verify_scaling_law
-
-    def counted(p, n, b, *rest):
-        shots.append((p, n, b))
-        return shoot(p, n, b, *rest)
+def test_default_scaling_check_shoots_each_start_once(shot_b, monkeypatch, tmp_path):
+    # Six (p, n) cells, each one unit shot and one check over three radii,
+    # each re-shoot landing at its first secant step: 6 + 6 * (2 + 3) = 36
+    # shots, where a re-shoot that confirmed its landing needed 54.  (34 are
+    # made: at p = 1, R = 2 lands on the start b = 2 for n = 1, b = 1 for n = 2.)
+    checks = []
+    verify = steady.verify_scaling_law
 
     def check(unit, R_list):
-        start = len(shots)
+        start = len(shot_b)
         try:
             return verify(unit, R_list)
         finally:
-            checks.append(shots[start:])
+            checks.append(shot_b[start:])
 
-    monkeypatch.setattr(steady, "_shoot", counted)
     monkeypatch.setattr(steady, "verify_scaling_law", check)
     rec = run_manifest(ExperimentManifest.from_dict({
         "schema": 1, "name": "steady", "scenario": "steady_scaling", "parameters": {},
@@ -337,9 +363,9 @@ def test_default_scaling_check_shoots_each_start_once(monkeypatch, tmp_path):
     }))
     assert rec.passed
     assert len(checks) == 6
-    assert len(shots) <= 54
+    assert len(shot_b) <= 36
     for made in checks:
-        assert len(set(made)) == len(made)  # no (p, n, b) shot twice in one check
+        assert len(set(made)) == len(made)  # no b shot twice in one check (p, n fixed)
 
 
 def test_csv_sidecar(tmp_path):
