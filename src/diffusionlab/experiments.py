@@ -79,6 +79,9 @@ _DOMAINS = {
     "R": (lambda v: v > 0.0, "> 0"),
     "eps": (lambda v: v >= 0.0, ">= 0"),
     "n_nodes": (lambda v: v >= 16, ">= 16"),
+    "dt_rel_max": (lambda v: v > 0.0, "> 0"),
+    "inner_radius": (lambda v: v is None or v >= 0.0, "null or >= 0"),
+    "C1": (lambda v: v is None or v > 0.0, "null or > 0"),
 }
 
 
@@ -404,14 +407,17 @@ def run_theorem2000_upper(params: dict, out_dir: Path, tol_scale: float):
     p, n, gamma, R = params["p"], params["n"], params["gamma"], params["R"]
     run, jsonl, rate, fit = _algebraic_run(params, out_dir)
 
+    # f_A = scale_profile(f_1, A) spans A^(p/2) times f_1's range, and
+    # A = 1.05 C1 / lhat >= 1.05 C1 (lhat <= f_1(0) = 1), so this range
+    # gives f_A at least [0, 1.1 R].
     alpha = gamma / (p * gamma + 2.0)
-    pp1 = profiles.ProfileParams.self_similar(p, alpha, 1.0)
-    prof1 = profiles.integrate_profile(pp1, R * 1.1, tol=1e-10, n=n)
-    lhat = profiles.certify_tail_bounds(prof1, (0.0, R)).lower_const
     C1 = params["C0"] if params["C1"] is None else params["C1"]
-    ppA = profiles.ProfileParams.self_similar(p, alpha, 1.05 * C1 / lhat)
-    profA = profiles.integrate_profile(ppA, R * 1.1, tol=1e-10, n=n)
-    sup_margin = pde.supersolution_margin(run, ppA, profA, shift=1.0)
+    pp1 = profiles.ProfileParams.self_similar(p, alpha, 1.0)
+    xi_max = 1.1 * R * max(1.0, (1.05 * C1) ** (-p / 2.0))
+    prof1 = profiles.integrate_profile(pp1, xi_max, tol=1e-10, n=n)
+    lhat = profiles.certify_tail_bounds(prof1, (0.0, R)).lower_const
+    profA = profiles.scale_profile(prof1, 1.05 * C1 / lhat)
+    sup_margin = pde.supersolution_margin(run, profA.params, profA, shift=1.0)
 
     assertions = [
         _check(

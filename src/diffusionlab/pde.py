@@ -345,6 +345,8 @@ def evolve(
 ) -> EvolutionRun:
     """March the regularized problem from t_start to t_end with adaptive dt,
     recording norms and snapshots at geometrically spaced times."""
+    if not t_start >= 0.0:
+        raise DomainError(f"t_start must be nonnegative, got {t_start!r}")
     if t_end <= t_start:
         raise DomainError("t_end must exceed t_start")
     if eps < 0.0:
@@ -352,6 +354,10 @@ def evolve(
     if not all(q > 0.0 for q in norm_qs):
         raise DomainError(f"norm exponents q must be positive, got {tuple(norm_qs)}")
     cfg = config or SolverConfig()
+    if not 0.0 < cfg.dt_rel_max < math.inf:
+        raise DomainError(f"dt_rel_max must be finite and positive, got {cfg.dt_rel_max!r}")
+    if cfg.inner_radius is not None and not cfg.inner_radius >= 0.0:
+        raise DomainError(f"inner_radius must be nonnegative, got {cfg.inner_radius!r}")
     dt_init = 1e-7 * (t_end - t_start)
     inner = cfg.inner_radius if cfg.inner_radius is not None else R / 4.0
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,9 @@ F_FLOOR = 1e-250
 # Interpolation tolerance that sets the finite-difference step of
 # self_similar_residual.
 INTERP_TOL = 1e-6
+# Step cap of the profile integration, as a fraction of max(s0, xi) (see
+# integrate_profile); the tail's log step is capped at twice this.
+MAX_STEP_FACTOR = 1e-2
 
 
 @dataclass(frozen=True)
@@ -137,22 +140,29 @@ def integrate_profile(
     xi_max: float,
     tol: float = 1e-10,
     n: int = 1,
-    max_step_factor: float = 1e-2,
 ) -> Profile:
     """Integrate the profile ODE from the series start out to xi_max.
 
     The accepted-step grid doubles as the sampling grid for the tail fits
     and for the first-integral identity (Hermite-Simpson on the nodes, see
     rk.first_integral_residual), so steps are capped at
-    max_step_factor * max(s0, xi) with s0 = max(1, 1/sqrt(alpha)); this keeps
-    the grid log-uniform in the tail and fine enough near the origin.
+    MAX_STEP_FACTOR * max(s0, xi) with s0 = max(1, 1/sqrt(alpha)) * A^(p/2),
+    the curvature length at the origin; this keeps the grid log-uniform in
+    the tail and fine enough near the origin.
+
+    The integration is covariant under the profile symmetry
+    f_A(xi) = A f_1(A^(-p/2) xi): s0 and the series start scale with
+    A^(p/2), the tolerance is relative only, and the stop rule and the tail
+    are free of absolute scales.  So f_A on [0, A^(p/2) X] has the nodes of
+    f_1 on [0, X], rescaled, to rounding; scale_profile gets it from f_1
+    without a second integration.
 
     The equation turns stiff in the tail (the linearized damping rate grows
     like beta*xi*f^(-p)), so the explicit 5(4) pair is used only while it is
     stable at the step cap; beyond that point the integration continues with
     third-order, L-stable 2-stage Radau IIA in (ln xi, ln f) variables, where
     the solution is a near-affine slow manifold.  Its log step is capped at
-    2 * max_step_factor (less for tails steeper than xi^-3) and held to the
+    2 * MAX_STEP_FACTOR (less for tails steeper than xi^-3) and held to the
     same tol; see _integrate_tail.
 
     Raises SingularityError if f falls below F_FLOOR before xi_max (parameter
@@ -165,9 +175,7 @@ def integrate_profile(
         raise DomainError("tol must lie in (1e-12, 1e-3)")
 
     p, alpha, beta, A = params.p, params.alpha, params.beta, params.A
-    # Curvature length at the origin scales like A^(p/2)/sqrt(alpha); track it
-    # downward for A < 1 so the quadrature grid stays fine enough there.
-    s0 = max(1.0, 1.0 / math.sqrt(alpha)) * min(1.0, A ** (p / 2.0))
+    s0 = max(1.0, 1.0 / math.sqrt(alpha)) * A ** (p / 2.0)
     xi0 = 1e-5 * s0
     f0, fp0 = taylor_start(params, xi0, n)
     nm1 = n - 1.0
@@ -182,7 +190,7 @@ def integrate_profile(
             return True
         # Stability watch: leave the explicit phase once the damping rate
         # times the step cap reaches O(1).  Computed in logs to avoid overflow.
-        lam_h = math.log(beta * xi * max_step_factor * max(s0, xi)) - p * math.log(f)
+        lam_h = math.log(beta * xi * MAX_STEP_FACTOR * max(s0, xi)) - p * math.log(f)
         return lam_h > math.log(0.5)
 
     try:
@@ -193,8 +201,8 @@ def integrate_profile(
             xi_max,
             rtol=tol,
             atol=(0.0, 0.0),
-            max_step=lambda xi: max_step_factor * max(s0, xi),
-            first_step=min(xi0, max_step_factor * s0),
+            max_step=lambda xi: MAX_STEP_FACTOR * max(s0, xi),
+            first_step=min(xi0, MAX_STEP_FACTOR * s0),
             stop=stop,
         )
     except ToleranceError:
@@ -206,7 +214,7 @@ def integrate_profile(
 
     if xs[-1] < xi_max:
         xs2, fs2, fps2 = _integrate_tail(
-            params, n, xs[-1], fs[-1], fps[-1], xi_max, ds=2.0 * max_step_factor, tol=tol,
+            params, n, xs[-1], fs[-1], fps[-1], xi_max, ds=2.0 * MAX_STEP_FACTOR, tol=tol,
             h0=math.log(xs[-1] / xs[-2]),
         )
         xs += xs2
@@ -225,10 +233,29 @@ def integrate_profile(
         xi=xi,
         f=f,
         fp=fp,
-        meta={"tol": tol, "max_step_factor": max_step_factor, "xi0": xi0},
+        meta={"tol": tol, "max_step_factor": MAX_STEP_FACTOR, "xi0": xi0},
     )
     _check_profile_invariants(prof)
     return prof
+
+
+def scale_profile(unit: Profile, A: float) -> Profile:
+    """Exact rescaling f_A(xi) = A f_1(A^(-p/2) xi) of an amplitude-1 profile;
+    no re-solve.  xi, f and f' are multiplied by A^(p/2), A and A^(1-p/2),
+    which keeps the Fritsch-Carlson ratios that make the interpolant monotone."""
+    if abs(unit.params.A - 1.0) > 1e-12:
+        raise DomainError("scale_profile expects an amplitude-1 profile")
+    if not A > 0.0:
+        raise DomainError("target amplitude must be positive")
+    stretch = A ** (unit.params.p / 2.0)
+    return Profile(
+        params=replace(unit.params, A=A),
+        n=unit.n,
+        xi=unit.xi * stretch,
+        f=unit.f * A,
+        fp=unit.fp * (A / stretch),
+        meta=dict(unit.meta, scaled_from=unit.params.A),
+    )
 
 
 def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds, tol, h0):

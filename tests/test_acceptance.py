@@ -36,6 +36,7 @@ from diffusionlab.profiles import (
     eval_self_similar,
     fit_tail_exponent,
     integrate_profile,
+    scale_profile,
 )
 from diffusionlab.rates import (
     INF,
@@ -224,9 +225,8 @@ def test_criterion_07_algebraic_bracket(algebraic_run):
     pp1 = ProfileParams.self_similar(p, alpha, 1.0)
     prof1 = integrate_profile(pp1, 110.0, tol=1e-10, n=n)
     A = 1.05 * C0 / certify_tail_bounds(prof1, (0.0, 100.0)).lower_const
-    ppA = ProfileParams.self_similar(p, alpha, A)
-    profA = integrate_profile(ppA, 110.0, tol=1e-10, n=n)
-    super_ok = supersolution_margin(run, ppA, profA, shift=1.0) <= 1e-3
+    profA = scale_profile(prof1, A)
+    super_ok = supersolution_margin(run, profA.params, profA, shift=1.0) <= 1e-3
 
     unit = shoot_unit_profile(p, n)
     vrun = rescale_to_v(run)

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffusionlab import pde
+from diffusionlab import pde, profiles
 from diffusionlab.cli import main as cli_main
 from diffusionlab.errors import DomainError
+from diffusionlab.profiles import integrate_profile
 from diffusionlab.experiments import (
     DEFAULTS,
     SCENARIOS,
@@ -93,6 +94,21 @@ class TestRun:
         assert rec.passed
         assert any(f.startswith("profile_") for f in rec.produced_files)
 
+    @pytest.mark.parametrize("params", [{}, {"C1": 0.5}], ids=["default", "C1=0.5"])
+    def test_theorem2000_upper_integrates_one_profile(self, tmp_path, monkeypatch, params):
+        # f_A is f_1 rescaled; at C1 < 1/1.05 f_1 is integrated further out so
+        # that f_A still covers the run's similarity range.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate_profile(*args, **kwargs)
+
+        monkeypatch.setattr(profiles, "integrate_profile", counted)
+        rec = run_manifest(manifest(tmp_path, "upper", "theorem2000_upper", params))
+        assert rec.error is None and len(calls) == 1
+        assert [a.name for a in rec.assertions] == ["linf_rate", "supersolution"]
+
     def test_failure_keeps_marker(self, tmp_path):
         # gamma <= 0 makes the scenario fail fast
         rec = run_manifest(
@@ -158,6 +174,10 @@ class TestParameters:
             ("theorem2000_lower", {"window": [0.0, 1e2]}, "window"),
             ("theorem100", {"window": [1e2, 2e4]}, "window"),
             ("theorem2000_upper", {"t_end": 1e3}, "window"),  # the default window ends at 1e4
+            ("prop103", {"dt_rel_max": 0.0}, "dt_rel_max"),  # evolve would never return
+            ("theorem200", {"dt_rel_max": -0.01}, "dt_rel_max"),
+            ("theorem2000_lower", {"inner_radius": -1.0}, "inner_radius"),
+            ("theorem2000_upper", {"C1": 0.0}, "C1"),
         ],
     )
     def test_out_of_domain_parameter_is_rejected_before_the_run(
@@ -427,6 +447,8 @@ class TestCli:
         "datum_table_one_column": ("r\n0\n1\n2\n", [*EVOLVE, "--datum", "table:{bad}"]),
         "norm_qs_not_number": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--norm-qs", "1,x"]),
         "norm_qs_zero": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--norm-qs", "0"]),
+        "inner_radius_negative": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--inner-radius", "-1"]),
+        "t_start_negative": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--t-start", "-2"]),
         "record_not_json": ("{not json", ["report", "{dir}"]),
         "record_lacks_fields": ('{"name": "x", "assertions": []}', ["report", "{dir}"]),
         "record_plot_lacks_fields": (

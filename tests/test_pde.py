@@ -28,7 +28,13 @@ from diffusionlab.pde import (
     subsolution_margin,
     supersolution_margin,
 )
-from diffusionlab.profiles import ProfileParams, certify_tail_bounds, eval_self_similar, integrate_profile
+from diffusionlab.profiles import (
+    ProfileParams,
+    certify_tail_bounds,
+    eval_self_similar,
+    integrate_profile,
+    scale_profile,
+)
 from diffusionlab.steady import shoot_unit_profile
 
 
@@ -101,6 +107,70 @@ def test_one_step_preserves_order(p, n, N, c, eps, seed):
     except NewtonDivergence:
         assume(False)
     assert np.all(su <= sv + 10.0 * NEWTON_TOL * np.max(sv))
+
+
+@pytest.mark.parametrize("cfg, t_start", [
+    ({"dt_rel_max": -0.01}, 0.0),
+    ({"dt_rel_max": math.nan}, 0.0),
+    ({"dt_rel_max": math.inf}, 0.0),
+    ({"inner_radius": -1.0}, 0.0),
+    ({}, -2.0),
+])
+def test_evolve_rejects_bad_settings(cfg, t_start):
+    with pytest.raises(DomainError):
+        evolve(InitialDatum.algebraic(2.0), p=2.0, n=1, R=20.0, eps=1e-3, t_end=10.0,
+               config=SolverConfig(n_nodes=64, **cfg), t_start=t_start)
+
+
+# Scale covariance: if u solves u_t = u^p Lap(u), so does lam u(mu x, lam^p mu^2 t).
+# Run B evolves lam u0(mu r) on R/mu with floor lam eps to t_end/(lam^p mu^2).
+COVARIANT = dict(p=2.0, R=20.0, eps=1e-3, t_end=10.0, n_nodes=129)
+
+
+def _covariant_run(lam, mu):
+    base = InitialDatum.algebraic(2.0)
+    p, R, eps, t_end = (COVARIANT[k] for k in ("p", "R", "eps", "t_end"))
+    datum = InitialDatum("scaled", lambda r: lam * base.fn(mu * r))
+    return evolve(datum, p=p, n=1, R=R / mu, eps=lam * eps, t_end=t_end / (lam**p * mu**2),
+                  norm_qs=(1.0,), config=SolverConfig(n_nodes=COVARIANT["n_nodes"]))
+
+
+@pytest.fixture(scope="module")
+def covariant_base():
+    return _covariant_run(1.0, 1.0)
+
+
+def _scaled_back(run, lam, mu):
+    """(times, sup norms, snapshots) of run B mapped back onto run A's scales."""
+    scale = lam ** COVARIANT["p"] * mu**2
+    return (run.times * scale, np.array([s.linf for s in run.samples]) / lam,
+            np.array([u for _, u in run.snapshots]) / lam)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(i=st.integers(-3, 3), j=st.integers(-3, 3))
+def test_evolve_is_covariant_bit_for_bit_at_powers_of_two(covariant_base, i, j):
+    # lam, mu and lam^p mu^2 are powers of two at p = 2, so every grid node,
+    # time step and Newton iterate of B is A's scaled exactly.
+    lam, mu = 2.0**i, 2.0**j
+    run = _covariant_run(lam, mu)
+    assert len(run.samples) == len(covariant_base.samples)
+    for b, a in zip(_scaled_back(run, lam, mu), _scaled_back(covariant_base, 1.0, 1.0)):
+        np.testing.assert_array_equal(b, a)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(lam=st.floats(0.125, 8.0), mu=st.floats(0.125, 8.0))
+def test_evolve_is_covariant_to_rounding(covariant_base, lam, mu):
+    # Elsewhere B's grid and data differ from A's by rounding.  The step to
+    # each sample time, dt = t_next - t, magnifies that rounding by t/dt, and
+    # the steps after it grow from that dt, so the two step sequences drift
+    # apart from sample to sample: over this run's samples by up to 7e-12
+    # (100 draws), far below the time-discretization error.
+    run = _covariant_run(lam, mu)
+    assert len(run.samples) == len(covariant_base.samples)
+    for b, a in zip(_scaled_back(run, lam, mu), _scaled_back(covariant_base, 1.0, 1.0)):
+        np.testing.assert_allclose(b, a, rtol=1e-10, atol=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -482,12 +552,11 @@ def test_comparison_sandwich_short():
     prof1 = integrate_profile(pp1, 60.0, tol=1e-10, n=n)
     Lhat = certify_tail_bounds(prof1, (0.0, 50.0)).lower_const
     A = 1.05 * C0 / Lhat
-    ppA = ProfileParams.self_similar(p, alpha, A)
-    profA = integrate_profile(ppA, 60.0, tol=1e-10, n=n)
+    profA = scale_profile(prof1, A)
 
     run = evolve(InitialDatum.algebraic(gamma, C0), p=p, n=n, R=50.0, eps=1e-5,
                  t_end=100.0, norm_qs=(1.0,), config=SolverConfig(n_nodes=400))
-    assert supersolution_margin(run, ppA, profA, shift=1.0) <= 1e-3
+    assert supersolution_margin(run, profA.params, profA, shift=1.0) <= 1e-3
 
     unit = shoot_unit_profile(p, n)
     vrun = rescale_to_v(run)

@@ -29,6 +29,7 @@ from diffusionlab.profiles import (
     integrate_profile,
     load_profile,
     save_profile,
+    scale_profile,
     self_similar_residual,
     taylor_start,
 )
@@ -203,6 +204,54 @@ def test_tail_starts_no_longer_than_the_last_explicit_step(monkeypatch, p, rel, 
     assert math.log(xi[i + 1] / xi[i]) <= math.log(xi[i] / xi[i - 1]) + 1e-12
 
 
+ATLAS_FAMILIES = list(itertools.product(ATLAS["ps"], ATLAS["alpha_rels"], ATLAS["n_list"]))
+
+
+@pytest.fixture(scope="module")
+def unit_profiles():
+    """f_1 of each atlas (p, alpha, n) family on [0, 50], integrated once."""
+    return {(p, rel, n): integrate_profile(ProfileParams.self_similar(p, rel / p, 1.0), 50.0,
+                                           tol=ATLAS["tol"], n=n)
+            for p, rel, n in ATLAS_FAMILIES}
+
+
+@pytest.mark.parametrize("A", [0.5, 2.0, 4.0, 1.75])
+@pytest.mark.parametrize("p, rel, n", ATLAS_FAMILIES)
+def test_integration_is_covariant_in_the_amplitude(unit_profiles, p, rel, n, A):
+    # f_A(xi) = A f_1(A^(-p/2) xi): integrated on the rescaled range, f_A
+    # takes f_1's steps, so it has its node count and meets the rescaled f_1
+    # to rounding.
+    unit = unit_profiles[(p, rel, n)]
+    stretch = A ** (p / 2.0)
+    prof = integrate_profile(ProfileParams.self_similar(p, rel / p, A), 50.0 * stretch,
+                             tol=ATLAS["tol"], n=n)
+    assert len(prof.xi) == len(unit.xi)
+    scaled = scale_profile(unit, A)
+    f = scaled.interpolant()(np.minimum(prof.xi, scaled.xi_max))
+    np.testing.assert_allclose(f, prof.f, rtol=1e-12, atol=0.0)
+
+
+def test_scale_profile_rescales_nodes_and_keeps_the_equation(unit_profiles):
+    unit = unit_profiles[(3.0, 0.5, 3)]
+    prof = scale_profile(unit, 4.0)  # A^(p/2) = 8
+    assert prof.params == ProfileParams.self_similar(3.0, 0.5 / 3.0, 4.0)
+    assert prof.n == 3 and prof.meta["scaled_from"] == 1.0
+    np.testing.assert_array_equal(prof.xi, unit.xi * 8.0)
+    np.testing.assert_array_equal(prof.f, unit.f * 4.0)
+    np.testing.assert_array_equal(prof.fp, unit.fp * 0.5)
+    assert prof.f[0] == 4.0 and prof.fp[0] == 0.0
+    _check_profile_invariants(prof)
+
+
+def test_scale_profile_rejects_bad_input(unit_profiles):
+    unit = unit_profiles[(3.0, 0.5, 3)]
+    with pytest.raises(DomainError):
+        scale_profile(scale_profile(unit, 2.0), 2.0)
+    for A in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            scale_profile(unit, A)
+
+
 class TestMonotoneInterpolantCertificate:
     pp = ProfileParams.self_similar(2.0, 0.25, 1.0)
 
@@ -272,13 +321,14 @@ class TestIntegralIdentity:
         prof = integrate_profile(pp, 50.0, tol=1e-10, n=1)
         assert check_integral_identity(prof) < 1e-6
 
-    def test_refinement_rate_at_least_two(self):
+    def test_refinement_rate_at_least_two(self, monkeypatch):
         pp = ProfileParams.self_similar(2.0, 0.25, 1.0)
         res = []
         # Coarse caps: below 4e-3 the fourth-order quadrature error meets the
         # DP45 tol floor and the observed rate flattens.
         for msf in (1.6e-2, 8e-3, 4e-3):
-            prof = integrate_profile(pp, 50.0, tol=1e-11, n=3, max_step_factor=msf)
+            monkeypatch.setattr(profiles, "MAX_STEP_FACTOR", msf)
+            prof = integrate_profile(pp, 50.0, tol=1e-11, n=3)
             res.append(check_integral_identity(prof))
         rate1 = math.log2(res[0] / res[1])
         rate2 = math.log2(res[1] / res[2])
