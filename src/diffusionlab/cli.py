@@ -1,6 +1,6 @@
 """Command line interface.
 
-    difflab [--out DIR] [--workers K] [--tol-scale F] <verb> ...
+    difflab [--out DIR] [--workers K] <verb> ...
 
 Verbs: profile, steady, evolve, fit, run <manifest.json>, sweep <dir>,
 report <dir>, scenarios.  Exit status is 0 iff every assertion of every
@@ -121,7 +121,7 @@ def cmd_fit(args, out: Path) -> int:
 
 def cmd_run(args, out: Path) -> int:
     manifest = experiments.ExperimentManifest.load(args.manifest)
-    record = experiments.run_manifest(manifest, args.tol_scale)
+    record = experiments.run_manifest(manifest)
     for a in record.assertions:
         print(f"[{'PASS' if a.passed else 'FAIL'}] {a.name}: measured {a.measured:.6g} "
               f"vs {a.theory:.6g} (tol {a.tolerance:.3g})")
@@ -139,7 +139,7 @@ def cmd_sweep(args, out: Path) -> int:
         except DomainError as exc:  # reported, the rest still run; load names the file
             print(f"error: {exc}", file=sys.stderr)
             unreadable += 1
-    records = experiments.sweep(manifests, parallelism=args.workers, tol_scale=args.tol_scale)
+    records = experiments.sweep(manifests, parallelism=args.workers)
     ok = True
     for rec in records:
         status = "PASS" if rec.passed else "FAIL"
@@ -170,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", default=".", help="output directory (default: cwd)")
     ap.add_argument("--workers", type=int, default=1, help="sweep parallelism")
-    ap.add_argument("--tol-scale", type=float, default=1.0,
-                    help="global multiplier on scenario tolerances")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("profile", help="integrate a self-similar profile")

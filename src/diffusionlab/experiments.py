@@ -13,12 +13,12 @@ and returns its assertions, produced files and plot specifications; every
 assertion carries a self-describing claim string (the formula or property
 being checked), the measured and theoretical values, and the tolerance that
 was applied.
-Tolerances live in the manifest (scaled globally by --tol-scale): the
-underlying statements are asymptotic with non-constructive constants, so
-pass bands at desk scale are experiment policy, not truth.
+Tolerances live in the manifest: the underlying statements are asymptotic
+with non-constructive constants, so pass bands at desk scale are experiment
+policy, not truth.  A scenario that makes no assertion gives an error record.
 
-Determinism: identical manifests produce byte-identical records apart from
-the two timestamp fields.
+Determinism: a record is fixed by its manifest alone; identical manifests
+produce byte-identical records apart from the two timestamp fields.
 """
 
 from __future__ import annotations
@@ -130,6 +130,9 @@ class ExperimentManifest:
         missing = {"name", "scenario", "output_dir"} - set(payload)
         if missing:
             raise DomainError(f"manifest missing fields: {sorted(missing)}")
+        for key in ("name", "scenario", "output_dir"):
+            if not isinstance(payload[key], str):
+                raise DomainError(f"manifest field '{key}' must be a string, got {payload[key]!r}")
         if payload["scenario"] not in SCENARIOS:
             raise DomainError(
                 f"unknown scenario '{payload['scenario']}'; known: {sorted(SCENARIOS)}"
@@ -218,9 +221,7 @@ def _check_le(name, claim, measured, bound, slack=0.0) -> Assertion:
     "A_list": [0.5, 1.0, 2.0], "n_list": [1, 3], "xi_max": 50.0, "tol": 1e-10,
     "identity_tol": 1e-6,
 })
-def run_profile_atlas(params: dict, out_dir: Path, tol_scale: float):
-    identity_tol = params["identity_tol"] * tol_scale
-
+def run_profile_atlas(params: dict, out_dir: Path):
     assertions, files = [], []
     for p in params["ps"]:
         for rel in params["alpha_rels"]:
@@ -240,7 +241,7 @@ def run_profile_atlas(params: dict, out_dir: Path, tol_scale: float):
                             "xi^(n-1) f' + (b/(p-1))(n+(p-1)a/b) Int sigma^(n-1) f^(1-p)"
                             " - (b/(p-1)) xi^n f^(1-p) = 0",
                             res,
-                            identity_tol,
+                            params["identity_tol"],
                         )
                     )
     return assertions, files, []
@@ -250,10 +251,7 @@ def run_profile_atlas(params: dict, out_dir: Path, tol_scale: float):
     "p_list": [1.0, 2.0], "n_list": [1, 2, 3], "R_list": [0.5, 2.0, 10.0],
     "tol": 1e-5, "closed_form_tol": 1e-8,
 })
-def run_steady_scaling(params: dict, out_dir: Path, tol_scale: float):
-    tol = params["tol"] * tol_scale
-    closed_tol = params["closed_form_tol"] * tol_scale
-
+def run_steady_scaling(params: dict, out_dir: Path):
     assertions, files = [], []
     for p in params["p_list"]:
         for n in params["n_list"]:
@@ -267,7 +265,7 @@ def run_steady_scaling(params: dict, out_dir: Path, tol_scale: float):
                     f"scaling[p={p:g},n={n}]",
                     "w_R(x) = R^(2/p) w_1(x/R) vs independent re-shoots",
                     dev,
-                    tol,
+                    params["tol"],
                 )
             )
             if p == 1.0:
@@ -278,7 +276,7 @@ def run_steady_scaling(params: dict, out_dir: Path, tol_scale: float):
                         f"closed_form[p=1,n={n}]",
                         "w_R(r) = (R^2 - r^2)/(2n) for p = 1",
                         err,
-                        closed_tol,
+                        params["closed_form_tol"],
                     )
                 )
     return assertions, files, []
@@ -332,14 +330,14 @@ def _near_critical_run(params: dict, out_dir: Path):
 
 
 @scenario("theorem200", defaults=_NEAR_CRITICAL)
-def run_theorem200(params: dict, out_dir: Path, tol_scale: float):
+def run_theorem200(params: dict, out_dir: Path):
     """Upper decay bounds for data in L^q0: fitted slopes must not fall short
     of the closed-form rates by more than delta (data chosen at the sharp
     edge gamma slightly above n/q0)."""
     p, n, q0, q = params["p"], params["n"], params["q0"], params["q"]
     run, jsonl, fit_q = _near_critical_run(params, out_dir)
     fit_inf = _fit(run, params, "linf")
-    delta = params["delta"] * tol_scale
+    delta = params["delta"]
     rl = rates.rate_lq(p, n, q0, q)
     nu = rates.rate_nu(p, n, q0)
     assertions = [
@@ -366,7 +364,7 @@ def run_theorem200(params: dict, out_dir: Path, tol_scale: float):
 
 
 @scenario("theorem100", defaults=_NEAR_CRITICAL)
-def run_theorem100(params: dict, out_dir: Path, tol_scale: float):
+def run_theorem100(params: dict, out_dir: Path):
     """Sharpness: for the same near-critical data the fitted L^q slope cannot
     beat the optimal rate by more than delta."""
     q = params["q"]
@@ -378,7 +376,7 @@ def run_theorem100(params: dict, out_dir: Path, tol_scale: float):
             f"||u(t)||_q >= c t^(-rate-d) for near-critical data (rate {rl:g})",
             -fit_q.slope,  # decay magnitude must not exceed rate + delta
             rl,
-            params["delta"] * tol_scale,
+            params["delta"],
         )
     ]
     plots = [{"series": jsonl.name, "norm": f"l{q:g}", "rate": rl, "label": "lq_lower"}]
@@ -401,7 +399,7 @@ def _algebraic_run(params: dict, out_dir: Path):
 
 
 @scenario("theorem2000_upper", defaults=dict(_ALGEBRAIC, C1=None))  # C1 None: C1 = C0
-def run_theorem2000_upper(params: dict, out_dir: Path, tol_scale: float):
+def run_theorem2000_upper(params: dict, out_dir: Path):
     """Algebraically decaying data: sup-norm decay at the exact closed-form
     rate, certified from above by an amplitude-matched self-similar solution."""
     p, n, gamma, R = params["p"], params["n"], params["gamma"], params["R"]
@@ -425,14 +423,14 @@ def run_theorem2000_upper(params: dict, out_dir: Path, tol_scale: float):
             f"||u(t)||_inf ~ t^-(gamma/(p gamma + 2)) = t^-{rate:g}",
             fit.slope,
             -rate,
-            params["delta"] * tol_scale,
+            params["delta"],
         ),
         _check_le(
             "supersolution",
             "u(x,t) <= (t+1)^-a f_A((t+1)^-b |x|) once f_A dominates the datum",
             sup_margin,
             0.0,
-            1e-3 * tol_scale,
+            1e-3,
         ),
     ]
     plots = [{"series": jsonl.name, "norm": "linf", "rate": rate, "label": "linf_rate"}]
@@ -440,7 +438,7 @@ def run_theorem2000_upper(params: dict, out_dir: Path, tol_scale: float):
 
 
 @scenario("theorem2000_lower", defaults=_ALGEBRAIC)
-def run_theorem2000_lower(params: dict, out_dir: Path, tol_scale: float):
+def run_theorem2000_lower(params: dict, out_dir: Path):
     """Algebraic lower bounds: the run dominates the separated subsolution
     y(tau) w_R(tau) on the growing balls, and decays no faster than the rate."""
     p, n, gamma, C0 = params["p"], params["n"], params["gamma"], params["C0"]
@@ -460,14 +458,14 @@ def run_theorem2000_lower(params: dict, out_dir: Path, tol_scale: float):
             f"||u(t)||_inf >= c t^-{rate:g} (decay magnitude bounded by rate + delta)",
             -fit.slope,
             rate,
-            params["delta"] * tol_scale,
+            params["delta"],
         ),
         _check_le(
             "subsolution",
             "v(x,tau) >= y(tau) w_R(tau)(x) on B_R(tau), R(tau) = e^(tau/(p gamma+2))",
             -worst,  # min margin must be >= -tol
             0.0,
-            1e-3 * tol_scale,
+            1e-3,
         ),
     ]
     plots = [{"series": jsonl.name, "norm": "linf", "rate": rate, "label": "linf_no_faster"}]
@@ -478,7 +476,7 @@ def run_theorem2000_lower(params: dict, out_dir: Path, tol_scale: float):
     _SOLVER, p=2.0, n=1, sigma=2.0, R=40.0, eps=1e-9, t_end=1e3,
     t_checks=[10.0, 100.0, 1000.0], inner_radius=2.0, n_nodes=512, norm_qs=[1.0],
 ))
-def run_prop103(params: dict, out_dir: Path, tol_scale: float):
+def run_prop103(params: dict, out_dir: Path):
     """Fast-decaying data: the rescaled inner-ball minimum (t+1)^(1/p) u grows
     without bound; checked as strict increase across sampled decades."""
     datum = pde.InitialDatum.gaussian(params["sigma"])
@@ -503,11 +501,13 @@ def run_prop103(params: dict, out_dir: Path, tol_scale: float):
 
 
 @scenario("remark_heat", defaults={"k": 4, "n_random": 100, "seed": 0})
-def run_remark_heat(params: dict, out_dir: Path, tol_scale: float):
+def run_remark_heat(params: dict, out_dir: Path):
     """Linear-diffusion contrast: polynomial data x^k grow like t^(k/2), with
     exact integer infimum coefficients k!/(k/2)!."""
     k = params["k"]
-    inf_coeff = rates.heat_poly_inf(k, 1)
+    # every term of H_k(x, 1) is an even power of x with a positive
+    # coefficient, so the infimum over x is the value at x = 0
+    inf_coeff = int(rates.heat_polynomial(k, 0, 1))
     expected = math.factorial(k) // math.factorial(k // 2)
     residual_bad = 0
     for x, t in rates.heat_random_rationals(k, count=params["n_random"], seed=params["seed"]):
@@ -543,7 +543,7 @@ def run_remark_heat(params: dict, out_dir: Path, tol_scale: float):
     "n_theta": 20, "n_m": 20, "theta_min": 0.1, "theta_max": 10.0, "m_min": -40.0,
     "m_max": -0.05,
 })
-def run_vartheta_table(params: dict, out_dir: Path, tol_scale: float):
+def run_vartheta_table(params: dict, out_dir: Path):
     """Growth-exponent table: bounds, monotonicity, and the exact roundtrip
     against the decay-rate formula."""
     n_theta, n_m = params["n_theta"], params["n_m"]
@@ -583,7 +583,7 @@ def run_vartheta_table(params: dict, out_dir: Path, tol_scale: float):
             "roundtrip",
             "|m| theta/((1-m)theta+2) = gamma/(p gamma+2) with p=(m-1)/m, gamma=|m|theta",
             worst_roundtrip,
-            1e-15 * tol_scale,
+            1e-15,
         ),
         _check_le("limit_m", "exponent -> 0 as m -> -inf", limit_val, 1e-10),
     ]
@@ -595,11 +595,12 @@ def run_vartheta_table(params: dict, out_dir: Path, tol_scale: float):
 # ---------------------------------------------------------------------------
 
 
-def run_manifest(manifest: ExperimentManifest, tol_scale: float = 1.0) -> ResultRecord:
+def run_manifest(manifest: ExperimentManifest) -> ResultRecord:
     """Execute one scenario; artifacts and the record land in output_dir.
-    Any failure, a rejected parameter included, gives an error record and
-    keeps partial outputs next to a `failed` marker holding the traceback;
-    a marker left by an earlier run is removed first."""
+    Any failure, a rejected parameter or a scenario that made no assertions
+    included, gives an error record and keeps partial outputs next to a
+    `failed` marker holding the traceback; a marker left by an earlier run
+    is removed first."""
     out_dir = Path(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "failed").unlink(missing_ok=True)
@@ -607,7 +608,9 @@ def run_manifest(manifest: ExperimentManifest, tol_scale: float = 1.0) -> Result
     error = None
     try:
         params = _resolve_parameters(manifest.scenario, manifest.parameters)
-        assertions, files, plots = SCENARIOS[manifest.scenario](params, out_dir, tol_scale)
+        assertions, files, plots = SCENARIOS[manifest.scenario](params, out_dir)
+        if not assertions:
+            raise DomainError("scenario made no assertions")
     except Exception as exc:  # one bad manifest must not abort a sweep
         (out_dir / "failed").write_text(traceback.format_exc(), encoding="utf-8")
         assertions, files, plots = [], [], []
@@ -628,12 +631,11 @@ def run_manifest(manifest: ExperimentManifest, tol_scale: float = 1.0) -> Result
     return record
 
 
-def _run_manifest_worker(args):
-    payload, tol_scale = args
-    return run_manifest(ExperimentManifest.from_dict(payload), tol_scale)
+def _run_manifest_worker(payload):
+    return run_manifest(ExperimentManifest.from_dict(payload))
 
 
-def sweep(manifests, parallelism: int = 1, tol_scale: float = 1.0) -> list:
+def sweep(manifests, parallelism: int = 1) -> list:
     """Run manifests `parallelism` at a time; records come back in input order.
 
     Each record is deterministic and independent of scheduling.  A manifest
@@ -644,10 +646,10 @@ def sweep(manifests, parallelism: int = 1, tol_scale: float = 1.0) -> list:
     if not manifests:
         raise DomainError("sweep needs at least one manifest")
     if parallelism <= 1 or len(manifests) == 1:
-        return [run_manifest(m, tol_scale) for m in manifests]
-    jobs = [(asdict(m), tol_scale) for m in manifests]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(_run_manifest_worker, jobs))
+        return [run_manifest(m) for m in manifests]
+    # a fork pool starts all of its workers at once, used or not
+    with ProcessPoolExecutor(max_workers=min(parallelism, len(manifests))) as pool:
+        return list(pool.map(_run_manifest_worker, [asdict(m) for m in manifests]))
 
 
 def load_records(directory) -> list:

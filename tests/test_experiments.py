@@ -1,5 +1,6 @@
 """Tests for manifests, scenarios, sweeps, reports, and the CLI."""
 
+import inspect
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffusionlab import pde, profiles
+from diffusionlab import experiments, pde, profiles, rates
 from diffusionlab.cli import main as cli_main
 from diffusionlab.errors import DomainError
 from diffusionlab.profiles import integrate_profile
@@ -49,6 +50,10 @@ class TestManifest:
     def test_rejects_missing_fields(self):
         with pytest.raises(DomainError):
             ExperimentManifest.from_dict({"name": "x"})
+
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_scenario_takes_params_and_out_dir(self, scenario):
+        assert list(inspect.signature(SCENARIOS[scenario]).parameters) == ["params", "out_dir"]
 
     def test_all_spec_scenarios_registered(self):
         assert set(SCENARIOS) == {
@@ -131,6 +136,22 @@ class TestRun:
         assert rec.error is None
         assert rec.passed
 
+    def test_inf_coefficient_is_measured_on_the_polynomial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rates, "heat_polynomial", lambda k, x, t: 1 + x**k)
+        rec = run_manifest(manifest(tmp_path, "heat", "remark_heat", {"k": 4}))
+        coeff = next(a for a in rec.assertions if a.name == "inf_coefficient")
+        assert coeff.measured == 1 and not coeff.passed
+
+    @pytest.mark.parametrize("scenario,params", [
+        ("profile_atlas", {"ps": []}),
+        ("prop103", {"t_checks": [100.0]}),  # one sample time makes no pair to compare
+    ])
+    def test_no_assertions_gives_error_record(self, tmp_path, scenario, params):
+        rec = run_manifest(manifest(tmp_path, "empty", scenario, params))
+        assert rec.error == "DomainError: scenario made no assertions" and not rec.passed
+        assert (tmp_path / "empty" / "failed").exists()
+        assert json.loads((tmp_path / "empty" / "record.json").read_text())["error"] == rec.error
+
     def test_passing_rerun_clears_failed_marker(self, tmp_path):
         # k = 3 is rejected (odd k), k = 4 passes; both write into tmp_path/heat
         assert not run_manifest(manifest(tmp_path, "heat", "remark_heat", {"k": 3})).passed
@@ -208,7 +229,7 @@ class TestParameters:
             assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "empty" / name).read_bytes()
 
     def test_any_exception_gives_error_record(self, tmp_path, monkeypatch):
-        def boom(params, out_dir, tol_scale):
+        def boom(params, out_dir):
             raise RuntimeError("scenario blew up")
 
         monkeypatch.setitem(SCENARIOS, "remark_heat", boom)
@@ -254,6 +275,29 @@ class TestSweep:
         assert [
             [a.measured for a in r.assertions] for r in serial
         ] == [[a.measured for a in r.assertions] for r in parallel]
+
+    @pytest.mark.parametrize("n_manifests,parallelism,workers", [(2, 4, 2), (3, 2, 2)])
+    def test_pool_has_at_most_one_worker_per_manifest(
+            self, tmp_path, monkeypatch, n_manifests, parallelism, workers):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        ms = [manifest(tmp_path, f"h{i}", "remark_heat", {"seed": i}) for i in range(n_manifests)]
+        recs = sweep(ms, parallelism=parallelism)
+        assert pools == [workers] and all(r.passed for r in recs)
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(DomainError):
@@ -424,6 +468,19 @@ class TestCli:
         assert f"error: {man_dir / 'typo.json'}: " in err
         assert f"error: {man_dir / 'garbled.json'}: " in err
 
+    def test_sweep_runs_past_a_non_string_output_dir(self, tmp_path, capsys):
+        man_dir = tmp_path / "manifests"
+        man_dir.mkdir()
+        for name, output_dir in (("good", str(tmp_path / "good")), ("numbered", 5)):
+            (man_dir / f"{name}.json").write_text(json.dumps(
+                {"schema": 1, "name": name, "scenario": "remark_heat", "parameters": {},
+                 "output_dir": output_dir}))
+        rc = cli_main(["sweep", str(man_dir)])
+        assert rc == 2
+        assert (tmp_path / "good" / "record.json").exists()
+        err = capsys.readouterr().err
+        assert f"error: {man_dir / 'numbered.json'}: " in err and "'output_dir'" in err
+
     EVOLVE = ["evolve", "--p", "2", "--t-end", "10", "--n-nodes", "64"]
     FIT = ["fit", "--series", "{bad}", "--window", "1", "200"]
     # case: (the content of the input file `bad`, None for no file; the argv,
@@ -433,6 +490,12 @@ class TestCli:
         "manifest_not_json": ("{not json", ["run", "{bad}"]),
         "manifest_is_list": ("[1, 2]", ["run", "{bad}"]),
         "manifest_missing": (None, ["run", "{bad}"]),
+        "manifest_scenario_not_string": (
+            '{"name": "x", "scenario": ["vartheta_table"], "output_dir": "x"}', ["run", "{bad}"]),
+        "manifest_output_dir_not_string": (
+            '{"name": "x", "scenario": "remark_heat", "output_dir": 5}', ["run", "{bad}"]),
+        "manifest_name_not_string": (
+            '{"name": 7, "scenario": "remark_heat", "output_dir": "x"}', ["run", "{bad}"]),
         "series_not_json": ('{"t": 1.0, "linf": 1.0, "lq": {}}\nnot json\n', FIT),
         "series_missing": (None, FIT),
         "series_not_object": ("5\n", FIT),
