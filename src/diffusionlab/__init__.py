@@ -46,7 +46,6 @@ from .rates import (
     DecayFit,
     exponent_roundtrip,
     fit_decay,
-    heat_poly_inf,
     heat_polynomial,
     rate_fast,
     rate_gamma,
@@ -66,6 +65,6 @@ __all__ = [
     "SteadyProfile", "scale_profile", "shoot_unit_profile", "verify_scaling_law",
     "EvolutionRun", "InitialDatum", "SolverConfig", "build_grid",
     "evolve", "rescale_to_v", "separated_subsolution",
-    "INF", "DecayFit", "exponent_roundtrip", "fit_decay", "heat_poly_inf",
-    "heat_polynomial", "rate_fast", "rate_gamma", "rate_lq", "rate_nu", "vartheta",
+    "INF", "DecayFit", "exponent_roundtrip", "fit_decay", "heat_polynomial",
+    "rate_fast", "rate_gamma", "rate_lq", "rate_nu", "vartheta",
 ]

@@ -48,17 +48,13 @@ def _parse_datum(spec: str) -> pde.InitialDatum:
 
 
 def cmd_profile(args, out: Path) -> int:
-    if args.beta is not None:
-        params = profiles.ProfileParams(p=args.p, alpha=args.alpha, beta=args.beta, A=args.A)
-    else:
-        params = profiles.ProfileParams.self_similar(args.p, args.alpha, args.A)
+    params = profiles.ProfileParams.self_similar(args.p, args.alpha, args.A)
     prof = profiles.integrate_profile(params, args.xi_max, tol=args.tol, n=args.n)
     csv = out / f"profile_p={args.p:g}_a={args.alpha:g}_A={args.A:g}_n={args.n}.csv"
     profiles.save_profile(prof, csv)
     print(f"profile: {len(prof.xi)} nodes to xi={prof.xi_max:g}, f(0)={prof.f[0]:g}")
-    if params.p > 1.0:
-        print(f"identity residual: {profiles.check_integral_identity(prof):.3e}")
-    if params.is_self_similar and prof.xi_max >= 100.0 * 100.0:
+    print(f"identity residual: {profiles.check_integral_identity(prof):.3e}")
+    if prof.xi_max >= 100.0 * 100.0:
         slope, se = profiles.fit_tail_exponent(prof, (100.0, min(1e4, prof.xi_max)))
         print(f"tail slope: {slope:.6f} +- {se:.2g} (formula -a/b = {-params.tail_exponent:g})")
     print(f"wrote {csv}")
@@ -176,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profile)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=None,
-                   help="explicit beta (default: self-similar (1-p*alpha)/2)")
     p.add_argument("--A", type=float, default=1.0)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--xi-max", dest="xi_max", type=float, default=50.0)

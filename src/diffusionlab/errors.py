@@ -28,7 +28,8 @@ class RangeError(DiffusionLabError):
 
 
 class NoCrossingError(DiffusionLabError):
-    """Radial shooting failed to reach a zero crossing before the guard radius."""
+    """Radial shooting found no zero crossing: a shot stayed above its switch
+    height, or a re-shoot could not land on its target radius."""
 
 
 class NewtonDivergence(DiffusionLabError):

@@ -72,7 +72,8 @@ def _check_value(key, value, default):
 
 
 # The domain of each parameter that a scenario may declare, as (test, what
-# the test asks); a scenario that declares `window` also declares `t_end`.
+# the test asks); a scenario that declares `window` or `t_checks` also
+# declares `t_end`.
 _DOMAINS = {
     "p": (lambda v: v > 0.0, "> 0"),
     "n": (lambda v: v >= 1, ">= 1"),
@@ -91,11 +92,14 @@ def _check_domain(params: dict) -> None:
     for key, (inside, want) in _DOMAINS.items():
         if key in params and not inside(params[key]):
             raise DomainError(f"parameter '{key}' must be {want}, got {params[key]!r}")
-    if "window" in params:
-        window, t_end = params["window"], params["t_end"]
-        if not (len(window) == 2 and 0.0 < window[0] < window[1] <= t_end):
-            raise DomainError(f"parameter 'window' must be two increasing times in "
-                              f"(0, t_end = {t_end:g}], got {window!r}")
+    for key, most, count in (("window", 2, "two"), ("t_checks", math.inf, "at least two")):
+        if key not in params:
+            continue
+        times, t_end = params[key], params["t_end"]
+        if not (2 <= len(times) <= most and 0.0 < times[0] and times[-1] <= t_end
+                and all(a < b for a, b in zip(times, times[1:]))):
+            raise DomainError(f"parameter '{key}' must be {count} increasing times in "
+                              f"(0, t_end = {t_end:g}], got {times!r}")
 
 
 def _resolve_parameters(name: str, parameters) -> dict:
@@ -600,19 +604,21 @@ def run_manifest(manifest: ExperimentManifest) -> ResultRecord:
     Any failure, a rejected parameter or a scenario that made no assertions
     included, gives an error record and keeps partial outputs next to a
     `failed` marker holding the traceback; a marker left by an earlier run
-    is removed first."""
+    is removed first.  An output_dir that cannot be made gives an error
+    record that is returned but written nowhere."""
     out_dir = Path(manifest.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "failed").unlink(missing_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     error = None
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "failed").unlink(missing_ok=True)
         params = _resolve_parameters(manifest.scenario, manifest.parameters)
         assertions, files, plots = SCENARIOS[manifest.scenario](params, out_dir)
         if not assertions:
             raise DomainError("scenario made no assertions")
     except Exception as exc:  # one bad manifest must not abort a sweep
-        (out_dir / "failed").write_text(traceback.format_exc(), encoding="utf-8")
+        if out_dir.is_dir():
+            (out_dir / "failed").write_text(traceback.format_exc(), encoding="utf-8")
         assertions, files, plots = [], [], []
         error = f"{type(exc).__name__}: {exc}"
     record = ResultRecord(
@@ -627,7 +633,8 @@ def run_manifest(manifest: ExperimentManifest) -> ResultRecord:
         error=error,
         plots=plots,
     )
-    (out_dir / "record.json").write_text(record.to_json() + "\n", encoding="utf-8")
+    if out_dir.is_dir():
+        (out_dir / "record.json").write_text(record.to_json() + "\n", encoding="utf-8")
     return record
 
 
@@ -640,8 +647,9 @@ def sweep(manifests, parallelism: int = 1) -> list:
 
     Each record is deterministic and independent of scheduling.  A manifest
     that fails, by a rejected parameter or any exception in its scenario,
-    still gets its record.json (as an error record) and a `failed` marker;
-    the rest of the sweep runs on."""
+    still gets its record.json (as an error record) and a `failed` marker,
+    or only the returned record if its output_dir cannot be made; the rest
+    of the sweep runs on."""
     manifests = list(manifests)
     if not manifests:
         raise DomainError("sweep needs at least one manifest")

@@ -8,11 +8,11 @@ where the profile f solves the second-order ODE
 
     f^p (f'' + (n-1)/xi * f') + beta*xi*f' + alpha*f = 0,   f(0) = A, f'(0) = 0,
 
-with a regular singular point at xi = 0.  In "self-similar mode"
-beta = (1 - p*alpha)/2 (which needs p > 1 and 0 < alpha < 1/p), the profile
-is positive, nonincreasing, and decays like xi^(-alpha/beta); this module
-integrates the ODE, certifies those properties, and evaluates the resulting
-space-time solution.
+with a regular singular point at xi = 0.  The scaling of the equation fixes
+beta = (1 - p*alpha)/2, and the theory needs p > 1 and 0 < alpha < 1/p; the
+profile is then positive, nonincreasing, and decays like xi^(-alpha/beta).
+This module integrates the ODE, certifies those properties, and evaluates
+the resulting space-time solution.
 
 The integration is started off the singular point with the second-order
 series f ~ A - (alpha*A^(1-p)/(2n)) xi^2, obtained by balancing the ODE at
@@ -45,34 +45,30 @@ MAX_STEP_FACTOR = 1e-2
 
 @dataclass(frozen=True)
 class ProfileParams:
-    """Parameters (p, alpha, beta, A) of the profile equation."""
+    """Parameters (p, alpha, A) of the profile equation; beta follows."""
 
     p: float
     alpha: float
-    beta: float
     A: float
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise DomainError(f"p must be >= 1, got {self.p}")
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise DomainError("alpha and beta must be positive")
-        if self.A <= 0.0:
-            raise DomainError("A must be positive")
+        if not self.p > 1.0:
+            raise DomainError(f"self-similar profiles require p > 1, got {self.p}")
+        if not 0.0 < self.alpha < 1.0 / self.p:
+            raise DomainError(f"self-similar profiles require 0 < alpha < 1/p, got {self.alpha}")
+        if not self.A > 0.0:
+            raise DomainError(f"A must be positive, got {self.A}")
 
     @classmethod
     def self_similar(cls, p: float, alpha: float, A: float) -> "ProfileParams":
-        """Build parameters with beta = (1 - p*alpha)/2, the choice that makes
-        t^(-alpha) f(t^(-beta)|x|) an exact solution (needs p > 1, alpha < 1/p)."""
-        if p <= 1.0:
-            raise DomainError("self-similar mode requires p > 1")
-        if not 0.0 < alpha < 1.0 / p:
-            raise DomainError("self-similar mode requires 0 < alpha < 1/p")
-        return cls(p=p, alpha=alpha, beta=(1.0 - p * alpha) / 2.0, A=A)
+        """ProfileParams(p, alpha, A) under the name the scenarios use."""
+        return cls(p=p, alpha=alpha, A=A)
 
     @property
-    def is_self_similar(self) -> bool:
-        return self.p > 1.0 and self.beta == (1.0 - self.p * self.alpha) / 2.0
+    def beta(self) -> float:
+        """(1 - p*alpha)/2, the only beta for which t^(-alpha) f(t^(-beta)|x|)
+        solves u_t = u^p Lap(u)."""
+        return (1.0 - self.p * self.alpha) / 2.0
 
     @property
     def tail_exponent(self) -> float:
@@ -377,8 +373,6 @@ def check_integral_identity(profile: Profile) -> float:
     """
     params = profile.params
     p, alpha, beta = params.p, params.alpha, params.beta
-    if p <= 1.0:
-        raise DomainError("the integral identity requires p > 1")
     coeff = beta / (p - 1.0)
     return first_integral_residual(
         profile.xi, profile.f, profile.fp, profile.n, p,
@@ -389,7 +383,7 @@ def check_integral_identity(profile: Profile) -> float:
 def fit_tail_exponent(profile: Profile, window: tuple[float, float]):
     """Fitted log-log slope of f over the window (>= two decades wide).
 
-    For p > 1 in self-similar mode the slope approximates -alpha/beta.
+    The slope approximates -alpha/beta.
     Returns (slope, stderr); raises WindowError for bad windows.
     """
     if window[1] > profile.xi_max * (1.0 + 1e-12):
@@ -405,8 +399,6 @@ def certify_tail_bounds(profile: Profile, window: tuple[float, float]) -> TailBo
     constants exist but does not construct them.
     """
     params = profile.params
-    if params.p <= 1.0 or not params.is_self_similar:
-        raise DomainError("tail bounds require p > 1 in self-similar mode")
     lo, hi = window
     if hi > profile.xi_max * (1.0 + 1e-12) or lo < 0.0:
         raise WindowError("window outside the profile grid")
@@ -504,19 +496,21 @@ def save_profile(profile: Profile, csv_path) -> None:
         "beta": profile.params.beta,
         "A": profile.params.A,
         "n": profile.n,
-        "self_similar": profile.params.is_self_similar,
         "solver": profile.meta,
     }
     csv_path.with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def load_profile(csv_path) -> Profile:
+    """Read back a save_profile pair; DomainError if the sidecar's beta is not
+    the (1 - p*alpha)/2 of its p and alpha."""
     csv_path = Path(csv_path)
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     payload = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
-    params = ProfileParams(
-        p=payload["p"], alpha=payload["alpha"], beta=payload["beta"], A=payload["A"]
-    )
+    params = ProfileParams(p=payload["p"], alpha=payload["alpha"], A=payload["A"])
+    if payload["beta"] != params.beta:
+        raise DomainError(f"{csv_path}: beta {payload['beta']!r} is not (1 - p*alpha)/2 = "
+                          f"{params.beta!r}")
     return Profile(
         params=params,
         n=int(payload["n"]),

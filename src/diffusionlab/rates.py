@@ -117,14 +117,6 @@ def heat_polynomial(k: int, x, t):
     return sum(c * x**j * t**i for c, j, i in _heat_coefficients(k))
 
 
-def heat_poly_inf(k: int, t):
-    """inf over x of H_k(x, t) for t > 0: equals k!/(k/2)! * t^(k/2)."""
-    if k < 2 or k % 2 != 0:
-        raise DomainError("heat polynomials are indexed by even k >= 2")
-    coeff = math.factorial(k) // math.factorial(k // 2)
-    return coeff * t ** (k // 2)
-
-
 def heat_poly_residual(k: int, x, t):
     """d/dt H_k - d^2/dx^2 H_k, term by term; zero for every heat polynomial.
 

@@ -11,6 +11,10 @@ to the unit-ball profile through the exact rescaling
 
 A single outward shot from an arbitrary center value therefore suffices:
 its zero-crossing radius is located, then the shot is rescaled to R = 1.
+The shot cannot run long.  While 0 < w <= b (the center value) and p >= 1,
+(r^(n-1) w')' <= -(1/p) r^(n-1) b^(1-p), so w lies below the comparison
+parabola b (1 - r^2 / (2 ell^2)), ell = sqrt(n p b^p): it crosses zero by
+r = sqrt(2) ell, with equality at p = 1, where the parabola is the solution.
 For p > 1 the right side blows up as w -> 0, so once w drops below a small
 fraction of the center value the integration switches to the inverted
 system r(w) (with w as the independent variable), which locates the
@@ -52,16 +56,14 @@ W_SWITCH_FRACTION = 0.05
 # a log factor at p = 2), so the sliver's contribution is exact at leading
 # order and O(w_floor^(3-p) v w_floor^(2/p)) beyond.
 W_FLOOR_FRACTION = 1e-8
-# Shots: relative tolerance, center value of the unit shot (any value works)
-# and the radius by which it must cross zero (a re-shoot's is that radius
-# times max(1, R_target)), outward step caps as fractions
-# of the curvature length at the center (the re-shoots only need their
-# crossing), and the re-shoot's tolerance on log b: log R_crossing has slope
-# p/2 in log b, so a shot lands once its crossing is within (p/2) * LOG_B_XTOL
-# of log R, which pins the center value b to 1e-12 relative.
+# Shots: relative tolerance, center value of the unit shot (any value works),
+# outward step caps as fractions of the curvature length at the center (the
+# re-shoots only need their crossing), and the re-shoot's tolerance on log b:
+# log R_crossing has slope p/2 in log b, so a shot lands once its crossing is
+# within (p/2) * LOG_B_XTOL of log R, which pins the center value b to 1e-12
+# relative.
 SHOT_TOL = 1e-11
 UNIT_SHOT_B = 1.0
-UNIT_R_GUARD = 1e4
 UNIT_STEP_FACTOR = 2e-3
 RESHOOT_STEP_FACTOR = 5e-3
 LOG_B_XTOL = 1e-12
@@ -94,21 +96,23 @@ class SteadyProfile:
         return CubicHermiteSpline(self.r, self.w, self.wp, extrapolate=False)
 
 
-def _shoot(p: float, n: int, b: float, max_step_factor: float, r_guard: float):
+def _shoot(p: float, n: int, b: float, max_step_factor: float):
     """Integrate outward from w(0) = b and locate the zero crossing.
 
-    Returns (r_nodes, w_nodes, wp_nodes, R_crossing); raises NoCrossingError
-    if w has not approached zero by the first node beyond r_guard, and
-    SingularityError if the cubic Hermite interpolant of the nodes fails the
-    Fritsch-Carlson certificate.  The guard only stops the outward
-    integration and never shortens a step, so the nodes of a shot that is
-    not refused do not depend on r_guard.
+    Returns (r_nodes, w_nodes, wp_nodes, R_crossing).  The outward phase
+    ends at the first node below the switch height W_SWITCH_FRACTION * b,
+    which the comparison parabola b (1 - r^2 / (2 ell^2)) puts before
+    r = sqrt(1.9) ell; it is integrated to sqrt(2) ell, where the parabola
+    crosses zero, and a step cap of at most 5e-3 ell never reaches that end
+    first.  Raises NoCrossingError if the outward phase ends above the
+    switch height all the same, and SingularityError if the cubic Hermite
+    interpolant of the nodes fails the Fritsch-Carlson certificate.
     """
     invp = 1.0 / p
     nm1 = n - 1.0
     # Series start: w = b + c r^2 with 2*n*c = -(1/p) b^(1-p).
     c = -(b ** (1.0 - p)) / (2.0 * n * p)
-    ell = math.sqrt(b / abs(2.0 * c))  # curvature length at the center
+    ell = math.sqrt(b / abs(2.0 * c))  # curvature length at the center, sqrt(n p b^p)
     r0 = 1e-6 * ell
     w0, wp0 = b + c * r0 * r0, 2.0 * c * r0
     w_switch = W_SWITCH_FRACTION * b
@@ -118,13 +122,13 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float, r_guard: float):
         return wp, -nm1 / r * wp - invp * wc ** (1.0 - p)
 
     def stop(r, w, wp):
-        return w < w_switch or r > r_guard
+        return w < w_switch
 
     rs, ws, wps = integrate_dp45(
         rhs,
         r0,
         (w0, wp0),
-        math.inf,
+        math.sqrt(2.0) * ell,
         rtol=SHOT_TOL,
         atol=(SHOT_TOL * b * 1e-3, 0.0),
         max_step=max_step_factor * ell,
@@ -133,7 +137,7 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float, r_guard: float):
     )
     if ws[-1] >= w_switch:
         raise NoCrossingError(
-            f"w did not approach zero before r={r_guard:g} (p={p}, n={n}, b={b})"
+            f"w stayed above the switch height out to r={rs[-1]:g} (p={p}, n={n}, b={b})"
         )
 
     # Inverted sweep: independent variable q = w_switch_actual - w, states (r, wp).
@@ -194,7 +198,7 @@ def shoot_unit_profile(p: float, n: int) -> SteadyProfile:
     """
     if p < 1.0 or n < 1:
         raise DomainError("shoot_unit_profile requires p >= 1 and n >= 1")
-    r, w, wp, R = _shoot(p, n, UNIT_SHOT_B, UNIT_STEP_FACTOR, UNIT_R_GUARD)
+    r, w, wp, R = _shoot(p, n, UNIT_SHOT_B, UNIT_STEP_FACTOR)
     scale = R ** (-2.0 / p)
     return SteadyProfile(
         p=p,
@@ -247,7 +251,6 @@ def shoot_profile_for_radius(
     """
     if R_target <= 0.0:
         raise DomainError("target radius must be positive")
-    guard = UNIT_R_GUARD * max(1.0, R_target)
     if shots is None:
         shots = {}
 
@@ -257,11 +260,8 @@ def shoot_profile_for_radius(
                 f"R={R_target:g} needs a center value b = 10^{x / math.log(10.0):.3g},"
                 f" outside [1e-12, 1e12] (p={p}, n={n})"
             )
-        # A shot's nodes do not depend on its guard, so a shot made for
-        # another target is this one's if its crossing lies inside this
-        # guard.  Otherwise shoot again: a fresh shot may be refused here.
-        if x not in shots or shots[x][3] >= guard:
-            shots[x] = _shoot(p, n, math.exp(x), RESHOOT_STEP_FACTOR, guard)
+        if x not in shots:
+            shots[x] = _shoot(p, n, math.exp(x), RESHOOT_STEP_FACTOR)
         return math.log(shots[x][3] / R_target)
 
     def refused(why):

@@ -41,7 +41,8 @@ from diffusionlab.profiles import (
 from diffusionlab.rates import (
     INF,
     exponent_roundtrip,
-    heat_poly_inf,
+    heat_polynomial,
+    heat_random_rationals,
     rate_gamma,
     rate_lq,
     rate_nu,
@@ -332,8 +333,12 @@ def test_criterion_10_exponent_algebra():
         for th in thetas
         for i in range(len(ms) - 1)
     )
+    # inf_x H_k(x, 1) is measured on the polynomial: its value at x = 0 is
+    # k!/(k/2)!, and no exact rational x gives less
     heat_ok = all(
-        heat_poly_inf(k, 1) == math.factorial(k) // math.factorial(k // 2)
+        heat_polynomial(k, 0, 1) == math.factorial(k) // math.factorial(k // 2)
+        and all(heat_polynomial(k, x, 1) >= heat_polynomial(k, 0, 1)
+                for x, _ in heat_random_rationals(k, count=100, seed=k))
         for k in (2, 4, 6, 8)
     )
     ok = identity_ok and roundtrip_ok and bounds_ok and mono_ok and heat_ok

@@ -4,6 +4,7 @@ here, in the test suite, rather than in a benchmark run."""
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -57,3 +58,44 @@ def test_every_module_name_the_benchmark_reads_exists():
     missing = [f"{mod}.{name}" for mod, name in sorted(read)
                if not hasattr(importlib.import_module(f"diffusionlab.{mod}"), name)]
     assert not missing
+
+
+def _module_calls():
+    """(where, dotted name, positional count, keyword names) of each call
+    `<module>.<attr>...(...)` in perfbench/, for the diffusionlab modules it
+    imports under their own names; calls with * or ** arguments are left out."""
+    calls = []
+    for path in sorted(PERFBENCH.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            chain, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                chain.insert(0, func.attr)
+                func = func.value
+            if not (chain and isinstance(func, ast.Name) and func.id in MODULES):
+                continue
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                continue
+            calls.append((f"{path.relative_to(PERFBENCH.parent)}:{node.lineno}",
+                          ".".join([func.id, *chain]), len(node.args),
+                          [k.arg for k in node.keywords]))
+    return calls
+
+
+def test_every_call_the_benchmark_makes_binds_to_its_signature():
+    # a dropped or renamed parameter that the benchmark passes fails here
+    calls = _module_calls()
+    assert any(name == "profiles.ProfileParams.self_similar" for _, name, _, _ in calls)
+    unbound = []
+    for where, name, npos, keywords in calls:
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"diffusionlab.{module}")
+        try:
+            for attr in attrs:
+                obj = getattr(obj, attr)
+            inspect.signature(obj).bind(*[None] * npos, **dict.fromkeys(keywords))
+        except (AttributeError, TypeError) as exc:
+            unbound.append(f"{where} {name}: {exc}")
+    assert not unbound

@@ -144,7 +144,6 @@ class TestRun:
 
     @pytest.mark.parametrize("scenario,params", [
         ("profile_atlas", {"ps": []}),
-        ("prop103", {"t_checks": [100.0]}),  # one sample time makes no pair to compare
     ])
     def test_no_assertions_gives_error_record(self, tmp_path, scenario, params):
         rec = run_manifest(manifest(tmp_path, "empty", scenario, params))
@@ -199,6 +198,12 @@ class TestParameters:
             ("theorem200", {"dt_rel_max": -0.01}, "dt_rel_max"),
             ("theorem2000_lower", {"inner_radius": -1.0}, "inner_radius"),
             ("theorem2000_upper", {"C1": 0.0}, "C1"),
+            ("prop103", {"t_checks": [100.0]}, "t_checks"),  # one time makes no pair to compare
+            ("prop103", {"t_checks": []}, "t_checks"),
+            ("prop103", {"t_checks": [100.0, 10.0]}, "t_checks"),
+            ("prop103", {"t_checks": [10.0, 10.0]}, "t_checks"),
+            ("prop103", {"t_checks": [0.0, 10.0]}, "t_checks"),
+            ("prop103", {"t_checks": [10.0, 2e3]}, "t_checks"),  # t_end is 1e3
         ],
     )
     def test_out_of_domain_parameter_is_rejected_before_the_run(
@@ -324,6 +329,21 @@ class TestSweep:
         assert [r.passed for r in recs] == [False, True, False, False]
         for m in ms:
             assert (Path(m.output_dir) / "record.json").exists()
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_output_dir_that_cannot_be_made_does_not_abort(self, tmp_path, parallelism):
+        # an output_dir under a regular file: its record is returned, written
+        # nowhere, and the manifest after it still runs and gets its record
+        (tmp_path / "afile").write_text("kept\n")
+        blocked = ExperimentManifest.from_dict({
+            "schema": 1, "name": "blocked", "scenario": "remark_heat", "parameters": {},
+            "output_dir": str(tmp_path / "afile" / "sub"),
+        })
+        recs = sweep([blocked, manifest(tmp_path, "ok", "remark_heat", {})],
+                     parallelism=parallelism)
+        assert recs[0].error.startswith("NotADirectoryError") and not recs[0].passed
+        assert recs[1].passed and (tmp_path / "ok" / "record.json").exists()
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 class TestReport:

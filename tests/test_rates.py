@@ -13,7 +13,6 @@ from diffusionlab.rates import (
     DecayFit,
     exponent_roundtrip,
     fit_decay,
-    heat_poly_inf,
     heat_poly_residual,
     heat_polynomial,
     heat_random_rationals,
@@ -143,19 +142,23 @@ class TestHeatPolynomials:
         # H_2 = x^2 + 2t
         assert heat_polynomial(2, 3.0, 1.0) == pytest.approx(11.0)
         assert heat_polynomial(2, Fraction(3), Fraction(1)) == 11
-        assert heat_poly_inf(2, 5.0) == pytest.approx(10.0)
+        assert heat_polynomial(2, 0.0, 5.0) == pytest.approx(10.0)
 
     def test_h4(self):
         # H_4 = x^4 + 12 x^2 t + 12 t^2; inf at t=1 is 12
         x, t = Fraction(2), Fraction(3)
         assert heat_polynomial(4, x, t) == 2**4 + 12 * 4 * 3 + 12 * 9
-        assert heat_poly_inf(4, 1) == 12
+        assert heat_polynomial(4, 0, 1) == 12
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8])
     def test_inf_coefficient_exact(self, k):
-        assert heat_poly_inf(k, 1) == math.factorial(k) // math.factorial(k // 2)
-        t = Fraction(7, 3)
-        assert heat_poly_inf(k, t) == math.factorial(k) // math.factorial(k // 2) * t ** (k // 2)
+        # the value at x = 0 is k!/(k/2)! t^(k/2), and no rational x is lower
+        coeff = math.factorial(k) // math.factorial(k // 2)
+        for t in (1, Fraction(7, 3)):
+            at_zero = heat_polynomial(k, 0, t)
+            assert at_zero == coeff * t ** (k // 2)
+            for x, _ in heat_random_rationals(k, count=100, seed=k):
+                assert heat_polynomial(k, x, t) >= at_zero
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8])
     def test_residual_zero_at_random_rationals(self, k):
@@ -166,7 +169,7 @@ class TestHeatPolynomials:
         with pytest.raises(DomainError):
             heat_polynomial(3, 1.0, 1.0)
         with pytest.raises(DomainError):
-            heat_poly_inf(0, 1.0)
+            heat_polynomial(0, 1.0, 1.0)
 
 
 class TestFitDecay:

@@ -273,30 +273,30 @@ def test_scaling_law_holds_for_random_p_and_radius(p, n, R):
     assert verify_scaling_law(shoot_unit_profile(p, n), [R]) < 1e-5
 
 
-def test_no_crossing_guard(monkeypatch):
-    monkeypatch.setattr(steady, "UNIT_R_GUARD", 0.5)  # crossing sits near r=1.75
-    with pytest.raises(NoCrossingError):
-        shoot_unit_profile(2.0, 1)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.floats(1.0, 6.0), n=st.integers(1, 5), log_b=st.floats(-12.0, 12.0),
+       factor=st.sampled_from([steady.UNIT_STEP_FACTOR, steady.RESHOOT_STEP_FACTOR]))
+def test_shot_ends_inside_the_comparison_parabola(p, n, log_b, factor):
+    # w <= b (1 - r^2 / (2 ell^2)), ell = sqrt(n p b^p): w falls below the
+    # switch height 0.05 b by r = sqrt(1.9) ell, so the switch node lies
+    # within one step cap beyond, and w crosses zero by sqrt(2) ell.
+    b = 10.0**log_b
+    ell = math.sqrt(n * p * b**p)
+    r, w, _, R = steady._shoot(p, n, b, factor)
+    i = int(np.argmax(w < steady.W_SWITCH_FRACTION * b))
+    assert r[i] <= (math.sqrt(1.9) + factor) * ell
+    assert R <= math.sqrt(2.0) * ell * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_shot_nodes_do_not_depend_on_its_guard(p, n):
-    # A guard at the switch radius r1 (the first node below the switch
-    # height), or between r1 and the node before it, stops the outward phase
-    # at r1 as a far guard does; it must not shorten the steps leading there.
-    far = steady._shoot(p, n, 1.0, steady.RESHOOT_STEP_FACTOR, 1e4)
-    r, w = far[0], far[1]
-    i = int(np.argmax(w < steady.W_SWITCH_FRACTION))
-    for guard in (r[i], 0.5 * (r[i - 1] + r[i])):
-        near = steady._shoot(p, n, 1.0, steady.RESHOOT_STEP_FACTOR, guard)
-        for a, b in zip(near[:3], far[:3]):
-            np.testing.assert_array_equal(a, b)
-        assert near[3] == far[3]
+def test_shot_that_stays_above_the_switch_height(monkeypatch):
+    # At p = 1 the comparison parabola is the solution: it reaches zero at
+    # the end of the outward phase, sqrt(2) ell, above a switch height of -b.
+    monkeypatch.setattr(steady, "W_SWITCH_FRACTION", -1.0)
+    with pytest.raises(NoCrossingError, match=r"above the switch height out to r=1\.41421"):
+        shoot_unit_profile(1.0, 1)
 
 
 # p = 1, R = 1e-6 needs b below 1e-12 and is refused with or without a table.
-# The order mixes large and small targets, whose guards differ.
 SHARED_RADII = [0.5, 1e6, 1e-6, 20.0, 1e-2]
 
 
@@ -322,23 +322,6 @@ def test_shared_table_reshoots_are_bit_identical(monkeypatch, p, n):
     monkeypatch.setattr(steady, "shoot_profile_for_radius",
                         lambda p, n, R, shots: reshoot(p, n, R))  # a fresh table each
     assert verify_scaling_law(unit, landed) == worst
-
-
-def test_stored_shot_outside_a_later_guard_is_shot_again(monkeypatch):
-    # Guards shrunk to max(1, R): the shot at b = 1 crosses near r = 1.77,
-    # inside the guard of R = 10 but outside that of R = 0.5, so R = 0.5 is
-    # refused with the table R = 10 filled, as it is with a fresh one.
-    unit = shoot_unit_profile(2.0, 1)
-    monkeypatch.setattr(steady, "UNIT_R_GUARD", 1.0)
-    shots = {}
-    shoot_profile_for_radius(2.0, 1, 10.0, shots)
-    assert shots[0.0][3] > 1.0
-    with pytest.raises(NoCrossingError):
-        shoot_profile_for_radius(2.0, 1, 0.5)
-    with pytest.raises(NoCrossingError):
-        shoot_profile_for_radius(2.0, 1, 0.5, shots)
-    with pytest.raises(NoCrossingError):
-        verify_scaling_law(unit, [10.0, 0.5])
 
 
 def test_default_scaling_check_shoots_each_start_once(shot_b, monkeypatch, tmp_path):
