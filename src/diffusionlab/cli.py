@@ -3,8 +3,9 @@
     difflab [--out DIR] [--workers K] <verb> ...
 
 Verbs: profile, steady, evolve, fit, run <manifest.json>, sweep <dir>,
-report <dir>, scenarios.  Exit status is 0 iff every assertion of every
-executed scenario passed.
+report <dir>, scenarios.  `evolve` sets up its run as the evolve scenarios
+do, with their domain checks.  Exit status is 0 iff every assertion of
+every executed scenario passed, and 2 for malformed input.
 """
 
 from __future__ import annotations
@@ -78,24 +79,10 @@ def cmd_evolve(args, out: Path) -> int:
         norm_qs = tuple(float(q) for q in args.norm_qs.split(","))
     except ValueError:
         raise DomainError(f"--norm-qs '{args.norm_qs}' is not a comma-separated list of numbers") from None
-    cfg = pde.SolverConfig(
-        n_nodes=args.n_nodes,
-        dt_rel_max=args.dt_rel,
-        inner_radius=args.inner_radius,
-    )
-    run = pde.evolve(
-        datum,
-        p=args.p,
-        n=args.n,
-        R=args.R,
-        eps=args.eps,
-        t_end=args.t_end,
-        norm_qs=norm_qs,
-        config=cfg,
-        t_start=args.t_start,
-    )
-    jsonl = out / "run.jsonl"
-    pde.run_to_jsonl(run, jsonl)
+    params = {"p": args.p, "n": args.n, "R": args.R, "eps": args.eps, "t_end": args.t_end,
+              "n_nodes": args.n_nodes, "dt_rel_max": args.dt_rel, "inner_radius": args.inner_radius}
+    experiments._check_domain(params)
+    run, jsonl = experiments._evolve_from_params(params, datum, norm_qs, out, t_start=args.t_start)
     print(f"evolved to t={args.t_end:g}: {len(run.samples)} samples -> {jsonl}")
     if args.snapshots:
         files = pde.snapshots_to_csv(run, out / "snapshots")
@@ -118,6 +105,9 @@ def cmd_fit(args, out: Path) -> int:
 def cmd_run(args, out: Path) -> int:
     manifest = experiments.ExperimentManifest.load(args.manifest)
     record = experiments.run_manifest(manifest)
+    if not Path(manifest.output_dir).is_dir():  # so the record was written nowhere
+        print(f"error: {record.error}", file=sys.stderr)
+        return 2
     for a in record.assertions:
         print(f"[{'PASS' if a.passed else 'FAIL'}] {a.name}: measured {a.measured:.6g} "
               f"vs {a.theory:.6g} (tol {a.tolerance:.3g})")

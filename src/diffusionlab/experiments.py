@@ -291,8 +291,10 @@ def run_steady_scaling(params: dict, out_dir: Path):
 _SOLVER = {"dt_rel_max": 0.02, "inner_radius": None}
 
 
-def _evolve_from_params(params: dict, datum: pde.InitialDatum, norm_qs, out_dir: Path):
-    """Evolve the datum as the scenario's parameters say and write run.jsonl;
+def _evolve_from_params(params: dict, datum: pde.InitialDatum, norm_qs, out_dir: Path,
+                        t_start: float = 0.0):
+    """Evolve the datum from t_start (0 for every scenario; `difflab evolve`
+    passes its --t-start) as the parameters say and write run.jsonl;
     returns (run, path)."""
     cfg = pde.SolverConfig(
         n_nodes=params["n_nodes"],
@@ -308,6 +310,7 @@ def _evolve_from_params(params: dict, datum: pde.InitialDatum, norm_qs, out_dir:
         t_end=params["t_end"],
         norm_qs=tuple(norm_qs),
         config=cfg,
+        t_start=t_start,
     )
     jsonl = out_dir / "run.jsonl"
     pde.run_to_jsonl(run, jsonl)
@@ -406,13 +409,13 @@ def _algebraic_run(params: dict, out_dir: Path):
 def run_theorem2000_upper(params: dict, out_dir: Path):
     """Algebraically decaying data: sup-norm decay at the exact closed-form
     rate, certified from above by an amplitude-matched self-similar solution."""
-    p, n, gamma, R = params["p"], params["n"], params["gamma"], params["R"]
+    p, n, R = params["p"], params["n"], params["R"]
     run, jsonl, rate, fit = _algebraic_run(params, out_dir)
 
+    alpha = rate  # the profile's alpha is the sup-norm decay rate gamma/(p gamma + 2)
     # f_A = scale_profile(f_1, A) spans A^(p/2) times f_1's range, and
     # A = 1.05 C1 / lhat >= 1.05 C1 (lhat <= f_1(0) = 1), so this range
     # gives f_A at least [0, 1.1 R].
-    alpha = gamma / (p * gamma + 2.0)
     C1 = params["C0"] if params["C1"] is None else params["C1"]
     pp1 = profiles.ProfileParams.self_similar(p, alpha, 1.0)
     xi_max = 1.1 * R * max(1.0, (1.05 * C1) ** (-p / 2.0))

@@ -70,8 +70,8 @@ def build_grid(R: float, N: int) -> np.ndarray:
     """Uniform radial grid of N nodes on [0, R]."""
     if N < 16:
         raise DomainError("grid needs at least 16 nodes")
-    if R <= 0.0:
-        raise DomainError("need R > 0")
+    if not 0.0 < R < math.inf:
+        raise DomainError(f"need a finite R > 0, got {R!r}")
     return np.linspace(0.0, R, N)
 
 
@@ -347,10 +347,10 @@ def evolve(
     recording norms and snapshots at geometrically spaced times."""
     if not t_start >= 0.0:
         raise DomainError(f"t_start must be nonnegative, got {t_start!r}")
-    if t_end <= t_start:
-        raise DomainError("t_end must exceed t_start")
-    if eps < 0.0:
-        raise DomainError("eps must be nonnegative")
+    if not t_start < t_end < math.inf:
+        raise DomainError(f"t_end must be finite and exceed t_start = {t_start:g}, got {t_end!r}")
+    if not 0.0 <= eps < math.inf:
+        raise DomainError(f"eps must be finite and nonnegative, got {eps!r}")
     if not all(q > 0.0 for q in norm_qs):
         raise DomainError(f"norm exponents q must be positive, got {tuple(norm_qs)}")
     cfg = config or SolverConfig()

@@ -56,8 +56,8 @@ class ProfileParams:
             raise DomainError(f"self-similar profiles require p > 1, got {self.p}")
         if not 0.0 < self.alpha < 1.0 / self.p:
             raise DomainError(f"self-similar profiles require 0 < alpha < 1/p, got {self.alpha}")
-        if not self.A > 0.0:
-            raise DomainError(f"A must be positive, got {self.A}")
+        if not 0.0 < self.A < math.inf:
+            raise DomainError(f"A must be finite and positive, got {self.A}")
 
     @classmethod
     def self_similar(cls, p: float, alpha: float, A: float) -> "ProfileParams":
@@ -165,14 +165,15 @@ def integrate_profile(
     regime outside the positivity theory, or numerical failure) and
     ToleranceError if the step size underflows.
     """
-    if xi_max <= 0.0:
-        raise DomainError("xi_max must be positive")
     if not 1e-12 < tol < 1e-3:
         raise DomainError("tol must lie in (1e-12, 1e-3)")
 
     p, alpha, beta, A = params.p, params.alpha, params.beta, params.A
     s0 = max(1.0, 1.0 / math.sqrt(alpha)) * A ** (p / 2.0)
     xi0 = 1e-5 * s0
+    if not xi0 < xi_max < math.inf:
+        raise DomainError(f"xi_max must be finite and exceed the series start xi0 = {xi0:.6g}, "
+                          f"got {xi_max!r}")
     f0, fp0 = taylor_start(params, xi0, n)
     nm1 = n - 1.0
 

@@ -196,8 +196,8 @@ def shoot_unit_profile(p: float, n: int) -> SteadyProfile:
     The shooting center value UNIT_SHOT_B is arbitrary: the exact scaling
     w_R = R^(2/p) w_1(./R) maps any shot onto the unit ball.
     """
-    if p < 1.0 or n < 1:
-        raise DomainError("shoot_unit_profile requires p >= 1 and n >= 1")
+    if not (p >= 1.0 and n >= 1):
+        raise DomainError(f"shoot_unit_profile requires p >= 1 and n >= 1, got p={p!r}, n={n!r}")
     r, w, wp, R = _shoot(p, n, UNIT_SHOT_B, UNIT_STEP_FACTOR)
     scale = R ** (-2.0 / p)
     return SteadyProfile(
@@ -216,8 +216,8 @@ def scale_profile(unit: SteadyProfile, R: float) -> SteadyProfile:
     """Exact arithmetic rescaling w_R(r) = R^(2/p) w_unit(r/R); no re-solve."""
     if abs(unit.R - 1.0) > 1e-12:
         raise DomainError("scale_profile expects a unit-ball profile")
-    if R <= 0.0:
-        raise DomainError("target radius must be positive")
+    if not 0.0 < R < math.inf:
+        raise DomainError(f"target radius must be finite and positive, got {R!r}")
     amp = R ** (2.0 / unit.p)
     return SteadyProfile(
         p=unit.p,
@@ -249,8 +249,8 @@ def shoot_profile_for_radius(
     shots at b = 1 and b = 2; the profile is the same, bit for bit, as with a
     fresh table.
     """
-    if R_target <= 0.0:
-        raise DomainError("target radius must be positive")
+    if not 0.0 < R_target < math.inf:
+        raise DomainError(f"target radius must be finite and positive, got {R_target!r}")
     if shots is None:
         shots = {}
 

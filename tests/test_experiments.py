@@ -180,6 +180,11 @@ class TestParameters:
         assert (tmp_path / "bad" / "failed").exists()
         assert json.loads((tmp_path / "bad" / "record.json").read_text())["error"] == rec.error
 
+    def test_parameters_not_an_object_gives_error_record(self, tmp_path):
+        rec = run_manifest(manifest(tmp_path, "bad", "remark_heat", [2.0]))
+        assert not rec.passed and rec.assertions == []
+        assert rec.error == "DomainError: parameters must be an object, got [2.0]"
+
     @pytest.mark.parametrize(
         "scenario,params,key",
         [
@@ -366,6 +371,12 @@ class TestReport:
         header = plot_files[0].read_text().splitlines()[0]
         assert header.startswith("t,") and "overlay" in header
 
+    def test_error_record_is_a_failed_row(self, tmp_path):
+        rec = run_manifest(manifest(tmp_path, "bad", "theorem2000_upper", {"p": 0.0}))
+        text, _ = report(load_records(tmp_path), tmp_path / "report")
+        assert "(scenario error)" in text and text.rstrip().endswith("0 passed, 1 failed")
+        assert f"FAIL  {rec.error}" in text
+
     def test_empty_report_rejected(self, tmp_path):
         with pytest.raises(DomainError):
             report([], tmp_path)
@@ -503,8 +514,9 @@ class TestCli:
 
     EVOLVE = ["evolve", "--p", "2", "--t-end", "10", "--n-nodes", "64"]
     FIT = ["fit", "--series", "{bad}", "--window", "1", "200"]
-    # case: (the content of the input file `bad`, None for no file; the argv,
-    # where {bad} and {dir} stand for the file and its directory, and the
+    PROFILE = ["profile", "--p", "2", "--alpha", "0.25"]
+    # case: (the content of the input file `bad`, None for no file; the argv;
+    # in both, {bad} and {dir} stand for the file and its directory, and the
     # error must then name the file)
     MALFORMED = {
         "manifest_not_json": ("{not json", ["run", "{bad}"]),
@@ -532,6 +544,19 @@ class TestCli:
         "norm_qs_zero": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--norm-qs", "0"]),
         "inner_radius_negative": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--inner-radius", "-1"]),
         "t_start_negative": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--t-start", "-2"]),
+        "evolve_p_negative": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--p", "-1"]),
+        "evolve_n_zero": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--n", "0"]),
+        "evolve_t_end_inf": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--t-end", "inf"]),
+        "evolve_t_end_nan": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--t-end", "nan"]),
+        "evolve_R_inf": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--R", "inf"]),
+        "profile_xi_max_below_xi0": (None, [*PROFILE, "--xi-max", "1e-6"]),
+        "profile_xi_max_nan": (None, [*PROFILE, "--xi-max", "nan"]),
+        "profile_A_inf": (None, [*PROFILE, "--A", "inf"]),
+        "steady_p_nan": (None, ["steady", "--p", "nan"]),
+        "steady_R_nan": (None, ["steady", "--p", "2", "--R", "nan"]),
+        "steady_R_inf": (None, ["steady", "--p", "2", "--R", "inf"]),
+        "manifest_output_dir_under_a_file": (  # the manifest file itself is the regular file
+            '{"name": "x", "scenario": "remark_heat", "output_dir": "{bad}/sub"}', ["run", "{bad}"]),
         "record_not_json": ("{not json", ["report", "{dir}"]),
         "record_lacks_fields": ('{"name": "x", "assertions": []}', ["report", "{dir}"]),
         "record_plot_lacks_fields": (
@@ -543,12 +568,18 @@ class TestCli:
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
-    def test_malformed_input_is_an_error_not_a_crash(self, tmp_path, capsys, case):
+    def test_malformed_input_is_an_error_not_a_crash(self, tmp_path, capsys, monkeypatch, case):
+        def no_step(*args, **kwargs):
+            raise RuntimeError("the time stepper ran")
+
+        # malformed input is refused before the first time step, so a missing
+        # check fails here rather than running on (an infinite t_end never ends)
+        monkeypatch.setattr(pde._Stepper, "step", no_step)
         content, argv = self.MALFORMED[case]
         bad = tmp_path / "in" / "record.json"  # the name `report` looks for
         bad.parent.mkdir()
         if content is not None:
-            bad.write_text(content)
+            bad.write_text(content.replace("{bad}", str(bad)))
         rc = cli_main(["--out", str(tmp_path), *(a.format(bad=bad, dir=bad.parent) for a in argv)])
         assert rc == 2
         err = capsys.readouterr().err

@@ -52,8 +52,9 @@ class TestBuildGrid:
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
             build_grid(1.0, 8)
-        with pytest.raises(DomainError):
-            build_grid(0.0, 32)
+        for R in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                build_grid(R, 32)
 
 
 class TestInitialDatum:
@@ -66,6 +67,11 @@ class TestInitialDatum:
         d = InitialDatum.gaussian(2.0)
         assert d(0.0) == pytest.approx(1.0)
         assert d(2.0) == pytest.approx(math.exp(-0.5))
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_gaussian_needs_positive_sigma(self, sigma):
+        with pytest.raises(DomainError):
+            InitialDatum.gaussian(sigma)
 
     def test_table_positive_only(self):
         with pytest.raises(DomainError):
@@ -109,17 +115,34 @@ def test_one_step_preserves_order(p, n, N, c, eps, seed):
     assert np.all(su <= sv + 10.0 * NEWTON_TOL * np.max(sv))
 
 
-@pytest.mark.parametrize("cfg, t_start", [
-    ({"dt_rel_max": -0.01}, 0.0),
-    ({"dt_rel_max": math.nan}, 0.0),
-    ({"dt_rel_max": math.inf}, 0.0),
-    ({"inner_radius": -1.0}, 0.0),
-    ({}, -2.0),
+def _datum(fn):
+    return InitialDatum(description="test", fn=fn)
+
+
+@pytest.mark.parametrize("cfg, kwargs", [
+    ({"dt_rel_max": -0.01}, {}),
+    ({"dt_rel_max": math.nan}, {}),
+    ({"dt_rel_max": math.inf}, {}),
+    ({"inner_radius": -1.0}, {}),
+    ({}, {"t_start": -2.0}),
+    ({}, {"t_start": 10.0}),
+    ({}, {"t_end": math.inf}),
+    ({}, {"t_end": math.nan}),
+    ({}, {"eps": -1e-3}),
+    ({}, {"eps": math.inf}),
+    ({}, {"u0": _datum(lambda r: np.where(r > 5.0, np.nan, 1.0))}),
+    ({}, {"u0": _datum(lambda r: 1.0 - r)}),
+    ({}, {"u0": _datum(np.zeros_like), "eps": 0.0}),  # not positive off the boundary
 ])
-def test_evolve_rejects_bad_settings(cfg, t_start):
+def test_evolve_rejects_bad_settings(monkeypatch, cfg, kwargs):
+    def no_step(*_args, **_kwargs):
+        raise RuntimeError("the time stepper ran")
+
+    monkeypatch.setattr(pde._Stepper, "step", no_step)  # an unchecked t_end = inf never ends
+    args = dict(u0=InitialDatum.algebraic(2.0), p=2.0, n=1, R=20.0, eps=1e-3, t_end=10.0,
+                config=SolverConfig(n_nodes=64, **cfg))
     with pytest.raises(DomainError):
-        evolve(InitialDatum.algebraic(2.0), p=2.0, n=1, R=20.0, eps=1e-3, t_end=10.0,
-               config=SolverConfig(n_nodes=64, **cfg), t_start=t_start)
+        evolve(**{**args, **kwargs})
 
 
 # Scale covariance: if u solves u_t = u^p Lap(u), so does lam u(mu x, lam^p mu^2 t).
@@ -496,6 +519,12 @@ class TestRescaleToV:
             assert tau_v == tau
             np.testing.assert_allclose(vs, growth * u, rtol=1e-12)
             assert m == pytest.approx(growth * 0.5, rel=1e-12)
+
+    def test_rejects_a_run_without_samples(self):
+        run = EvolutionRun(p=2.0, n=1, R=1.0, eps=0.0, r=np.linspace(0, 1, 16), samples=[],
+                           snapshots=[])
+        with pytest.raises(DomainError, match="no samples"):
+            rescale_to_v(run)
 
     def test_inner_minimum_diverges_for_gaussian_data(self):
         run = evolve(InitialDatum.gaussian(2.0), p=2.0, n=1, R=40.0, eps=1e-9,

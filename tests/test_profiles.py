@@ -65,7 +65,7 @@ class TestProfileParams:
     @pytest.mark.parametrize("p, alpha, A", [
         (0.5, 0.1, 1.0), (1.0, 0.25, 1.0), (math.nan, 0.25, 1.0),  # p > 1
         (2.0, -0.1, 1.0), (2.0, 0.0, 1.0), (2.0, 0.5, 1.0), (2.0, 0.6, 1.0),  # 0 < alpha < 1/p
-        (2.0, 0.1, 0.0), (2.0, 0.1, -1.0),  # A > 0
+        (2.0, 0.1, 0.0), (2.0, 0.1, -1.0), (2.0, 0.1, math.inf),  # 0 < A < inf
     ])
     def test_rejects_bad_parameters(self, p, alpha, A):
         with pytest.raises(DomainError):
@@ -104,6 +104,21 @@ class TestTaylorStart:
         pp = ProfileParams.self_similar(2.0, 0.25, 1.0)
         with pytest.raises(DomainError):
             taylor_start(pp, 0.0, n=1)
+
+    def test_rejects_dimension_below_one(self):
+        pp = ProfileParams.self_similar(2.0, 0.25, 1.0)
+        with pytest.raises(DomainError, match="dimension"):
+            taylor_start(pp, 0.01, n=0)
+
+
+# For p = 2, alpha = 0.25, A = 1 the series starts at xi0 = 1e-5 * 2.
+@pytest.mark.parametrize("xi_max, tol", [
+    (0.0, 1e-10), (-1.0, 1e-10), (1e-6, 1e-10), (math.nan, 1e-10), (math.inf, 1e-10),
+    (50.0, 1e-12), (50.0, 1e-3), (50.0, math.nan),
+])
+def test_integrate_profile_rejects_bad_input(xi_max, tol):
+    with pytest.raises(DomainError):
+        integrate_profile(ProfileParams.self_similar(2.0, 0.25, 1.0), xi_max, tol=tol, n=1)
 
 
 @pytest.mark.parametrize("p,alpha_rel", [(1.5, 0.5), (2.0, 0.5), (3.0, 0.5), (2.0, 0.25)])
@@ -393,6 +408,16 @@ class TestTailBounds:
         tb = certify_tail_bounds(prof, (100.0, 1000.0))
         assert tb.lower_const == pytest.approx(101.0)
         assert tb.upper_const == pytest.approx(1001.0)
+
+    @pytest.mark.parametrize("window, why", [
+        ((-1.0, 10.0), "outside"), ((10.0, 2000.0), "outside"), ((100.1, 100.2), "empty"),
+    ])
+    def test_window_errors(self, window, why):
+        pp = ProfileParams.self_similar(2.0, 0.25, 1.0)
+        xi = np.linspace(0.0, 1000.0, 2001)
+        prof = Profile(params=pp, n=1, xi=xi, f=np.full_like(xi, 1.0), fp=np.zeros_like(xi))
+        with pytest.raises(WindowError, match=why):
+            certify_tail_bounds(prof, window)
 
     def test_lower_const_nondecreasing_in_A(self):
         consts = []

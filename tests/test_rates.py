@@ -65,6 +65,10 @@ class TestNuAndFast:
     def test_limit_small_q0(self):
         assert rate_nu(2.0, 1, 1e-12) == pytest.approx(rate_fast(2.0), rel=1e-10)
 
+    def test_nu_domain_error(self):
+        with pytest.raises(DomainError):
+            rate_nu(2.0, 1, 0.0)
+
 
 class TestRateGamma:
     def test_arithmetic_cases(self):
@@ -77,6 +81,8 @@ class TestRateGamma:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             rate_gamma(2.0, 1, 2.0, 0.5)  # q <= n/gamma
+        with pytest.raises(DomainError):
+            rate_gamma(2.0, 1, 0.0, INF)
 
 
 class TestVartheta:
@@ -111,6 +117,10 @@ class TestVartheta:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             vartheta(2.0, 0.5)
+        with pytest.raises(DomainError):
+            vartheta(0.0, -1.0)
+        with pytest.raises(DomainError):
+            exponent_roundtrip(2.0, 0.0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -192,6 +202,8 @@ class TestFitDecay:
             fit_decay(t, v, (1.0, 50.0))  # narrow
         with pytest.raises(WindowError):
             fit_decay(t[:5], v[:5], (1.0, 1e4))  # sparse
+        with pytest.raises(WindowError):
+            fit_decay(t, np.where(t > 100.0, 0.0, v), (1.0, 1e4))  # not positive
 
     def test_decayfit_invariant(self):
         with pytest.raises(WindowError):

@@ -93,6 +93,19 @@ class TestScaleProfile:
         with pytest.raises(DomainError):
             scale_profile(scaled, 4.0)
 
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_radius(self, R):
+        with pytest.raises(DomainError, match="radius"):
+            scale_profile(shoot_unit_profile(1.0, 1), R)
+        with pytest.raises(DomainError, match="radius"):
+            shoot_profile_for_radius(1.0, 1, R)
+
+
+@pytest.mark.parametrize("p, n", [(0.5, 1), (math.nan, 1), (2.0, 0)])
+def test_shoot_unit_profile_rejects_bad_parameters(p, n):
+    with pytest.raises(DomainError):
+        shoot_unit_profile(p, n)
+
 
 class TestVerifyScalingLaw:
     def test_p1_closed_form_family(self):
