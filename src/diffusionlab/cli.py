@@ -215,8 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DomainError(f"--out '{out}': cannot create ({exc.strerror or exc})") from None
         return args.func(args, out)
     except DiffusionLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

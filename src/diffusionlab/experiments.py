@@ -15,7 +15,10 @@ being checked), the measured and theoretical values, and the tolerance that
 was applied.
 Tolerances live in the manifest: the underlying statements are asymptotic
 with non-constructive constants, so pass bands at desk scale are experiment
-policy, not truth.  A scenario that makes no assertion gives an error record.
+policy, not truth.  Five are fixed in the code: the theorem2000
+`supersolution` and `subsolution` margins at 1e-3, prop103's strict
+increase at 1e-12, and vartheta_table's `roundtrip` at 1e-15 and `limit_m`
+at 1e-10.  A scenario that makes no assertion gives an error record.
 
 Determinism: a record is fixed by its manifest alone; identical manifests
 produce byte-identical records apart from the two timestamp fields.

@@ -345,6 +345,8 @@ def evolve(
 ) -> EvolutionRun:
     """March the regularized problem from t_start to t_end with adaptive dt,
     recording norms and snapshots at geometrically spaced times."""
+    if not (0.0 < p < math.inf and n >= 1):
+        raise DomainError(f"evolve requires finite p > 0 and n >= 1, got p={p!r}, n={n!r}")
     if not t_start >= 0.0:
         raise DomainError(f"t_start must be nonnegative, got {t_start!r}")
     if not t_start < t_end < math.inf:

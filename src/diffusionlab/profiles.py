@@ -58,6 +58,12 @@ class ProfileParams:
             raise DomainError(f"self-similar profiles require 0 < alpha < 1/p, got {self.alpha}")
         if not 0.0 < self.A < math.inf:
             raise DomainError(f"A must be finite and positive, got {self.A}")
+        try:
+            stretch = self.stretch
+        except OverflowError:
+            stretch = math.inf
+        if not 0.0 < stretch < math.inf:
+            raise DomainError(f"A^(p/2) must be finite and positive, got A = {self.A} at p = {self.p}")
 
     @classmethod
     def self_similar(cls, p: float, alpha: float, A: float) -> "ProfileParams":
@@ -69,6 +75,12 @@ class ProfileParams:
         """(1 - p*alpha)/2, the only beta for which t^(-alpha) f(t^(-beta)|x|)
         solves u_t = u^p Lap(u)."""
         return (1.0 - self.p * self.alpha) / 2.0
+
+    @property
+    def stretch(self) -> float:
+        """A^(p/2), the factor by which f_A(xi) = A f_1(A^(-p/2) xi) stretches
+        the xi-axis of f_1."""
+        return self.A ** (self.p / 2.0)
 
     @property
     def tail_exponent(self) -> float:
@@ -139,19 +151,18 @@ def integrate_profile(
 ) -> Profile:
     """Integrate the profile ODE from the series start out to xi_max.
 
+    Only f_1, the profile of amplitude 1, is integrated: the profiles form
+    the exact family f_A(xi) = A f_1(A^(-p/2) xi), so f_1 is integrated on
+    [0, xi_max / A^(p/2)] and scale_profile applies A.  Nothing in the
+    integration below depends on A, and f_A is the rescaled f_1 bit for bit
+    (at the last node, to the rounding of xi_max / A^(p/2) * A^(p/2)).
+
     The accepted-step grid doubles as the sampling grid for the tail fits
     and for the first-integral identity (Hermite-Simpson on the nodes, see
     rk.first_integral_residual), so steps are capped at
-    MAX_STEP_FACTOR * max(s0, xi) with s0 = max(1, 1/sqrt(alpha)) * A^(p/2),
-    the curvature length at the origin; this keeps the grid log-uniform in
-    the tail and fine enough near the origin.
-
-    The integration is covariant under the profile symmetry
-    f_A(xi) = A f_1(A^(-p/2) xi): s0 and the series start scale with
-    A^(p/2), the tolerance is relative only, and the stop rule and the tail
-    are free of absolute scales.  So f_A on [0, A^(p/2) X] has the nodes of
-    f_1 on [0, X], rescaled, to rounding; scale_profile gets it from f_1
-    without a second integration.
+    MAX_STEP_FACTOR * max(s0, xi) with s0 = max(1, 1/sqrt(alpha)), the
+    curvature length of f_1 at the origin; this keeps the grid log-uniform
+    in the tail and fine enough near the origin.
 
     The equation turns stiff in the tail (the linearized damping rate grows
     like beta*xi*f^(-p)), so the explicit 5(4) pair is used only while it is
@@ -168,13 +179,15 @@ def integrate_profile(
     if not 1e-12 < tol < 1e-3:
         raise DomainError("tol must lie in (1e-12, 1e-3)")
 
-    p, alpha, beta, A = params.p, params.alpha, params.beta, params.A
-    s0 = max(1.0, 1.0 / math.sqrt(alpha)) * A ** (p / 2.0)
+    unit = replace(params, A=1.0)
+    p, alpha, beta = unit.p, unit.alpha, unit.beta
+    s0 = max(1.0, 1.0 / math.sqrt(alpha))
     xi0 = 1e-5 * s0
-    if not xi0 < xi_max < math.inf:
-        raise DomainError(f"xi_max must be finite and exceed the series start xi0 = {xi0:.6g}, "
-                          f"got {xi_max!r}")
-    f0, fp0 = taylor_start(params, xi0, n)
+    x_max = xi_max / params.stretch
+    if not xi0 < x_max < math.inf:
+        raise DomainError(f"xi_max must be finite and exceed the series start "
+                          f"xi0 = {xi0 * params.stretch:.6g}, got {xi_max!r}")
+    f0, fp0 = taylor_start(unit, xi0, n)
     nm1 = n - 1.0
 
     def rhs(xi, f, fp):
@@ -195,7 +208,7 @@ def integrate_profile(
             rhs,
             xi0,
             (f0, fp0),
-            xi_max,
+            x_max,
             rtol=tol,
             atol=(0.0, 0.0),
             max_step=lambda xi: MAX_STEP_FACTOR * max(s0, xi),
@@ -209,9 +222,9 @@ def integrate_profile(
     if fs[-1] < F_FLOOR:
         raise SingularityError(f"profile hit the positivity floor at xi={xs[-1]:.6g}")
 
-    if xs[-1] < xi_max:
+    if xs[-1] < x_max:
         xs2, fs2, fps2 = _integrate_tail(
-            params, n, xs[-1], fs[-1], fps[-1], xi_max, ds=2.0 * MAX_STEP_FACTOR, tol=tol,
+            unit, n, xs[-1], fs[-1], fps[-1], x_max, ds=2.0 * MAX_STEP_FACTOR, tol=tol,
             h0=math.log(xs[-1] / xs[-2]),
         )
         xs += xs2
@@ -221,11 +234,11 @@ def integrate_profile(
     xi = np.empty(len(xs) + 1)
     f = np.empty_like(xi)
     fp = np.empty_like(xi)
-    xi[0], f[0], fp[0] = 0.0, A, 0.0
+    xi[0], f[0], fp[0] = 0.0, 1.0, 0.0
     xi[1:], f[1:], fp[1:] = xs, fs, fps
 
     prof = Profile(
-        params=params,
+        params=unit,
         n=n,
         xi=xi,
         f=f,
@@ -233,7 +246,7 @@ def integrate_profile(
         meta={"tol": tol, "max_step_factor": MAX_STEP_FACTOR, "xi0": xi0},
     )
     _check_profile_invariants(prof)
-    return prof
+    return prof if params.A == 1.0 else scale_profile(prof, params.A)
 
 
 def scale_profile(unit: Profile, A: float) -> Profile:
@@ -242,11 +255,10 @@ def scale_profile(unit: Profile, A: float) -> Profile:
     which keeps the Fritsch-Carlson ratios that make the interpolant monotone."""
     if abs(unit.params.A - 1.0) > 1e-12:
         raise DomainError("scale_profile expects an amplitude-1 profile")
-    if not A > 0.0:
-        raise DomainError("target amplitude must be positive")
-    stretch = A ** (unit.params.p / 2.0)
+    params = replace(unit.params, A=A)  # refuses an A whose A^(p/2) is not a positive double
+    stretch = params.stretch
     return Profile(
-        params=replace(unit.params, A=A),
+        params=params,
         n=unit.n,
         xi=unit.xi * stretch,
         f=unit.f * A,
@@ -353,7 +365,7 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds, tol, h0):
 def _check_profile_invariants(prof: Profile) -> None:
     if prof.f.min() <= 0.0:
         raise SingularityError("integrated profile is not positive")
-    if prof.fp.max() > 1e-10 * prof.params.A:
+    if prof.fp.max() > 1e-10:
         raise SingularityError("integrated profile is not monotone nonincreasing")
     i = first_nonmonotone_interval(prof.xi, prof.f, prof.fp)
     if i >= 0:

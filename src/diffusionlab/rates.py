@@ -42,8 +42,7 @@ def rate_lq(p: float, n: int, q0: float, q: float) -> float:
     if q <= q0:
         raise DomainError(f"need q > q0, got q={q}, q0={q0}")
     if q == INF:
-        # algebraic limit of the formula; shares the rounding of rate_nu
-        return n / (n * p + 2.0 * q0)
+        return rate_nu(p, n, q0)  # the algebraic limit of the formula, as rate_nu rounds it
     return (1.0 - q0 / q) / (p + 2.0 * q0 / n)
 
 

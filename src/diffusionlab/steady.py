@@ -196,8 +196,8 @@ def shoot_unit_profile(p: float, n: int) -> SteadyProfile:
     The shooting center value UNIT_SHOT_B is arbitrary: the exact scaling
     w_R = R^(2/p) w_1(./R) maps any shot onto the unit ball.
     """
-    if not (p >= 1.0 and n >= 1):
-        raise DomainError(f"shoot_unit_profile requires p >= 1 and n >= 1, got p={p!r}, n={n!r}")
+    if not (1.0 <= p < math.inf and n >= 1):
+        raise DomainError(f"shoot_unit_profile requires finite p >= 1 and n >= 1, got p={p!r}, n={n!r}")
     r, w, wp, R = _shoot(p, n, UNIT_SHOT_B, UNIT_STEP_FACTOR)
     scale = R ** (-2.0 / p)
     return SteadyProfile(

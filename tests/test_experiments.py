@@ -549,14 +549,19 @@ class TestCli:
         "evolve_t_end_inf": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--t-end", "inf"]),
         "evolve_t_end_nan": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--t-end", "nan"]),
         "evolve_R_inf": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--R", "inf"]),
+        "evolve_p_inf": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--p", "inf"]),
         "profile_xi_max_below_xi0": (None, [*PROFILE, "--xi-max", "1e-6"]),
         "profile_xi_max_nan": (None, [*PROFILE, "--xi-max", "nan"]),
         "profile_A_inf": (None, [*PROFILE, "--A", "inf"]),
+        "profile_A_overflow": (None, [*PROFILE, "--p", "3", "--alpha", "0.1", "--A", "1e300"]),
+        "profile_A_underflow": (None, [*PROFILE, "--p", "3", "--alpha", "0.1", "--A", "1e-300"]),
         "steady_p_nan": (None, ["steady", "--p", "nan"]),
+        "steady_p_inf": (None, ["steady", "--p", "inf"]),
         "steady_R_nan": (None, ["steady", "--p", "2", "--R", "nan"]),
         "steady_R_inf": (None, ["steady", "--p", "2", "--R", "inf"]),
         "manifest_output_dir_under_a_file": (  # the manifest file itself is the regular file
             '{"name": "x", "scenario": "remark_heat", "output_dir": "{bad}/sub"}', ["run", "{bad}"]),
+        "out_under_a_file": ("", ["--out", "{bad}/sub", "scenarios"]),  # overrides the first --out
         "record_not_json": ("{not json", ["report", "{dir}"]),
         "record_lacks_fields": ('{"name": "x", "assertions": []}', ["report", "{dir}"]),
         "record_plot_lacks_fields": (

@@ -133,6 +133,10 @@ def _datum(fn):
     ({}, {"u0": _datum(lambda r: np.where(r > 5.0, np.nan, 1.0))}),
     ({}, {"u0": _datum(lambda r: 1.0 - r)}),
     ({}, {"u0": _datum(np.zeros_like), "eps": 0.0}),  # not positive off the boundary
+    ({}, {"p": math.inf}),
+    ({}, {"p": math.nan}),
+    ({}, {"p": 0.0}),
+    ({}, {"n": 0}),
 ])
 def test_evolve_rejects_bad_settings(monkeypatch, cfg, kwargs):
     def no_step(*_args, **_kwargs):

@@ -66,6 +66,7 @@ class TestProfileParams:
         (0.5, 0.1, 1.0), (1.0, 0.25, 1.0), (math.nan, 0.25, 1.0),  # p > 1
         (2.0, -0.1, 1.0), (2.0, 0.0, 1.0), (2.0, 0.5, 1.0), (2.0, 0.6, 1.0),  # 0 < alpha < 1/p
         (2.0, 0.1, 0.0), (2.0, 0.1, -1.0), (2.0, 0.1, math.inf),  # 0 < A < inf
+        (3.0, 0.1, 1e300), (3.0, 0.1, 1e-300),  # 0 < A^(p/2) < inf
     ])
     def test_rejects_bad_parameters(self, p, alpha, A):
         with pytest.raises(DomainError):
@@ -201,7 +202,8 @@ ATLAS = DEFAULTS["profile_atlas"]
 def test_tail_starts_no_longer_than_the_last_explicit_step(monkeypatch, p, rel, A, n):
     # The tail's first trial step is the last DP45 step in log units, so the
     # first step it keeps is no longer.  A first trial at the cap gave 75
-    # rejected tail steps over these 36 profiles, against 24.
+    # rejected tail steps over these 36 profiles, against 24.  The tail runs
+    # on f_1, so the switch node it records is f_1's, stretched by A^(p/2).
     starts = []
 
     def recorded(params, n, xi_sw, *rest, **kwargs):
@@ -212,8 +214,9 @@ def test_tail_starts_no_longer_than_the_last_explicit_step(monkeypatch, p, rel, 
     pp = ProfileParams.self_similar(p, rel / p, A)
     xi = integrate_profile(pp, ATLAS["xi_max"], tol=ATLAS["tol"], n=n).xi
     assert len(starts) == 1
-    i = int(np.searchsorted(xi, starts[0]))
-    assert xi[i] == starts[0]
+    start = starts[0] * A ** (p / 2.0)
+    i = int(np.searchsorted(xi, start))
+    assert xi[i] == start
     assert math.log(xi[i + 1] / xi[i]) <= math.log(xi[i] / xi[i - 1]) + 1e-12
 
 
@@ -228,20 +231,22 @@ def unit_profiles():
             for p, rel, n in ATLAS_FAMILIES}
 
 
-@pytest.mark.parametrize("A", [0.5, 2.0, 4.0, 1.75])
+@pytest.mark.parametrize("A", [0.5, 2.0, 4.0, 1.75, 1e-120, 1e-60, 1e60])
 @pytest.mark.parametrize("p, rel, n", ATLAS_FAMILIES)
 def test_integration_is_covariant_in_the_amplitude(unit_profiles, p, rel, n, A):
-    # f_A(xi) = A f_1(A^(-p/2) xi): integrated on the rescaled range, f_A
-    # takes f_1's steps, so it has its node count and meets the rescaled f_1
-    # to rounding.
+    # f_A(xi) = A f_1(A^(-p/2) xi): f_A on [0, 50 A^(p/2)] is f_1 on [0, 50],
+    # rescaled, bit for bit.  Only the last node may round differently, as
+    # (50 A^(p/2)) / A^(p/2) need not be 50; it cannot when A^(p/2) is a
+    # power of two.
     unit = unit_profiles[(p, rel, n)]
     stretch = A ** (p / 2.0)
     prof = integrate_profile(ProfileParams.self_similar(p, rel / p, A), 50.0 * stretch,
                              tol=ATLAS["tol"], n=n)
     assert len(prof.xi) == len(unit.xi)
     scaled = scale_profile(unit, A)
-    f = scaled.interpolant()(np.minimum(prof.xi, scaled.xi_max))
-    np.testing.assert_allclose(f, prof.f, rtol=1e-12, atol=0.0)
+    nodes = slice(None) if math.frexp(stretch)[0] == 0.5 else slice(-1)
+    for name in ("xi", "f", "fp"):
+        np.testing.assert_array_equal(getattr(prof, name)[nodes], getattr(scaled, name)[nodes])
 
 
 def test_scale_profile_rescales_nodes_and_keeps_the_equation(unit_profiles):
@@ -260,7 +265,7 @@ def test_scale_profile_rejects_bad_input(unit_profiles):
     unit = unit_profiles[(3.0, 0.5, 3)]
     with pytest.raises(DomainError):
         scale_profile(scale_profile(unit, 2.0), 2.0)
-    for A in (0.0, -1.0, math.nan):
+    for A in (0.0, -1.0, math.nan, 1e300, 1e-300):  # p = 3: A^(p/2) overflows, underflows
         with pytest.raises(DomainError):
             scale_profile(unit, A)
 

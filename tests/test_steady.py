@@ -101,7 +101,7 @@ class TestScaleProfile:
             shoot_profile_for_radius(1.0, 1, R)
 
 
-@pytest.mark.parametrize("p, n", [(0.5, 1), (math.nan, 1), (2.0, 0)])
+@pytest.mark.parametrize("p, n", [(0.5, 1), (math.nan, 1), (math.inf, 1), (2.0, 0)])
 def test_shoot_unit_profile_rejects_bad_parameters(p, n):
     with pytest.raises(DomainError):
         shoot_unit_profile(p, n)
