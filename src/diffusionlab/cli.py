@@ -3,9 +3,10 @@
     difflab [--out DIR] [--workers K] <verb> ...
 
 Verbs: profile, steady, evolve, fit, run <manifest.json>, sweep <dir>,
-report <dir>, scenarios.  `evolve` sets up its run as the evolve scenarios
-do, with their domain checks.  Exit status is 0 iff every assertion of
-every executed scenario passed, and 2 for malformed input.
+report <dir>, digest <dir> [--against <other>], scenarios.  `evolve` sets up
+its run as the evolve scenarios do, with their domain checks.  Exit status
+is 0 iff every assertion of every executed scenario passed (for
+`digest --against`: iff no file differs), and 2 for malformed input.
 """
 
 from __future__ import annotations
@@ -143,6 +144,28 @@ def cmd_report(args, out: Path) -> int:
     return 0 if all(rec.passed for _, rec in records) else 1
 
 
+def cmd_digest(args, out: Path) -> int:
+    sums = experiments.digest(args.directory)
+    if args.against is None:
+        for rel, sha in sums.items():
+            print(f"{sha}  {rel}")
+        return 0
+    ref = experiments.digest(args.against)
+    differ = sorted(rel for rel in sums.keys() | ref.keys() if sums.get(rel) != ref.get(rel))
+    for rel in differ:
+        if rel in sums and rel in ref:
+            print(f"differs: {rel}")
+        else:
+            print(f"differs: {rel} (only in {args.directory if rel in sums else args.against})")
+    moved = experiments.moved_measurements(args.directory, args.against)
+    for rel, name, was, now in moved:
+        change = f"{(now - was) / abs(was):+.3g}" if was else "from 0"
+        print(f"moved: {rel} {name}: {was!r} -> {now!r} ({change} relative)")
+    print(f"{len(differ)} of {len(sums.keys() | ref.keys())} files differ, "
+          f"{len(moved)} measured values moved")
+    return 1 if differ else 0
+
+
 def cmd_scenarios(args, out: Path) -> int:
     for name, defaults in experiments.DEFAULTS.items():
         print(name)
@@ -206,6 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="summarize records under a directory")
     rep.set_defaults(func=cmd_report)
     rep.add_argument("directory")
+
+    d = sub.add_parser("digest", help="sha256 of every file of a results tree, "
+                                      "records without their timestamps")
+    d.set_defaults(func=cmd_digest)
+    d.add_argument("directory")
+    d.add_argument("--against", default=None,
+                   help="list the files that differ from this tree and every moved measured value")
 
     sc = sub.add_parser("scenarios", help="list the scenarios with their default parameters")
     sc.set_defaults(func=cmd_scenarios)

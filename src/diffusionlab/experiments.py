@@ -233,10 +233,13 @@ def run_profile_atlas(params: dict, out_dir: Path):
     for p in params["ps"]:
         for rel in params["alpha_rels"]:
             alpha = rel / p
-            for A in params["A_list"]:
+            # f_1 is integrated once per (p, alpha, n); every A ends on a branch of it
+            family = {n: profiles.integrate_profile_family(p, alpha, params["A_list"],
+                                                           params["xi_max"], tol=params["tol"], n=n)
+                      for n in params["n_list"]}
+            for i, A in enumerate(params["A_list"]):
                 for n in params["n_list"]:
-                    pp = profiles.ProfileParams.self_similar(p, alpha, A)
-                    prof = profiles.integrate_profile(pp, params["xi_max"], tol=params["tol"], n=n)
+                    prof = family[n][i]
                     res = profiles.check_integral_identity(prof)
                     tag = f"p={p:g}_a={alpha:.4g}_A={A:g}_n={n}"
                     csv = out_dir / f"profile_{tag}.csv"
@@ -683,6 +686,47 @@ def load_records(directory) -> list:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"{path}: not a result record ({type(exc).__name__}: {exc})") from None
     return recs
+
+
+def digest(directory) -> dict:
+    """sha256 of every file under a directory tree, keyed by its path within
+    the tree.  A record.json is hashed without its `started` and `finished`
+    fields, the timestamps that lie outside the determinism contract; every
+    other file by its bytes."""
+    root = Path(directory)
+    if not root.is_dir():
+        raise DomainError(f"{root}: not a directory")
+    sums = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        try:
+            blob = path.read_bytes()
+            if path.name == "record.json":
+                payload = json.loads(blob)
+                timeless = {k: v for k, v in payload.items() if k not in ("started", "finished")}
+                blob = json.dumps(timeless, indent=2, sort_keys=True).encode("utf-8")
+        except OSError as exc:
+            raise DomainError(f"{path}: cannot read ({exc.strerror or exc})") from None
+        except (ValueError, AttributeError) as exc:
+            raise DomainError(f"{path}: not a result record ({type(exc).__name__}: {exc})") \
+                from None
+        sums[path.relative_to(root).as_posix()] = hashlib.sha256(blob).hexdigest()
+    return sums
+
+
+def moved_measurements(directory, against) -> list:
+    """(record, assertion, measured in `against`, measured in `directory`) for
+    every assertion whose measured value differs between the records at the
+    same place in the two trees; the record is its path within the tree."""
+    theirs = {d.relative_to(against): rec for d, rec in load_records(against)}
+    moved = []
+    for d, rec in load_records(directory):
+        rel = d.relative_to(directory)
+        old = {a.name: a.measured for a in theirs[rel].assertions} if rel in theirs else {}
+        for a in rec.assertions:
+            was = old.get(a.name, a.measured)
+            if was != a.measured and not (math.isnan(was) and math.isnan(a.measured)):
+                moved.append(((rel / "record.json").as_posix(), a.name, was, a.measured))
+    return moved
 
 
 def report(records_with_dirs, out_dir) -> tuple[str, list]:

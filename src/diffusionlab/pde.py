@@ -589,10 +589,10 @@ def snapshots_to_csv(run: EvolutionRun, out_dir) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []
-    r = run.r.tolist()
     for t, u in run.snapshots:
         f = out_dir / f"snapshot_t{t:.6g}.csv"
-        rows = "".join(f"{rr:.17g},{uu:.17g}\n" for rr, uu in zip(r, u.tolist()))
-        f.write_text("r,u\n" + rows, encoding="utf-8")
+        rows = np.column_stack((run.r, u))
+        text = ("%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
+        f.write_text("r,u\n" + text, encoding="utf-8")
         files.append(f)
     return files

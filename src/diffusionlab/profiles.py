@@ -17,6 +17,12 @@ the resulting space-time solution.
 The integration is started off the singular point with the second-order
 series f ~ A - (alpha*A^(1-p)/(2n)) xi^2, obtained by balancing the ODE at
 leading order.
+
+Only f_1 is integrated: f_A(xi) = A f_1(A^(-p/2) xi) is exact, so the
+amplitudes of one (p, alpha, n) family differ only in where f_1 ends.
+integrate_profile_family, which profile_atlas calls once per family,
+integrates f_1 once to the farthest end and lands each nearer amplitude's
+end on a branch of that run.
 """
 
 from __future__ import annotations
@@ -149,13 +155,33 @@ def integrate_profile(
     tol: float = 1e-10,
     n: int = 1,
 ) -> Profile:
-    """Integrate the profile ODE from the series start out to xi_max.
+    """Integrate the profile ODE from the series start out to xi_max: the
+    one-amplitude call of integrate_profile_family, which see."""
+    return integrate_profile_family(params.p, params.alpha, [params.A], xi_max, tol, n)[0]
+
+
+def integrate_profile_family(
+    p: float,
+    alpha: float,
+    amplitudes,
+    xi_max: float,
+    tol: float = 1e-10,
+    n: int = 1,
+) -> list[Profile]:
+    """The profiles f_A on [0, xi_max] for each A in amplitudes, in that order.
 
     Only f_1, the profile of amplitude 1, is integrated: the profiles form
-    the exact family f_A(xi) = A f_1(A^(-p/2) xi), so f_1 is integrated on
+    the exact family f_A(xi) = A f_1(A^(-p/2) xi), so f_A is f_1 on
     [0, xi_max / A^(p/2)] and scale_profile applies A.  Nothing in the
-    integration below depends on A, and f_A is the rescaled f_1 bit for bit
-    (at the last node, to the rounding of xi_max / A^(p/2) * A^(p/2)).
+    integration depends on A, and f_A is the rescaled f_1 bit for bit (at
+    the last node, to the rounding of xi_max / A^(p/2) * A^(p/2)).
+
+    The amplitudes of a family differ only in where f_1 ends, so f_1 is
+    integrated once, to the farthest end, and every nearer end branches off
+    that run (see _integrate_tail).  Neither step controller looks at the
+    end before the step it clips, so each returned profile is, bit for bit,
+    the one integrate_profile returns for its amplitude alone.  An end that
+    an explicit step could reach within its cap is integrated on its own.
 
     The accepted-step grid doubles as the sampling grid for the tail fits
     and for the first-integral identity (Hermite-Simpson on the nodes, see
@@ -173,20 +199,26 @@ def integrate_profile(
     same tol; see _integrate_tail.
 
     Raises SingularityError if f falls below F_FLOOR before xi_max (parameter
-    regime outside the positivity theory, or numerical failure) and
-    ToleranceError if the step size underflows.
+    regime outside the positivity theory, or numerical failure) or the tail
+    leaves the range of doubles, and ToleranceError if the step size
+    underflows.
     """
     if not 1e-12 < tol < 1e-3:
         raise DomainError("tol must lie in (1e-12, 1e-3)")
-
-    unit = replace(params, A=1.0)
-    p, alpha, beta = unit.p, unit.alpha, unit.beta
+    family = [ProfileParams(p=p, alpha=alpha, A=A) for A in amplitudes]
+    if not family:
+        return []
     s0 = max(1.0, 1.0 / math.sqrt(alpha))
     xi0 = 1e-5 * s0
-    x_max = xi_max / params.stretch
-    if not xi0 < x_max < math.inf:
-        raise DomainError(f"xi_max must be finite and exceed the series start "
-                          f"xi0 = {xi0 * params.stretch:.6g}, got {xi_max!r}")
+    ends = [xi_max / params.stretch for params in family]
+    for params, x_max in zip(family, ends):
+        if not xi0 < x_max < math.inf:
+            raise DomainError(f"xi_max must be finite and exceed the series start "
+                              f"xi0 = {xi0 * params.stretch:.6g}, got {xi_max!r}")
+
+    unit = replace(family[0], A=1.0)
+    beta = unit.beta
+    x_far = max(ends)
     f0, fp0 = taylor_start(unit, xi0, n)
     nm1 = n - 1.0
 
@@ -208,7 +240,7 @@ def integrate_profile(
             rhs,
             xi0,
             (f0, fp0),
-            x_max,
+            x_far,
             rtol=tol,
             atol=(0.0, 0.0),
             max_step=lambda xi: MAX_STEP_FACTOR * max(s0, xi),
@@ -217,36 +249,40 @@ def integrate_profile(
         )
     except ToleranceError:
         raise SingularityError(
-            f"profile integration stalled for {params} (f approaching zero)"
+            f"profile integration stalled for {family[ends.index(x_far)]} (f approaching zero)"
         ) from None
     if fs[-1] < F_FLOOR:
         raise SingularityError(f"profile hit the positivity floor at xi={xs[-1]:.6g}")
 
-    if xs[-1] < x_max:
-        xs2, fs2, fps2 = _integrate_tail(
-            unit, n, xs[-1], fs[-1], fps[-1], x_max, ds=2.0 * MAX_STEP_FACTOR, tol=tol,
-            h0=math.log(xs[-1] / xs[-2]),
+    # An end X that every explicit step stays short of by more than its cap
+    # never clips one, so its own run takes these very explicit steps.
+    explicit = np.array(xs[:-1])
+    caps = MAX_STEP_FACTOR * np.maximum(s0, explicit)
+    branches = sorted({x for x in ends
+                       if xs[-1] < x < x_far and bool(np.all(x - explicit > caps))})
+    if xs[-1] < x_far:
+        tails = _integrate_tail(
+            unit, n, xs[-1], fs[-1], fps[-1], branches + [x_far], ds=2.0 * MAX_STEP_FACTOR,
+            tol=tol, h0=math.log(xs[-1] / xs[-2]),
         )
-        xs += xs2
-        fs += fs2
-        fps += fps2
+        tails = dict(zip(branches + [x_far], tails))
+    else:
+        tails = {x_far: ([], [], [])}
 
-    xi = np.empty(len(xs) + 1)
-    f = np.empty_like(xi)
-    fp = np.empty_like(xi)
-    xi[0], f[0], fp[0] = 0.0, 1.0, 0.0
-    xi[1:], f[1:], fp[1:] = xs, fs, fps
-
-    prof = Profile(
-        params=unit,
-        n=n,
-        xi=xi,
-        f=f,
-        fp=fp,
-        meta={"tol": tol, "max_step_factor": MAX_STEP_FACTOR, "xi0": xi0},
-    )
-    _check_profile_invariants(prof)
-    return prof if params.A == 1.0 else scale_profile(prof, params.A)
+    meta = {"tol": tol, "max_step_factor": MAX_STEP_FACTOR, "xi0": xi0}
+    units, out = {}, []
+    for params, x in zip(family, ends):
+        if x not in tails:
+            out.append(integrate_profile_family(p, alpha, [params.A], xi_max, tol, n)[0])
+            continue
+        if x not in units:
+            xs2, fs2, fps2 = tails[x]
+            units[x] = Profile(params=unit, n=n, xi=np.array([0.0, *xs, *xs2]),
+                               f=np.array([1.0, *fs, *fs2]), fp=np.array([0.0, *fps, *fps2]),
+                               meta=dict(meta))
+            _check_profile_invariants(units[x])
+        out.append(units[x] if params.A == 1.0 else scale_profile(units[x], params.A))
+    return out
 
 
 def scale_profile(unit: Profile, A: float) -> Profile:
@@ -267,8 +303,9 @@ def scale_profile(unit: Profile, A: float) -> Profile:
     )
 
 
-def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds, tol, h0):
-    """2-stage Radau IIA continuation of the profile in log-log variables.
+def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0):
+    """2-stage Radau IIA continuation of the profile in log-log variables, to
+    each end in the ascending list xi_ends; one (xs, fs, fps) per end.
 
     With s = ln xi, F = ln f, G = dF/ds the ODE becomes
 
@@ -292,13 +329,15 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds, tol, h0):
     first trial step is h0, the last explicit step in log units (capped at
     ds): the explicit phase can end error-limited well below its cap, and a
     first trial at the cap would then be rejected.
+
+    One run steps to the last end.  The controller reads an end only where
+    it clips a step or stops the loop, so a nearer end s_j branches off at
+    the first loop top where either would happen (min(h_next, ds) >= s_j - s,
+    or s within 1e-14 of s_j): from that (s, F, G, h_next) the same loop runs
+    on to s_j, which is what a run to s_j alone would do from there.
     """
     p, alpha, beta = params.p, params.alpha, params.beta
     ds *= min(1.0, 3.0 * beta / alpha)
-    s = math.log(xi_sw)
-    s_end = math.log(xi_max)
-    F = math.log(f_sw)
-    G = xi_sw * fp_sw / f_sw
     two_minus_n = 2.0 - n
     log_floor = math.log(F_FLOOR)
     a11, a12, a21, a22 = 5.0 / 12.0, -1.0 / 12.0, 0.75, 0.25
@@ -306,60 +345,79 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_max, ds, tol, h0):
     def stage(s_, F_, G_):
         """G' and its partials in G and F at one stage."""
         arg = 2.0 * s_ - p * F_
-        if arg > 700.0 or F_ < log_floor or F_ > 700.0:  # faster than doubles can follow
+        if F_ < log_floor:
+            raise SingularityError(f"profile hit the positivity floor near xi={math.exp(s_):.6g}")
+        if arg > 700.0:
             raise SingularityError(
-                f"profile hit the positivity floor near xi={math.exp(s_):.6g}"
+                f"profile tail left the range of doubles near xi={math.exp(s_):.6g}: "
+                f"xi^2 f^(-p) exceeds e^700 at f = {math.exp(F_):.3g} (xi range too long)"
             )
+        if F_ > 700.0:
+            raise SingularityError(f"profile tail diverged near xi={math.exp(s_):.6g}: "
+                                   f"f exceeds e^700")
         D = math.exp(arg)
         bracket = beta * G_ + alpha
         return (two_minus_n * G_ - G_ * G_ - D * bracket,
                 two_minus_n - 2.0 * G_ - D * beta,
                 p * D * bracket)
 
-    xs, fs, fps = [], [], []
-    h_next = h0
-    while s < s_end - 1e-14:
-        h = min(h_next, ds, s_end - s)
-        if h < 1e-12:
-            raise SingularityError(f"tail step underflow near xi={math.exp(s):.6g}")
-        s1, s2 = s + h / 3.0, s + h
-        G1 = G2 = G  # predictor: stiff G stays put
-        for _ in range(30):
-            F1 = F + h * (a11 * G1 + a12 * G2)
-            F2 = F + h * (a21 * G1 + a22 * G2)
-            g1, g1G, g1F = stage(s1, F1, G1)
-            g2, g2G, g2F = stage(s2, F2, G2)
-            r1 = G1 - G - h * (a11 * g1 + a12 * g2)
-            r2 = G2 - G - h * (a21 * g1 + a22 * g2)
-            # Jacobian d(r1, r2)/d(G1, G2); dF_j/dG_k = h a_jk
-            hh = h * h
-            j11 = 1.0 - h * a11 * g1G - hh * (a11 * g1F * a11 + a12 * g2F * a21)
-            j12 = -h * a12 * g2G - hh * (a11 * g1F * a12 + a12 * g2F * a22)
-            j21 = -h * a21 * g1G - hh * (a21 * g1F * a11 + a22 * g2F * a21)
-            j22 = 1.0 - h * a22 * g2G - hh * (a21 * g1F * a12 + a22 * g2F * a22)
-            det = j11 * j22 - j12 * j21
-            dG1 = (-r1 * j22 + r2 * j12) / det
-            dG2 = (-r2 * j11 + r1 * j21) / det
-            G1 += dG1
-            G2 += dG2
-            # The F stages move by h times these increments, so they pass too.
-            if abs(dG1) <= 1e-13 * (1.0 + abs(G1)) and abs(dG2) <= 1e-13 * (1.0 + abs(G2)):
+    def run(s, F, G, h_next, s_ends):
+        xs, fs, fps, out = [], [], [], []
+        s_end, branches = s_ends[-1], s_ends[:-1]
+        k = 0
+        while True:
+            while k < len(branches) and not (s < branches[k] - 1e-14
+                                             and min(h_next, ds) < branches[k] - s):
+                [(bxs, bfs, bfps)] = run(s, F, G, h_next, branches[k:k + 1])
+                out.append((xs + bxs, fs + bfs, fps + bfps))
+                k += 1
+            if not s < s_end - 1e-14:
                 break
-        else:
-            raise SingularityError(
-                f"tail continuation did not converge near xi={math.exp(s2):.6g}"
-            )
-        err = h * abs(0.75 * G1 - 0.25 * G2 - 0.5 * G) / tol
-        h_next = h * min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0.0 else 5.0 * h
-        if err > 1.0:
-            continue  # rejected: retry from the same node with the smaller step
-        s, F, G = s2, F + h * (a21 * G1 + a22 * G2), G2
-        xi = math.exp(s)
-        f = math.exp(F)
-        xs.append(xi)
-        fs.append(f)
-        fps.append(G * f / xi)
-    return xs, fs, fps
+            h = min(h_next, ds, s_end - s)
+            if h < 1e-12:
+                raise SingularityError(f"tail step underflow near xi={math.exp(s):.6g}")
+            s1, s2 = s + h / 3.0, s + h
+            G1 = G2 = G  # predictor: stiff G stays put
+            for _ in range(30):
+                F1 = F + h * (a11 * G1 + a12 * G2)
+                F2 = F + h * (a21 * G1 + a22 * G2)
+                g1, g1G, g1F = stage(s1, F1, G1)
+                g2, g2G, g2F = stage(s2, F2, G2)
+                r1 = G1 - G - h * (a11 * g1 + a12 * g2)
+                r2 = G2 - G - h * (a21 * g1 + a22 * g2)
+                # Jacobian d(r1, r2)/d(G1, G2); dF_j/dG_k = h a_jk
+                hh = h * h
+                j11 = 1.0 - h * a11 * g1G - hh * (a11 * g1F * a11 + a12 * g2F * a21)
+                j12 = -h * a12 * g2G - hh * (a11 * g1F * a12 + a12 * g2F * a22)
+                j21 = -h * a21 * g1G - hh * (a21 * g1F * a11 + a22 * g2F * a21)
+                j22 = 1.0 - h * a22 * g2G - hh * (a21 * g1F * a12 + a22 * g2F * a22)
+                det = j11 * j22 - j12 * j21
+                dG1 = (-r1 * j22 + r2 * j12) / det
+                dG2 = (-r2 * j11 + r1 * j21) / det
+                G1 += dG1
+                G2 += dG2
+                # The F stages move by h times these increments, so they pass too.
+                if abs(dG1) <= 1e-13 * (1.0 + abs(G1)) and abs(dG2) <= 1e-13 * (1.0 + abs(G2)):
+                    break
+            else:
+                raise SingularityError(
+                    f"tail continuation did not converge near xi={math.exp(s2):.6g}"
+                )
+            err = h * abs(0.75 * G1 - 0.25 * G2 - 0.5 * G) / tol
+            h_next = h * min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0.0 else 5.0 * h
+            if err > 1.0:
+                continue  # rejected: retry from the same node with the smaller step
+            s, F, G = s2, F + h * (a21 * G1 + a22 * G2), G2
+            xi = math.exp(s)
+            f = math.exp(F)
+            xs.append(xi)
+            fs.append(f)
+            fps.append(G * f / xi)
+        out.append((xs, fs, fps))
+        return out
+
+    return run(math.log(xi_sw), math.log(f_sw), xi_sw * fp_sw / f_sw, h0,
+               [math.log(x) for x in xi_ends])
 
 
 def _check_profile_invariants(prof: Profile) -> None:
@@ -498,11 +556,9 @@ def self_similar_residual(params: ProfileParams, profile: Profile, points) -> fl
 def save_profile(profile: Profile, csv_path) -> None:
     """CSV `xi,f,fp` at full double precision plus a JSON sidecar beside it."""
     csv_path = Path(csv_path)
-    rows = "".join(
-        f"{xi:.17g},{f:.17g},{fp:.17g}\n"
-        for xi, f, fp in zip(profile.xi.tolist(), profile.f.tolist(), profile.fp.tolist())
-    )
-    csv_path.write_text("xi,f,fp\n" + rows, encoding="utf-8")
+    rows = np.column_stack((profile.xi, profile.f, profile.fp))
+    text = ("%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
+    csv_path.write_text("xi,f,fp\n" + text, encoding="utf-8")
     payload = {
         "p": profile.params.p,
         "alpha": profile.params.alpha,

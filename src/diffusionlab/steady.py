@@ -331,7 +331,8 @@ def steady_residual(profile: SteadyProfile) -> float:
 def save_steady(profile: SteadyProfile, csv_path) -> None:
     """CSV `r,w` at full double precision plus a JSON settings sidecar."""
     csv_path = Path(csv_path)
-    rows = "".join(f"{r:.17g},{w:.17g}\n" for r, w in zip(profile.r.tolist(), profile.w.tolist()))
-    csv_path.write_text("r,w\n" + rows, encoding="utf-8")
+    rows = np.column_stack((profile.r, profile.w))
+    text = ("%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
+    csv_path.write_text("r,w\n" + text, encoding="utf-8")
     payload = {"p": profile.p, "n": profile.n, "R": profile.R, "solver": profile.meta}
     csv_path.with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

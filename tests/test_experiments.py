@@ -1,14 +1,16 @@
 """Tests for manifests, scenarios, sweeps, reports, and the CLI."""
 
+import hashlib
 import inspect
 import json
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diffusionlab import experiments, pde, profiles, rates
+from diffusionlab import experiments, pde, profiles, rates, steady
 from diffusionlab.cli import main as cli_main
 from diffusionlab.errors import DomainError
 from diffusionlab.profiles import integrate_profile
@@ -17,6 +19,7 @@ from diffusionlab.experiments import (
     SCENARIOS,
     ExperimentManifest,
     _resolve_parameters,
+    digest,
     load_records,
     report,
     run_manifest,
@@ -393,6 +396,49 @@ class TestCli:
         assert "identity residual" in out
         assert list(tmp_path.glob("profile_*.csv"))
 
+    def test_profile_names_the_tail_guard_that_fired(self, tmp_path, capsys):
+        # f_1 on [0, 50 / 1e-180] leaves the doubles in the tail: near
+        # xi = 2.5e106 its xi^2 f^(-p) exceeds e^700 while f_1 is near 4e-31,
+        # far above the positivity floor.
+        rc = cli_main(["--out", str(tmp_path), "profile", "--p", "3", "--alpha", "0.1",
+                       "--A", "1e-120"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: profile tail left the range of doubles near xi=2.46189e+106")
+        assert "(xi range too long)" in err and "positivity floor" not in err
+
+    def test_digest_drops_timestamps_and_lists_a_moved_value(self, tmp_path, capsys):
+        m = manifest(tmp_path / "runs", "vt", "vartheta_table", {"n_theta": 5, "n_m": 5})
+        run_manifest(m)
+        shutil.copytree(tmp_path / "runs", tmp_path / "first")
+        run_manifest(m)
+        assert digest(tmp_path / "runs") == digest(tmp_path / "first")
+        assert set(digest(tmp_path / "runs")) == {"vt/record.json", "vt/vartheta_table.json"}
+        rec_path = tmp_path / "first" / "vt" / "record.json"
+        rec = json.loads(rec_path.read_text())
+        rec["started"] = "doctored"
+        rec_path.write_text(json.dumps(rec))
+        assert cli_main(["--out", str(tmp_path), "digest", str(tmp_path / "runs"),
+                         "--against", str(tmp_path / "first")]) == 0
+        assert capsys.readouterr().out == "0 of 2 files differ, 0 measured values moved\n"
+
+        name, measured = rec["assertions"][0]["name"], rec["assertions"][0]["measured"]
+        rec["assertions"][0]["measured"] = 2.0 * measured
+        rec_path.write_text(json.dumps(rec))
+        assert cli_main(["--out", str(tmp_path), "digest", str(tmp_path / "runs"),
+                         "--against", str(tmp_path / "first")]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "differs: vt/record.json",
+            f"moved: vt/record.json {name}: {2.0 * measured!r} -> {measured!r} (-0.5 relative)",
+            "1 of 2 files differ, 1 measured values moved",
+        ]
+
+    def test_digest_lists_one_line_per_file(self, tmp_path, capsys):
+        (tmp_path / "tree" / "sub").mkdir(parents=True)
+        (tmp_path / "tree" / "sub" / "a.csv").write_bytes(b"x")
+        assert cli_main(["--out", str(tmp_path), "digest", str(tmp_path / "tree")]) == 0
+        assert capsys.readouterr().out == f"{hashlib.sha256(b'x').hexdigest()}  sub/a.csv\n"
+
     def test_scenarios_verb_lists_every_default_table(self, tmp_path, capsys):
         assert cli_main(["--out", str(tmp_path), "scenarios"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -611,3 +657,30 @@ class TestCli:
              "--n-nodes", "64"]
         )
         assert rc == 0
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+           1e300, -1e300, 1e-300, -1e-300, 0.1, 1.0 / 3.0, -123456789.125]
+
+
+@pytest.mark.parametrize("writer", ["save_profile", "save_steady", "snapshots_to_csv"])
+def test_csv_writers_match_the_per_value_format(tmp_path, writer):
+    # The writers format every row in one %-operation; pin the bytes to the
+    # per-value f"{x:.17g}" form on zeros, subnormals, infinities, nan and
+    # extremes.
+    x = np.array(SPECIAL)
+    y = x[::-1].copy()
+    if writer == "save_profile":
+        prof = profiles.Profile(profiles.ProfileParams(2.0, 0.25, 1.0), 1, x, y, x)
+        profiles.save_profile(prof, tmp_path / "out.csv")
+        header, cols = "xi,f,fp", (x, y, x)
+    elif writer == "save_steady":
+        steady.save_steady(steady.SteadyProfile(2.0, 1, 1.0, x, y, x), tmp_path / "out.csv")
+        header, cols = "r,w", (x, y)
+    else:
+        run = pde.EvolutionRun(2.0, 1, 1.0, 0.0, x, [], [(1.5, y)])
+        [path] = pde.snapshots_to_csv(run, tmp_path)
+        path.rename(tmp_path / "out.csv")
+        header, cols = "r,u", (x, y)
+    rows = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*cols))
+    assert (tmp_path / "out.csv").read_bytes() == (header + "\n" + rows).encode()

@@ -9,6 +9,7 @@ different methods.
 import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from diffusionlab.profiles import (
     eval_self_similar,
     fit_tail_exponent,
     integrate_profile,
+    integrate_profile_family,
     load_profile,
     save_profile,
     scale_profile,
@@ -35,7 +37,7 @@ from diffusionlab.profiles import (
     taylor_start,
 )
 from diffusionlab.experiments import DEFAULTS
-from diffusionlab.rk import first_nonmonotone_interval
+from diffusionlab.rk import first_nonmonotone_interval, integrate_dp45
 
 
 def reference_profile(params, n, xi_pts, xi0=1e-7):
@@ -188,7 +190,7 @@ def test_tail_scheme_is_third_order():
     assert sol.success
     errs = []
     for ds in (0.02, 0.01, 0.005):
-        _, fs, _ = _integrate_tail(pp, n, xi_sw, f_sw, fp_sw, 50.0, ds, tol=1.0, h0=ds)
+        [(_, fs, _)] = _integrate_tail(pp, n, xi_sw, f_sw, fp_sw, [50.0], ds, tol=1.0, h0=ds)
         errs.append(abs(math.log(fs[-1]) - sol.y[0, -1]))
     orders = [math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])]
     assert min(orders) > 2.5, orders
@@ -247,6 +249,108 @@ def test_integration_is_covariant_in_the_amplitude(unit_profiles, p, rel, n, A):
     nodes = slice(None) if math.frexp(stretch)[0] == 0.5 else slice(-1)
     for name in ("xi", "f", "fp"):
         np.testing.assert_array_equal(getattr(prof, name)[nodes], getattr(scaled, name)[nodes])
+
+
+def assert_same_profile(prof, ref):
+    assert prof.params == ref.params and prof.n == ref.n and prof.meta == ref.meta
+    for name in ("xi", "f", "fp"):
+        np.testing.assert_array_equal(getattr(prof, name), getattr(ref, name))
+
+
+def integrate_counted(*args, **kwargs):
+    """integrate_profile_family, with the integrate_dp45 and _integrate_tail
+    calls it made."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(profiles, "integrate_dp45", counted("dp45", profiles.integrate_dp45))
+        mp.setattr(profiles, "_integrate_tail", counted("tail", profiles._integrate_tail))
+        family = integrate_profile_family(*args, **kwargs)
+    return family, dict(calls)
+
+
+@pytest.fixture(scope="module")
+def atlas_families():
+    """Each atlas (p, alpha, n) family at the atlas's A_list, with its calls."""
+    return {(p, rel, n): integrate_counted(p, rel / p, ATLAS["A_list"], ATLAS["xi_max"],
+                                           tol=ATLAS["tol"], n=n)
+            for p, rel, n in ATLAS_FAMILIES}
+
+
+@pytest.mark.parametrize("p, rel, n", ATLAS_FAMILIES)
+def test_atlas_family_integrates_f1_once(atlas_families, p, rel, n):
+    # One explicit run and one tail run; the nearer ends branch off the tail.
+    assert atlas_families[(p, rel, n)][1] == {"dp45": 1, "tail": 1}
+
+
+@pytest.mark.parametrize("p, rel, n", ATLAS_FAMILIES)
+def test_family_profiles_equal_separate_calls(atlas_families, p, rel, n):
+    family, _ = atlas_families[(p, rel, n)]
+    assert len(family) == len(ATLAS["A_list"])
+    for A, prof in zip(ATLAS["A_list"], family):
+        pp = ProfileParams.self_similar(p, rel / p, A)
+        assert_same_profile(prof, integrate_profile(pp, ATLAS["xi_max"], tol=ATLAS["tol"], n=n))
+
+
+def test_an_end_in_the_explicit_phase_is_integrated_on_its_own():
+    # At p = 4, alpha = 0.075, n = 2 the explicit phase of f_1 ends near
+    # xi = 6.56; A = 2.9 ends f_1 at 50 / 2.9^2 = 5.95, inside it, and A = 2.5
+    # at 8, in the tail.
+    family, calls = integrate_counted(4.0, 0.075, [2.9, 1.0, 2.5], 50.0, tol=1e-10, n=2)
+    assert calls == {"dp45": 2, "tail": 1}
+    for A, prof in zip([2.9, 1.0, 2.5], family):
+        pp = ProfileParams.self_similar(4.0, 0.075, A)
+        assert_same_profile(prof, integrate_profile(pp, 50.0, n=2))
+
+
+def test_an_end_within_one_step_cap_of_the_explicit_phase_is_integrated_on_its_own(monkeypatch):
+    # An end past the last explicit node, but within the cap of a step before
+    # it, could clip that step's trial in a run of its own, so it takes one.
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(integrate_dp45(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(profiles, "integrate_dp45", recorded)
+    integrate_profile(ProfileParams.self_similar(2.0, 0.25, 1.0), 50.0)
+    monkeypatch.undo()
+    xs = runs[0][0]
+    reach = max(x + profiles.MAX_STEP_FACTOR * max(2.0, x) for x in xs[:-1])  # s0 = 2
+    assert xs[-1] < reach
+    A = 50.0 / (0.5 * (xs[-1] + reach))  # A^(p/2) = A at p = 2
+    family, calls = integrate_counted(2.0, 0.25, [1.0, A], 50.0)
+    assert calls == {"dp45": 2, "tail": 2}
+    pp = ProfileParams.self_similar(2.0, 0.25, A)
+    assert_same_profile(family[1], integrate_profile(pp, 50.0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(p=st.floats(1.0, 4.0, exclude_min=True),
+       alpha_p=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+       n=st.integers(1, 3), others=st.lists(st.floats(0.25, 8.0), max_size=3),
+       where=st.integers(0, 3), repeat=st.booleans())
+def test_family_profiles_equal_separate_calls_for_random_families(p, alpha_p, n, others, where,
+                                                                  repeat):
+    # 1-5 amplitudes, one of them 1; with `repeat` the first comes twice.
+    # The larger A end f_1 at 20 / A^(p/2), often inside the explicit phase.
+    amplitudes = others[:where] + [1.0] + others[where:]
+    amplitudes += amplitudes[:1] * repeat
+    family = integrate_profile_family(p, alpha_p / p, amplitudes, 20.0, n=n)
+    assert len(family) == len(amplitudes)
+    for A, prof in zip(amplitudes, family):
+        assert_same_profile(prof, integrate_profile(ProfileParams.self_similar(p, alpha_p / p, A),
+                                                    20.0, n=n))
+
+
+def test_empty_family():
+    assert integrate_profile_family(2.0, 0.25, [], 50.0) == []
 
 
 def test_scale_profile_rescales_nodes_and_keeps_the_equation(unit_profiles):
@@ -326,10 +430,11 @@ def test_steep_profile_meets_identity_bound(p, rel):
 
 
 def test_singularity_error_for_unsustainable_regime():
-    # alpha near 1/p: the tail f ~ xi^(-alpha/beta) = xi^(-98) reaches the
-    # positivity floor near xi = 1784, short of xi_max.
+    # alpha near 1/p: the tail f ~ xi^(-alpha/beta) = xi^(-98) falls so fast
+    # that near xi = 1784, short of xi_max, xi^2 f^(-p) leaves the doubles;
+    # f is about 1e-149 there, still above the positivity floor.
     pp = ProfileParams.self_similar(2.0, 0.49, 1.0)
-    with pytest.raises(SingularityError, match="positivity floor"):
+    with pytest.raises(SingularityError, match=r"tail left the range of doubles near xi=1783\.93"):
         integrate_profile(pp, 1e4, tol=1e-8, n=1)
 
 
