@@ -47,7 +47,7 @@ from scipy.linalg.lapack import dgtsv
 from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, NewtonDivergence, StepTooSmall
-from .steady import SteadyProfile, scale_profile, shoot_unit_profile
+from .steady import SteadyProfile, shoot_unit_profile
 
 # Step-size ramp after an easy step (at most 5 Newton iterations).
 DT_GROWTH = 1.4
@@ -465,6 +465,10 @@ class SeparatedSubsolution:
     y(tau) w_R(x), where y solves y' = y/p - y^(p+1)/p from y(0) = delta and
     delta = C0/(2^gamma c1) R^(-gamma - 2/p) with c1 = sup w_1.  At tau0 the
     factor y(tau0) is bounded below by a constant independent of tau0.
+
+    It keeps the unit-ball profile w_1, not w_R: subsolution_margin applies
+    the scaling law w_R(r) = R^(2/p) w_1(r/R) to the unit profile's one
+    spline.
     """
 
     p: float
@@ -475,7 +479,7 @@ class SeparatedSubsolution:
     R: float
     delta: float
     c1: float
-    w: SteadyProfile
+    unit: SteadyProfile
 
     def y(self, tau: float) -> float:
         e = math.exp(-tau)
@@ -504,18 +508,21 @@ def separated_subsolution(
     c1 = unit.center_value  # sup of the unit profile (radially nonincreasing)
     delta = C0 / (2.0**gamma * c1) * R ** (-gamma - 2.0 / p)
     return SeparatedSubsolution(
-        p=p, n=n, gamma=gamma, C0=C0, tau0=tau0, R=R, delta=delta, c1=c1,
-        w=scale_profile(unit, R),
+        p=p, n=n, gamma=gamma, C0=C0, tau0=tau0, R=R, delta=delta, c1=c1, unit=unit,
     )
 
 
 def subsolution_margin(vrun: RescaledRun, sub: SeparatedSubsolution, tau: float) -> float:
     """min over B_R(sub) of v(., tau) - y(tau) w_R; >= 0 when the run
-    dominates the separated subsolution (relative to its sup)."""
+    dominates the separated subsolution (relative to its sup).
+
+    w_R(r) is evaluated as R^(2/p) w_1(min(r/R, 1)) through the unit
+    profile's spline, which is built once for all checkpoints."""
     i = int(np.argmin(np.abs(vrun.taus - tau)))
     tau_actual, v = vrun.snapshots[i]
     mask = vrun.r <= sub.R
-    wvals = sub.w.interpolant()(np.minimum(vrun.r[mask], sub.R))
+    amp = sub.R ** (2.0 / sub.unit.p)  # R^(2/p) as steady.scale_profile computes it
+    wvals = amp * sub.unit.interpolant()(np.minimum(vrun.r[mask] / sub.R, 1.0))
     lower = sub.y(tau_actual) * wvals
     return float(np.min(v[mask] - lower) / np.max(lower))
 

@@ -104,6 +104,7 @@ class Profile:
     f: np.ndarray
     fp: np.ndarray
     meta: dict = field(default_factory=dict, compare=False)
+    _spline: CubicHermiteSpline | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def xi_max(self) -> float:
@@ -112,11 +113,18 @@ class Profile:
     def interpolant(self) -> CubicHermiteSpline:
         """Cubic Hermite interpolant of f through the solver's (f, f') nodes.
 
-        It is monotone, and so keeps f positive and nonincreasing, when every
-        interval meets the Fritsch-Carlson condition; integrate_profile
-        certifies that condition on the profiles it returns.
+        It is built on the first call and kept on the profile, so every later
+        call returns that same spline; a profile made by scale_profile or
+        dataclasses.replace builds its own.  Changing the node arrays in
+        place after the first call would leave it stale.  It is monotone, and
+        so keeps f positive and nonincreasing, when every interval meets the
+        Fritsch-Carlson condition; integrate_profile certifies that condition
+        on the profiles it returns.
         """
-        return CubicHermiteSpline(self.xi, self.f, self.fp, extrapolate=False)
+        if self._spline is None:
+            object.__setattr__(self, "_spline",
+                               CubicHermiteSpline(self.xi, self.f, self.fp, extrapolate=False))
+        return self._spline
 
 
 @dataclass(frozen=True)
@@ -217,6 +225,7 @@ def integrate_profile_family(
                               f"xi0 = {xi0 * params.stretch:.6g}, got {xi_max!r}")
 
     unit = replace(family[0], A=1.0)
+    point = _axes(family)
     beta = unit.beta
     x_far = max(ends)
     f0, fp0 = taylor_start(unit, xi0, n)
@@ -252,7 +261,7 @@ def integrate_profile_family(
             f"profile integration stalled for {family[ends.index(x_far)]} (f approaching zero)"
         ) from None
     if fs[-1] < F_FLOOR:
-        raise SingularityError(f"profile hit the positivity floor at xi={xs[-1]:.6g}")
+        raise SingularityError(f"profile hit the positivity floor at {point(xs[-1])}")
 
     # An end X that every explicit step stays short of by more than its cap
     # never clips one, so its own run takes these very explicit steps.
@@ -263,7 +272,7 @@ def integrate_profile_family(
     if xs[-1] < x_far:
         tails = _integrate_tail(
             unit, n, xs[-1], fs[-1], fps[-1], branches + [x_far], ds=2.0 * MAX_STEP_FACTOR,
-            tol=tol, h0=math.log(xs[-1] / xs[-2]),
+            tol=tol, h0=math.log(xs[-1] / xs[-2]), point=point,
         )
         tails = dict(zip(branches + [x_far], tails))
     else:
@@ -303,7 +312,22 @@ def scale_profile(unit: Profile, A: float) -> Profile:
     )
 
 
-def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0):
+def _axes(family):
+    """How errors name a point (xi, f) of the f_1 run: on the axes of f_A
+    when the family has one amplitude A, and as f_1's point, said so, when
+    it has several."""
+    if len({params.A for params in family}) == 1:
+        stretch, A, note = family[0].stretch, family[0].A, ""
+    else:
+        stretch, A, note = 1.0, 1.0, " on f_1's axes"
+
+    def point(xi, f=None):
+        return f"xi={xi * stretch:.6g}" + ("" if f is None else f", f={f * A:.3g}") + note
+
+    return point
+
+
+def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
     """2-stage Radau IIA continuation of the profile in log-log variables, to
     each end in the ascending list xi_ends; one (xs, fs, fps) per end.
 
@@ -335,6 +359,9 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0):
     the first loop top where either would happen (min(h_next, ds) >= s_j - s,
     or s within 1e-14 of s_j): from that (s, F, G, h_next) the same loop runs
     on to s_j, which is what a run to s_j alone would do from there.
+
+    Errors name the point where they arose by point(xi) or point(xi, f),
+    a formatter made by _axes.
     """
     p, alpha, beta = params.p, params.alpha, params.beta
     ds *= min(1.0, 3.0 * beta / alpha)
@@ -346,15 +373,15 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0):
         """G' and its partials in G and F at one stage."""
         arg = 2.0 * s_ - p * F_
         if F_ < log_floor:
-            raise SingularityError(f"profile hit the positivity floor near xi={math.exp(s_):.6g}")
+            raise SingularityError(f"profile hit the positivity floor near {point(math.exp(s_))}")
         if arg > 700.0:
             raise SingularityError(
-                f"profile tail left the range of doubles near xi={math.exp(s_):.6g}: "
-                f"xi^2 f^(-p) exceeds e^700 at f = {math.exp(F_):.3g} (xi range too long)"
+                f"profile tail left the range of doubles near {point(math.exp(s_), math.exp(F_))}: "
+                f"xi^2 f^(-p) exceeds e^700 (xi range too long)"
             )
         if F_ > 700.0:
-            raise SingularityError(f"profile tail diverged near xi={math.exp(s_):.6g}: "
-                                   f"f exceeds e^700")
+            raise SingularityError(f"profile tail diverged near {point(math.exp(s_))}: "
+                                   f"f_1 exceeds e^700")
         D = math.exp(arg)
         bracket = beta * G_ + alpha
         return (two_minus_n * G_ - G_ * G_ - D * bracket,
@@ -375,7 +402,7 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0):
                 break
             h = min(h_next, ds, s_end - s)
             if h < 1e-12:
-                raise SingularityError(f"tail step underflow near xi={math.exp(s):.6g}")
+                raise SingularityError(f"tail step underflow near {point(math.exp(s))}")
             s1, s2 = s + h / 3.0, s + h
             G1 = G2 = G  # predictor: stiff G stays put
             for _ in range(30):
@@ -401,7 +428,7 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0):
                     break
             else:
                 raise SingularityError(
-                    f"tail continuation did not converge near xi={math.exp(s2):.6g}"
+                    f"tail continuation did not converge near {point(math.exp(s2))}"
                 )
             err = h * abs(0.75 * G1 - 0.25 * G2 - 0.5 * G) / tol
             h_next = h * min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0.0 else 5.0 * h

@@ -87,13 +87,24 @@ class SteadyProfile:
     w: np.ndarray
     wp: np.ndarray
     meta: dict = field(default_factory=dict, compare=False)
+    _spline: CubicHermiteSpline | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def center_value(self) -> float:
         return float(self.w[0])
 
     def interpolant(self) -> CubicHermiteSpline:
-        return CubicHermiteSpline(self.r, self.w, self.wp, extrapolate=False)
+        """Cubic Hermite interpolant of w through the shot's (w, w') nodes.
+
+        It is built on the first call and kept on the profile, so every later
+        call returns that same spline; a profile made by scale_profile or
+        dataclasses.replace builds its own.  Changing the node arrays in
+        place after the first call would leave it stale.
+        """
+        if self._spline is None:
+            object.__setattr__(self, "_spline",
+                               CubicHermiteSpline(self.r, self.w, self.wp, extrapolate=False))
+        return self._spline
 
 
 def _shoot(p: float, n: int, b: float, max_step_factor: float):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import solve_banded as scipy_solve_banded
 
-from diffusionlab import pde
+from diffusionlab import pde, steady
 from diffusionlab.errors import DomainError, NewtonDivergence, StepTooSmall
 from diffusionlab.pde import (
     NEWTON_TOL,
@@ -567,7 +567,7 @@ class TestSeparatedSubsolution:
         p, gamma, tau0 = 2.0, 2.0, 4.2
         sub = separated_subsolution(p, 1, gamma, 1.0, tau0=tau0, unit=unit)
         assert sub.R == pytest.approx(math.exp(tau0 / (p * gamma + 2.0)), rel=1e-14)
-        assert sub.w.R == pytest.approx(sub.R)
+        assert sub.unit is unit
 
     def test_rejects_bad_parameters(self, unit):
         with pytest.raises(DomainError):
@@ -596,6 +596,78 @@ def test_comparison_sandwich_short():
     for tau in (1.0, 3.0, math.log(101.0)):
         sub = separated_subsolution(p, n, gamma, C0, tau, unit)
         assert subsolution_margin(vrun, sub, tau) >= -1e-3
+
+
+SANDWICH_SETUPS = [(2.0, 3, 2.0), (2.0, 1, 2.0), (3.0, 2, 1.0)]
+
+
+@pytest.fixture(scope="module")
+def sandwich_runs():
+    """theorem2000's default run (R = 100, N = 800, t to 1e4) of C0 = 1
+    algebraic data for each (p, n, gamma) set-up, with its unit profile."""
+    return {(p, n, gamma): (evolve(InitialDatum.algebraic(gamma, 1.0), p=p, n=n, R=100.0,
+                                   eps=1e-5, t_end=1e4, norm_qs=(1.0,),
+                                   config=SolverConfig(n_nodes=800)),
+                            shoot_unit_profile(p, n))
+            for p, n, gamma in SANDWICH_SETUPS}
+
+
+def scaled_spline_margin(vrun, sub, tau):
+    """subsolution_margin through a spline of the rescaled nodes of w_R."""
+    i = int(np.argmin(np.abs(vrun.taus - tau)))
+    tau_actual, v = vrun.snapshots[i]
+    mask = vrun.r <= sub.R
+    w_R = steady.scale_profile(sub.unit, sub.R)
+    wvals = w_R.interpolant()(np.minimum(vrun.r[mask], sub.R))
+    lower = sub.y(tau_actual) * wvals
+    return float(np.min(v[mask] - lower) / np.max(lower))
+
+
+@pytest.mark.parametrize("p, n, gamma", SANDWICH_SETUPS)
+def test_margin_through_the_unit_spline_matches_the_scaled_spline(sandwich_runs, p, n, gamma):
+    # w_R(r) = R^(2/p) w_1(r/R) through w_1's spline against the spline of
+    # scale_profile(w_1, R)'s nodes: the two differ by rounding alone.
+    run, unit = sandwich_runs[(p, n, gamma)]
+    vrun = rescale_to_v(run)
+    taus = [tau for tau in vrun.taus if tau > 0.5]
+    assert len(taus) == 61
+    for tau in taus:
+        sub = separated_subsolution(p, n, gamma, 1.0, tau, unit)
+        assert sub.unit is unit
+        old = scaled_spline_margin(vrun, sub, tau)
+        assert abs(subsolution_margin(vrun, sub, tau) - old) <= 4 * np.spacing(abs(old))
+
+
+def test_sandwich_builds_one_spline_per_profile(sandwich_runs, monkeypatch):
+    # theorem2000's lower loop over 61 checkpoints and its supersolution
+    # check over 62 snapshots build one spline each: the unit profile's and
+    # f_A's, not one per checkpoint.
+    from diffusionlab import profiles
+
+    p, n, gamma = SANDWICH_SETUPS[0]
+    run, _ = sandwich_runs[(p, n, gamma)]
+    unit = shoot_unit_profile(p, n)  # a fresh profile, with no spline yet
+    alpha = gamma / (p * gamma + 2.0)
+    prof1 = integrate_profile(ProfileParams.self_similar(p, alpha, 1.0), 110.0, tol=1e-10, n=n)
+    profA = scale_profile(prof1, 1.05 / certify_tail_bounds(prof1, (0.0, 100.0)).lower_const)
+    builds = {}
+
+    def counted(module):
+        def build(*args, **kwargs):
+            builds[module.__name__] = builds.get(module.__name__, 0) + 1
+            return spline(*args, **kwargs)
+
+        spline = module.CubicHermiteSpline
+        monkeypatch.setattr(module, "CubicHermiteSpline", build)
+
+    counted(steady)
+    counted(profiles)
+    vrun = rescale_to_v(run)
+    for tau in vrun.taus[vrun.taus > 0.5]:
+        subsolution_margin(vrun, separated_subsolution(p, n, gamma, 1.0, tau, unit), tau)
+    supersolution_margin(run, profA.params, profA, shift=1.0)
+    assert len(run.snapshots) == 62
+    assert builds == {"diffusionlab.steady": 1, "diffusionlab.profiles": 1}
 
 
 def test_jsonl_and_csv_outputs(tmp_path, short_run):

@@ -9,12 +9,15 @@ different methods.
 import itertools
 import json
 import math
+import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicHermiteSpline
 
 from diffusionlab import profiles
 from diffusionlab.errors import DomainError, RangeError, SingularityError, WindowError
@@ -22,6 +25,7 @@ from diffusionlab.profiles import (
     Profile,
     ProfileParams,
     TailBound,
+    _axes,
     _check_profile_invariants,
     _integrate_tail,
     certify_tail_bounds,
@@ -190,7 +194,8 @@ def test_tail_scheme_is_third_order():
     assert sol.success
     errs = []
     for ds in (0.02, 0.01, 0.005):
-        [(_, fs, _)] = _integrate_tail(pp, n, xi_sw, f_sw, fp_sw, [50.0], ds, tol=1.0, h0=ds)
+        [(_, fs, _)] = _integrate_tail(pp, n, xi_sw, f_sw, fp_sw, [50.0], ds, tol=1.0, h0=ds,
+                                       point=_axes([pp]))
         errs.append(abs(math.log(fs[-1]) - sol.y[0, -1]))
     orders = [math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])]
     assert min(orders) > 2.5, orders
@@ -349,6 +354,16 @@ def test_family_profiles_equal_separate_calls_for_random_families(p, alpha_p, n,
                                                     20.0, n=n))
 
 
+def test_family_errors_name_points_on_the_axes_of_f_1():
+    # One amplitude: the point on f_A's axes (see the CLI test); several:
+    # the point of the f_1 run, said to be on f_1's axes.
+    with pytest.raises(SingularityError, match=re.escape(
+            "near xi=2.46189e+106, f=3.89e-31 on f_1's axes: xi^2 f^(-p) exceeds e^700")):
+        integrate_profile_family(3.0, 0.1, [1e-120, 1.0], 50.0)
+    with pytest.raises(SingularityError, match=re.escape("near xi=2.46189e-74, f=3.89e-151: ")):
+        integrate_profile_family(3.0, 0.1, [1e-120, 1e-120], 50.0)
+
+
 def test_empty_family():
     assert integrate_profile_family(2.0, 0.25, [], 50.0) == []
 
@@ -372,6 +387,29 @@ def test_scale_profile_rejects_bad_input(unit_profiles):
     for A in (0.0, -1.0, math.nan, 1e300, 1e-300):  # p = 3: A^(p/2) overflows, underflows
         with pytest.raises(DomainError):
             scale_profile(unit, A)
+
+
+def test_interpolant_is_built_once_and_equals_a_fresh_spline(unit_profiles):
+    unit = unit_profiles[(3.0, 0.5, 3)]
+    spline = unit.interpolant()
+    assert unit.interpolant() is spline
+    fresh = CubicHermiteSpline(unit.xi, unit.f, unit.fp, extrapolate=False)
+    pts = np.linspace(0.0, unit.xi_max, 1001)
+    np.testing.assert_array_equal(spline(pts), fresh(pts))
+    np.testing.assert_array_equal(spline.c, fresh.c)
+
+
+def test_rescaled_and_replaced_profiles_build_their_own_spline(unit_profiles):
+    unit = unit_profiles[(2.0, 0.5, 1)]
+    spline = unit.interpolant()
+    scaled = scale_profile(unit, 2.0)
+    replaced = replace(unit, f=2.0 * unit.f, fp=2.0 * unit.fp)
+    for prof in (scaled, replaced):
+        own = prof.interpolant()
+        assert own is not spline and prof.interpolant() is own
+        np.testing.assert_array_equal(own.x, prof.xi)
+    assert unit.interpolant() is spline
+    assert "_spline" not in repr(unit)
 
 
 class TestMonotoneInterpolantCertificate:

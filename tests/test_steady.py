@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicHermiteSpline
 
 from diffusionlab import steady
 from diffusionlab.errors import DomainError, NoCrossingError, SingularityError
@@ -61,6 +63,29 @@ def test_center_concavity_matches_series():
         wpp0 = 2.0 * (unit.w[2] - b) / unit.r[2] ** 2
         assert wpp0 == pytest.approx(-(b ** (1.0 - p)) / (n * p), rel=1e-3)
         assert wpp0 < 0.0
+
+
+class TestInterpolant:
+    def test_built_once_and_equal_to_a_fresh_spline(self):
+        unit = shoot_unit_profile(3.0, 2)
+        spline = unit.interpolant()
+        assert unit.interpolant() is spline
+        fresh = CubicHermiteSpline(unit.r, unit.w, unit.wp, extrapolate=False)
+        pts = np.linspace(0.0, 1.0, 1001)
+        np.testing.assert_array_equal(spline(pts), fresh(pts))
+        np.testing.assert_array_equal(spline.c, fresh.c)
+
+    def test_rescaled_and_replaced_profiles_build_their_own(self):
+        unit = shoot_unit_profile(2.0, 1)
+        spline = unit.interpolant()
+        scaled = scale_profile(unit, 2.0)
+        replaced = replace(unit, w=2.0 * unit.w, wp=2.0 * unit.wp)
+        for prof in (scaled, replaced):
+            own = prof.interpolant()
+            assert own is not spline and prof.interpolant() is own
+            np.testing.assert_array_equal(own.x, prof.r)
+        assert unit.interpolant() is spline
+        assert "_spline" not in repr(unit)
 
 
 class TestScaleProfile:
