@@ -120,6 +120,14 @@ def _resolve_parameters(name: str, parameters) -> dict:
     return params
 
 
+def _check_name(value: str, what: str = "name") -> None:
+    """A record name, plot label or norm is one path component, as `report`
+    makes it part of file names."""
+    if value in ("", ".", "..") or "/" in value or "\\" in value:
+        raise DomainError(f"{what} {value!r} must be one path component: not empty, '.' or '..', "
+                          "and without '/' or '\\'")
+
+
 @dataclass(frozen=True)
 class ExperimentManifest:
     name: str
@@ -140,6 +148,7 @@ class ExperimentManifest:
         for key in ("name", "scenario", "output_dir"):
             if not isinstance(payload[key], str):
                 raise DomainError(f"manifest field '{key}' must be a string, got {payload[key]!r}")
+        _check_name(payload["name"])
         if payload["scenario"] not in SCENARIOS:
             raise DomainError(
                 f"unknown scenario '{payload['scenario']}'; known: {sorted(SCENARIOS)}"
@@ -671,7 +680,8 @@ def sweep(manifests, parallelism: int = 1) -> list:
 
 def load_records(directory) -> list:
     """All record.json files under a directory tree, sorted by name;
-    DomainError names a file that is not a readable result record."""
+    DomainError names a file that is not a readable result record or whose
+    name, plot label or plot norm is not one path component."""
     recs = []
     for path in sorted(Path(directory).rglob("record.json")):
         try:
@@ -682,9 +692,16 @@ def load_records(directory) -> list:
                  "label": str(pl["label"])}
                 for pl in payload.get("plots", [])
             ]
-            recs.append((path.parent, ResultRecord(**payload)))
+            rec = ResultRecord(**payload)
+            _check_name(rec.name)
+            for plot in rec.plots:
+                _check_name(plot["label"], "plot label")
+                _check_name(plot["norm"], "plot norm")
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"{path}: not a result record ({type(exc).__name__}: {exc})") from None
+        except DomainError as exc:
+            raise DomainError(f"{path}: {exc}") from None
+        recs.append((path.parent, rec))
     return recs
 
 

@@ -16,10 +16,8 @@ per step.  Each Newton iteration is one direct LAPACK gtsv solve of the
 tridiagonal Jacobian (`solve_banded`).  The Jacobian is assembled in a band
 buffer that the stepper allocates once, from the Laplacian L u+ and the
 power (u+)^p that the residual of the same iterate has already computed.
-Both are carried on into the next step, whose Newton solve starts from the
-accepted iterate; that is exact, because the carry is used only for the
-read-only array the stepper itself returned, so the same operations on the
-same values would give the same bits.
+The stepper holds the interior state u with its L u and u^p, and the next
+step's Newton solve starts from them.
 
 Backward Euler rather than a second-order one-step scheme: positivity
 robustness near the degenerate boundary layer matters more than formal
@@ -152,7 +150,6 @@ class SampleRecord:
     lq: dict
     min_inner: float
     semiconv_min: float | None
-    dt_step: float
     max_principle_slack: float
 
 
@@ -228,18 +225,16 @@ def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """Backward-Euler stepper bound to one grid; reused across steps.
+    """Backward-Euler stepper bound to one grid, owning the interior state.
 
-    Each Newton iterate x costs one Laplacian L x and one power x^p: the
-    residual computes both, and the Newton matrix at x reuses them.  The
-    (x, L x, x^p) of the accepted iterate is carried into the next step,
-    whose first residual is taken at x = u_old: it is used only when `step`
-    is passed the very array it last returned, which is returned read-only,
-    so the carried arrays are the ones the same operations would compute
-    again from the same values, and the carry changes no bit.
+    It holds u (the nodes off the boundary) with its L u and u^p.  Each
+    Newton iterate x costs one Laplacian L x and one power x^p: the
+    residual computes both, and the Newton matrix at x reuses them.  An
+    accepted step replaces the three arrays by those of its last iterate; a
+    failed step leaves them as they were.
     """
 
-    def __init__(self, r: np.ndarray, n: int, p: float, eps: float):
+    def __init__(self, r: np.ndarray, n: int, p: float, eps: float, u: np.ndarray):
         self.p = p
         self.eps = eps
         a, self.b, c = _laplacian_coeffs(r, n)
@@ -249,8 +244,7 @@ class _Stepper:
         # Newton matrix in (1, 1) banded storage, refilled at every iteration;
         # its unused corners ab[0, 0] and ab[2, -1] stay zero.
         self.ab = np.zeros((3, len(r) - 1))
-        # (x, L x, x^p) of the array `step` last returned, or None
-        self.carry = None
+        self.u, self.lu, self.up = u, self.lap(u), u**p
 
     def lap(self, u_int: np.ndarray) -> np.ndarray:
         lu = self.b * u_int
@@ -265,19 +259,15 @@ class _Stepper:
         up = u_new**self.p
         return u_new - u_old - dt * up * lu, lu, up
 
-    def step(self, u: np.ndarray, dt: float):
-        """One backward-Euler step of the interior unknowns; returns
-        (u_new, newton_iterations), u_new read-only.  Raises NewtonDivergence."""
+    def step(self, dt: float) -> int:
+        """One backward-Euler step of the held state; returns the Newton
+        iterations.  Raises NewtonDivergence and then keeps the state."""
         p, ab = self.p, self.ab
-        u_old = u
+        u_old, lu, xp = self.u, self.lu, self.up
         scale = max(float(u_old.max()), self.eps, 1e-30)
         tol = NEWTON_TOL * scale
         x = u_old.copy()
-        if self.carry is not None and self.carry[0] is u_old:
-            _, lu, xp = self.carry
-            res = x - u_old - dt * xp * lu
-        else:
-            res, lu, xp = self.residual(x, u_old, dt)
+        res = x - u_old - dt * xp * lu
         rnorm = float(np.abs(res).max())
         for it in range(MAX_NEWTON + 1):
             if rnorm < tol:
@@ -308,9 +298,8 @@ class _Stepper:
                 lam *= 0.5
             else:
                 raise NewtonDivergence(f"no descent at iteration {it} (res={rnorm:.3g})")
-        x.flags.writeable = False
-        self.carry = (x, lu, xp)
-        return x, it
+        self.u, self.lu, self.up = x, lu, xp
+        return it
 
 
 def lq_norm(r: np.ndarray, u: np.ndarray, q: float, n: int) -> float:
@@ -373,10 +362,10 @@ def evolve(
         raise DomainError("initial state must be positive off the boundary")
     u0_sup = float(np.max(u))
 
-    stepper = _Stepper(r, n, p, eps)
+    stepper = _Stepper(r, n, p, eps, u[:-1])
     inner_mask = r <= inner
 
-    def record(t, u_full, semiconv, dt_step):
+    def record(t, u_full, semiconv):
         lq = {f"{q:g}": lq_norm(r, u_full, q, n) for q in norm_qs}
         # how far the state escapes [eps, max(u0_sup, eps)]; ~0 for a valid state
         slack = max(eps - u_full.min(), u_full.max() - max(u0_sup, eps), 0.0)
@@ -388,7 +377,6 @@ def evolve(
                 lq=lq,
                 min_inner=float(np.min(u_full[inner_mask])),
                 semiconv_min=semiconv,
-                dt_step=dt_step,
                 max_principle_slack=float(slack),
             )
         )
@@ -396,19 +384,19 @@ def evolve(
 
     samples: list = []
     snapshots: list = []
-    record(t_start, u, None, 0.0)
+    record(t_start, u, None)
 
     targets = _sample_times(t_start, t_end)
     t = t_start
     dt = dt_init
     t_floor = 100.0 * dt_init
-    u_int = u[:-1].copy()
     dt_min = 1e-14 * max(t_end, 1.0)
     for t_next in targets:
         while t < t_next * (1.0 - 1e-12):
             dt = min(dt, cfg.dt_rel_max * max(t, t_floor), t_next - t)
+            u_prev = stepper.u
             try:
-                u_new, iters = stepper.step(u_int, dt)
+                iters = stepper.step(dt)
             except NewtonDivergence:
                 dt *= 0.5
                 if dt < dt_min:
@@ -416,14 +404,12 @@ def evolve(
                 continue
             t += dt
             dt_used = dt
-            u_prev = u_int
-            u_int = u_new
             if iters <= 5:
                 dt *= DT_GROWTH
         # landed on the sample time; semi-convexity from the landing step
-        log_ratio = np.log(u_int / u_prev) / dt_used
+        log_ratio = np.log(stepper.u / u_prev) / dt_used
         semiconv = float(np.min(log_ratio + 1.0 / (p * t)))
-        record(t, np.concatenate((u_int, [eps])), semiconv, dt_used)
+        record(t, np.concatenate((stepper.u, [eps])), semiconv)
 
     return EvolutionRun(p=p, n=n, R=R, eps=eps, r=r, samples=samples, snapshots=snapshots)
 

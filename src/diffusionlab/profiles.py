@@ -27,6 +27,7 @@ end on a branch of that run.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -539,13 +540,7 @@ def self_similar_residual(params: ProfileParams, profile: Profile, points) -> fl
     strictly inside the valid similarity range.
     """
     h_rel = INTERP_TOL ** (1.0 / 3.0)
-    spline = profile.interpolant()
-
-    def u(r, t):
-        xi = t ** (-params.beta) * abs(r)
-        if xi > profile.xi_max:
-            raise RangeError(f"stencil point xi={xi:.6g} beyond xi_max={profile.xi_max:.6g}")
-        return t ** (-params.alpha) * float(spline(xi))
+    u = functools.partial(eval_self_similar, params, profile)
 
     worst = 0.0
     for r, t in points:

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -25,6 +26,10 @@ from diffusionlab.experiments import (
     run_manifest,
     sweep,
 )
+
+
+# record names that are not one path component; `report` writes files named after them
+BAD_NAMES = ["", ".", "..", "demo/a", "../x", "a\\b"]
 
 
 def manifest(tmp_path, name, scenario, params):
@@ -53,6 +58,15 @@ class TestManifest:
     def test_rejects_missing_fields(self):
         with pytest.raises(DomainError):
             ExperimentManifest.from_dict({"name": "x"})
+
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_rejects_a_name_that_is_not_one_path_component(self, tmp_path, name):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"name": name, "scenario": "remark_heat", "output_dir": "x"}))
+        with pytest.raises(DomainError, match="one path component"):
+            manifest(tmp_path, name, "remark_heat", {})
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: name "):
+            ExperimentManifest.load(path)
 
     @pytest.mark.parametrize("scenario", list(SCENARIOS))
     def test_scenario_takes_params_and_out_dir(self, scenario):
@@ -381,6 +395,14 @@ class TestReport:
         with pytest.raises(DomainError):
             report([], tmp_path)
 
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_load_records_rejects_a_name_that_is_not_one_path_component(self, tmp_path, name):
+        run_manifest(manifest(tmp_path, "heat", "remark_heat", {}))
+        path = tmp_path / "heat" / "record.json"
+        path.write_text(path.read_text().replace('"name": "heat"', f'"name": {json.dumps(name)}'))
+        with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: name "):
+            load_records(tmp_path)
+
 
 class TestCli:
     def test_profile_verb(self, tmp_path, capsys):
@@ -545,6 +567,20 @@ class TestCli:
         assert f"error: {man_dir / 'typo.json'}: " in err
         assert f"error: {man_dir / 'garbled.json'}: " in err
 
+    def test_sweep_runs_past_a_name_that_is_not_one_path_component(self, tmp_path, capsys):
+        man_dir = tmp_path / "manifests"
+        man_dir.mkdir()
+        for stem, name in (("good", "good"), ("nested", "demo/a")):
+            (man_dir / f"{stem}.json").write_text(json.dumps(
+                {"schema": 1, "name": name, "scenario": "remark_heat", "parameters": {},
+                 "output_dir": str(tmp_path / stem)}))
+        rc = cli_main(["sweep", str(man_dir)])
+        assert rc == 2
+        assert (tmp_path / "good" / "record.json").exists()
+        assert not (tmp_path / "nested").exists()
+        assert f"error: {man_dir / 'nested.json'}: name 'demo/a'" in capsys.readouterr().err
+        assert cli_main(["--out", str(tmp_path / "rep"), "report", str(tmp_path)]) == 0
+
     def test_sweep_runs_past_a_non_string_output_dir(self, tmp_path, capsys):
         man_dir = tmp_path / "manifests"
         man_dir.mkdir()
@@ -574,6 +610,8 @@ class TestCli:
             '{"name": "x", "scenario": "remark_heat", "output_dir": 5}', ["run", "{bad}"]),
         "manifest_name_not_string": (
             '{"name": 7, "scenario": "remark_heat", "output_dir": "x"}', ["run", "{bad}"]),
+        "manifest_name_with_separator": (
+            '{"name": "demo/a", "scenario": "remark_heat", "output_dir": "x"}', ["run", "{bad}"]),
         "series_not_json": ('{"t": 1.0, "linf": 1.0, "lq": {}}\nnot json\n', FIT),
         "series_missing": (None, FIT),
         "series_not_object": ("5\n", FIT),
@@ -610,6 +648,16 @@ class TestCli:
         "out_under_a_file": ("", ["--out", "{bad}/sub", "scenarios"]),  # overrides the first --out
         "record_not_json": ("{not json", ["report", "{dir}"]),
         "record_lacks_fields": ('{"name": "x", "assertions": []}', ["report", "{dir}"]),
+        "record_name_with_separator": (
+            json.dumps({"name": "../x", "scenario": "s", "manifest_hash": "", "started": "",
+                        "finished": "", "produced_files": [], "assertions": [], "passed": True}),
+            ["report", "{dir}"]),
+        "record_plot_label_with_separator": (
+            json.dumps({"name": "x", "scenario": "s", "manifest_hash": "", "started": "",
+                        "finished": "", "produced_files": [], "assertions": [], "passed": True,
+                        "plots": [{"series": "run.jsonl", "norm": "linf", "rate": 0.5,
+                                   "label": "x/y"}]}),
+            ["report", "{dir}"]),
         "record_plot_lacks_fields": (
             json.dumps({"name": "x", "scenario": "s", "manifest_hash": "", "started": "",
                         "finished": "", "produced_files": [], "assertions": [], "passed": True,

@@ -88,8 +88,9 @@ class TestInitialDatum:
 def test_constant_eps_state_is_fixed_point():
     r = build_grid(1.0, 32)
     u = np.full(32, 0.01)
-    u_new, _ = pde._Stepper(r, 1, 2.0, 0.01).step(u[:-1].copy(), 0.5)
-    np.testing.assert_array_equal(u_new, u[:-1])
+    stepper = pde._Stepper(r, 1, 2.0, 0.01, u[:-1].copy())
+    stepper.step(0.5)
+    np.testing.assert_array_equal(stepper.u, u[:-1])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -106,13 +107,13 @@ def test_one_step_preserves_order(p, n, N, c, eps, seed):
     v = u + rng.random(N) * (rng.random(N) < 0.5)
     u[-1] = v[-1] = eps
     dt = c * (r[1] - r[0]) ** 2 / np.max(v) ** p
-    stepper = pde._Stepper(r, n, p, eps)
+    su, sv = (pde._Stepper(r, n, p, eps, w[:-1].copy()) for w in (u, v))
     try:
-        su, _ = stepper.step(u[:-1].copy(), dt)
-        sv, _ = stepper.step(v[:-1].copy(), dt)
+        su.step(dt)
+        sv.step(dt)
     except NewtonDivergence:
         assume(False)
-    assert np.all(su <= sv + 10.0 * NEWTON_TOL * np.max(sv))
+    assert np.all(su.u <= sv.u + 10.0 * NEWTON_TOL * np.max(sv.u))
 
 
 def _datum(fn):
@@ -250,11 +251,11 @@ class TestDtHalvingRetry:
     def test_one_failed_step_is_retried(self, monkeypatch):
         step, dts = pde._Stepper.step, []
 
-        def fails_once(self, u, dt):
+        def fails_once(self, dt):
             dts.append(dt)
             if len(dts) == 1:
                 raise NewtonDivergence("injected")
-            return step(self, u, dt)
+            return step(self, dt)
 
         monkeypatch.setattr(pde._Stepper, "step", fails_once)
         run = self._evolve()
@@ -277,7 +278,7 @@ class TestDtHalvingRetry:
         assert max(s.max_principle_slack for s in run.samples) == 0.0
 
     def test_persistent_failure_ends_in_step_too_small(self, monkeypatch):
-        def always_fails(self, u, dt):
+        def always_fails(self, dt):
             raise NewtonDivergence("injected")
 
         monkeypatch.setattr(pde._Stepper, "step", always_fails)
@@ -354,7 +355,7 @@ class TestSolveBanded:
         r = build_grid(1.0, 32)
         u = 1e-2 + 0.5 * (1.0 - r[:-1] ** 2)
         with pytest.raises(NewtonDivergence, match="singular"):
-            pde._Stepper(r, 1, 2.0, 1e-2).step(u, 1e-3)
+            pde._Stepper(r, 1, 2.0, 1e-2, u).step(1e-3)
 
     def test_stepper_turns_an_overflowed_matrix_into_newton_divergence(self):
         # at dt = 1e308 the Newton matrix overflows and solve_banded refuses it
@@ -362,7 +363,7 @@ class TestSolveBanded:
         u = 1e-2 + 0.5 * (1.0 - r[:-1] ** 2)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NewtonDivergence, match="non-finite"):
-                pde._Stepper(r, 1, 2.0, 1e-2).step(u, 1e308)
+                pde._Stepper(r, 1, 2.0, 1e-2, u).step(1e308)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -383,16 +384,20 @@ def test_evolve_is_bit_identical_with_scipy_solve_banded(monkeypatch, n):
         np.testing.assert_array_equal(u, u_ref)
 
 
-class TestCarriedState:
-    """The stepper carries (x, L x, x^p) of its last accepted iterate into the
-    next step's first residual; the carry must change no bit."""
+class TestHeldState:
+    """The stepper holds (u, L u, u^p) and starts each Newton solve from them:
+    after an accepted step the three belong to the new u, bit for bit, and a
+    failed step leaves them untouched."""
 
     @staticmethod
-    def _run(monkeypatch, evolve_run, clear_carry):
-        """The run, its solve_banded calls and its residual evaluations; the
-        tenth solve fails, so one step is retried at half dt."""
-        solve, residual, step = pde.solve_banded, pde._Stepper.residual, pde._Stepper.step
-        calls, residuals = [], []
+    def _run(monkeypatch, evolve_run, recompute):
+        """The run, its solve_banded calls, its Laplacians, how many of those
+        were taken at the held u, and per accepted step whether the held L u
+        and u^p equal a fresh computation bit for bit; the tenth solve fails,
+        so one step is retried at half dt.  With `recompute`, each step first
+        replaces the held L u and u^p by fresh ones, not counted."""
+        solve, lap, step = pde.solve_banded, pde._Stepper.lap, pde._Stepper.step
+        calls, laps, exact, kept = [], [], [], []
 
         def counted_solve(l_and_u, ab, b):
             calls.append(1)
@@ -400,48 +405,70 @@ class TestCarriedState:
                 raise ValueError("array must not contain infs or NaNs")
             return solve(l_and_u, ab, b)
 
-        def counted_residual(self, u_new, u_old, dt):
-            residuals.append(1)
-            return residual(self, u_new, u_old, dt)
+        def counted_lap(self, u_int):
+            # True for an L u of the held u; the constructor's comes before u is held
+            laps.append(hasattr(self, "u") and u_int.tobytes() == self.u.tobytes())
+            return lap(self, u_int)
 
-        def step_without_carry(self, u, dt):
-            self.carry = None
-            return step(self, u, dt)
+        def checked_step(self, dt):
+            if recompute:
+                self.lu, self.up = lap(self, self.u), self.u**self.p
+            held = (self.u, self.lu, self.up)
+            try:
+                iters = step(self, dt)
+            except NewtonDivergence:
+                kept.append(all(a is b for a, b in zip((self.u, self.lu, self.up), held)))
+                raise
+            exact.append(lap(self, self.u).tobytes() == self.lu.tobytes()
+                         and (self.u**self.p).tobytes() == self.up.tobytes())
+            return iters
 
         with monkeypatch.context() as m:
             m.setattr(pde, "solve_banded", counted_solve)
-            m.setattr(pde._Stepper, "residual", counted_residual)
-            if clear_carry:
-                m.setattr(pde._Stepper, "step", step_without_carry)
+            m.setattr(pde._Stepper, "lap", counted_lap)
+            m.setattr(pde._Stepper, "step", checked_step)
             run = evolve_run()
-        return run, len(calls), len(residuals)
+        assert kept == [True]  # the one failed step kept the three arrays
+        return run, len(calls), len(laps), sum(laps), exact
 
     @pytest.mark.parametrize("evolve_run", [
         lambda: evolve(InitialDatum.algebraic(2.0), p=2.0, n=1, R=20.0, eps=1e-3, t_end=10.0,
                        norm_qs=(0.5, 1.0, 2.0), config=SolverConfig(n_nodes=256)),
         TestDtHalvingRetry._evolve,
     ], ids=["short_run", "dt_halving_retry"])
-    def test_carry_changes_no_bit(self, monkeypatch, evolve_run):
-        carried, solves, residuals = self._run(monkeypatch, evolve_run, clear_carry=False)
-        fresh, solves_fresh, residuals_fresh = self._run(monkeypatch, evolve_run, clear_carry=True)
-        assert solves == solves_fresh
-        assert residuals < residuals_fresh  # the carry is used
-        assert carried.samples == fresh.samples
-        assert len(carried.snapshots) == len(fresh.snapshots)
-        for (t, u), (t_fresh, u_fresh) in zip(carried.snapshots, fresh.snapshots):
+    def test_held_state_changes_no_bit(self, monkeypatch, evolve_run):
+        held, solves, laps, laps_at_u, exact = self._run(monkeypatch, evolve_run, recompute=False)
+        fresh, solves_fresh, laps_fresh, _, _ = self._run(monkeypatch, evolve_run, recompute=True)
+        assert len(exact) > 10 and all(exact)  # L u and u^p of every accepted u
+        assert laps_at_u == 0  # the held arrays are used: no step takes L u again
+        assert (solves, laps) == (solves_fresh, laps_fresh)
+        assert held.samples == fresh.samples
+        assert len(held.snapshots) == len(fresh.snapshots)
+        for (t, u), (t_fresh, u_fresh) in zip(held.snapshots, fresh.snapshots):
             assert t == t_fresh
             assert u.tobytes() == u_fresh.tobytes()
 
-    def test_returned_state_is_read_only_and_steps_like_a_copy(self):
+    @pytest.mark.parametrize("failure", ["singular", "non-finite"])
+    def test_failed_step_keeps_the_state(self, monkeypatch, failure):
         r = build_grid(1.0, 32)
-        stepper = pde._Stepper(r, 1, 2.0, 1e-2)
-        u, _ = stepper.step(1e-2 + 0.5 * (1.0 - r[:-1] ** 2), 1e-3)
-        with pytest.raises(ValueError):
-            u[0] = 1.0
-        carried, iters = stepper.step(u, 1e-3)
-        fresh, iters_fresh = stepper.step(u.copy(), 1e-3)
-        assert iters == iters_fresh
-        assert carried.tobytes() == fresh.tobytes()
+        u0 = 1e-2 + 0.5 * (1.0 - r[:-1] ** 2)
+        stepper = pde._Stepper(r, 1, 2.0, 1e-2, u0.copy())
+        stepper.step(1e-3)
+        held = (stepper.u, stepper.lu, stepper.up)
+        copies = [a.copy() for a in held]
+        with monkeypatch.context() as m, np.errstate(over="ignore", invalid="ignore"):
+            if failure == "singular":
+                solve = pde.solve_banded
+                m.setattr(pde, "solve_banded", lambda l_and_u, ab, b: solve(l_and_u, 0.0 * ab, b))
+            with pytest.raises(NewtonDivergence, match=failure):
+                stepper.step(1e-3 if failure == "singular" else 1e308)
+        for now, before, copy in zip((stepper.u, stepper.lu, stepper.up), held, copies):
+            assert now is before
+            assert now.tobytes() == copy.tobytes()
+        # the kept state steps on as a stepper built from its u
+        other = pde._Stepper(r, 1, 2.0, 1e-2, stepper.u.copy())
+        assert stepper.step(1e-3) == other.step(1e-3)
+        assert stepper.u.tobytes() == other.u.tobytes()
 
 
 def test_self_similar_reproduction_short():
@@ -510,8 +537,7 @@ class TestRescaleToV:
         times = (0.0, 1.0, 10.0, 100.0)
         samples = [
             SampleRecord(t=t, tau=math.log(t + 1.0), linf=3.0, lq={"1": 1.0},
-                         min_inner=0.5, semiconv_min=None, dt_step=0.0,
-                         max_principle_slack=0.0)
+                         min_inner=0.5, semiconv_min=None, max_principle_slack=0.0)
             for t in times
         ]
         run = EvolutionRun(p=p, n=1, R=1.0, eps=0.0, r=r, samples=samples,
