@@ -13,11 +13,12 @@ by backward Euler with a damped Newton solve of
     F(u+) = u+ - u - dt * (u+)^p * L u+ = 0
 
 per step.  Each Newton iteration is one direct LAPACK gtsv solve of the
-tridiagonal Jacobian (`solve_banded`).  The Jacobian is assembled in a band
-buffer that the stepper allocates once, from the Laplacian L u+ and the
-power (u+)^p that the residual of the same iterate has already computed.
-The stepper holds the interior state u with its L u and u^p, and the next
-step's Newton solve starts from them.
+tridiagonal Jacobian (`solve_banded`), in place.  The Jacobian is assembled
+in a band buffer that the stepper allocates once, from L u+, (u+)^p and
+dt (u+)^p, which the residual of the same iterate has already computed;
+the residual comes as -F, the right-hand side.  The stepper holds the
+interior state u with its L u and u^p, and the next step's Newton solve
+starts from them.
 
 Backward Euler rather than a second-order one-step scheme: positivity
 robustness near the degenerate boundary layer matters more than formal
@@ -185,38 +186,45 @@ class SolverConfig:
 
 def _laplacian_coeffs(r: np.ndarray, n: int):
     """Tridiagonal coefficients (a, b, c) of u'' + (n-1)/r u' for the nodes
-    0..N-2 (node N-1 is the Dirichlet boundary); a[0] is unused."""
+    0..N-2 (node N-1 is the Dirichlet boundary); a[0] is unused.  Raises
+    DomainError when the spacing is so fine that a coefficient is not finite."""
     N = len(r)
     a = np.zeros(N - 1)
     b = np.zeros(N - 1)
     c = np.zeros(N - 1)
     h0 = r[1] - r[0]
-    # symmetry closure: Lap u(0) = n u''(0) with u'(0) = 0
-    b[0] = -2.0 * n / h0**2
-    c[0] = 2.0 * n / h0**2
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    fac = n - 1.0
-    rin = r[1:-1]
-    a[1:] = 2.0 / (hm * (hm + hp)) - fac / rin * hp / (hm * (hm + hp))
-    b[1:] = -2.0 / (hm * hp) + fac / rin * (hp - hm) / (hm * hp)
-    c[1:] = 2.0 / (hp * (hm + hp)) + fac / rin * hm / (hp * (hm + hp))
+    with np.errstate(all="ignore"):
+        # symmetry closure: Lap u(0) = n u''(0) with u'(0) = 0
+        b[0] = -2.0 * n / h0**2
+        c[0] = 2.0 * n / h0**2
+        hm = r[1:-1] - r[:-2]
+        hp = r[2:] - r[1:-1]
+        fac = n - 1.0
+        rin = r[1:-1]
+        a[1:] = 2.0 / (hm * (hm + hp)) - fac / rin * hp / (hm * (hm + hp))
+        b[1:] = -2.0 / (hm * hp) + fac / rin * (hp - hm) / (hm * hp)
+        c[1:] = 2.0 / (hp * (hm + hp)) + fac / rin * hm / (hp * (hm + hp))
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+        raise DomainError(f"grid of N = {N} nodes on [0, R = {r[-1]:g}] has spacing {h0:.3g}, "
+                          "too fine for finite Laplacian coefficients")
     return a, b, c
 
 
 def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system held in scipy's (1, 1) banded storage
-    (ab[0, 1:] upper, ab[1] main, ab[2, :-1] lower diagonal) by one LAPACK
-    gtsv call.  This is the routine `scipy.linalg.solve_banded` calls for
-    these bands, so the solution is the same bit for bit, without scipy's
-    input validation and batch dispatch.  As there, non-finite input raises
-    ValueError and a singular matrix np.linalg.LinAlgError; neither input
-    is overwritten."""
+    (ab[0, 1:] upper, ab[1] main, ab[2, :-1] lower diagonal) in place, by
+    one LAPACK gtsv call: the three bands of ab and b are overwritten, and b
+    holds the returned solution.  gtsv is the routine
+    `scipy.linalg.solve_banded` calls for these bands, so the solution is
+    the same bit for bit, without scipy's input validation, batch dispatch
+    and input copies.  As there, non-finite input raises ValueError and a
+    singular matrix np.linalg.LinAlgError."""
     if tuple(l_and_u) != (1, 1):
         raise ValueError(f"only (1, 1) bands are supported, got {tuple(l_and_u)}")
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b,
+                    overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3:]
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
@@ -228,8 +236,11 @@ class _Stepper:
     """Backward-Euler stepper bound to one grid, owning the interior state.
 
     It holds u (the nodes off the boundary) with its L u and u^p.  Each
-    Newton iterate x costs one Laplacian L x and one power x^p: the
-    residual computes both, and the Newton matrix at x reuses them.  An
+    Newton iterate x costs one Laplacian L x and one power x^p.  The
+    residual computes both, with dt x^p and -F(x), and the Newton matrix at
+    x reuses them: its off-diagonal bands are dt x^p times the negated
+    Laplacian coefficients, and -F(x) is its right-hand side.  At a step's
+    first iterate x is u, so -F is dt u^p L u from the held arrays.  An
     accepted step replaces the three arrays by those of its last iterate; a
     failed step leaves them as they were.
     """
@@ -238,8 +249,10 @@ class _Stepper:
         self.p = p
         self.eps = eps
         a, self.b, c = _laplacian_coeffs(r, n)
-        # the off-diagonal coefficients as the Laplacian and the bands use them
+        # the off-diagonal coefficients as the Laplacian uses them, and
+        # negated as the Newton matrix's bands use them
         self.a_low, self.c_up, self.c_eps = a[1:], c[:-1], c[-1] * eps
+        self.neg_a_low, self.neg_c_up = -self.a_low, -self.c_up
         self.floor = 0.5 * eps if eps > 0.0 else 1e-300
         # Newton matrix in (1, 1) banded storage, refilled at every iteration;
         # its unused corners ab[0, 0] and ab[2, -1] stay zero.
@@ -254,10 +267,12 @@ class _Stepper:
         return lu
 
     def residual(self, u_new, u_old, dt):
-        """(F(u_new), L u_new, u_new^p): the Newton matrix at u_new reuses the last two."""
+        """(-F(u_new), L u_new, u_new^p, dt u_new^p): the Newton matrix at
+        u_new reuses the last three, and -F is its right-hand side."""
         lu = self.lap(u_new)
         up = u_new**self.p
-        return u_new - u_old - dt * up * lu, lu, up
+        dup = dt * up
+        return dup * lu - (u_new - u_old), lu, up, dup
 
     def step(self, dt: float) -> int:
         """One backward-Euler step of the held state; returns the Newton
@@ -266,34 +281,36 @@ class _Stepper:
         u_old, lu, xp = self.u, self.lu, self.up
         scale = max(float(u_old.max()), self.eps, 1e-30)
         tol = NEWTON_TOL * scale
-        x = u_old.copy()
-        res = x - u_old - dt * xp * lu
-        rnorm = float(np.abs(res).max())
+        # the first iterate is u_old itself: nothing writes into an iterate,
+        # every trial is a fresh array
+        x, dxp = u_old, dt * xp
+        nres = dxp * lu  # -F(u_old)
+        rnorm = float(np.abs(nres).max())
         for it in range(MAX_NEWTON + 1):
             if rnorm < tol:
                 break
             if it == MAX_NEWTON:
                 raise NewtonDivergence(f"Newton stalled at residual {rnorm:.3g} (tol {tol:.3g})")
-            mdx = -dt * xp
-            np.multiply(mdx[:-1], self.c_up, out=ab[0, 1:])
+            np.multiply(dxp[:-1], self.neg_c_up, out=ab[0, 1:])
             diag = p * x ** (p - 1.0) * lu
             diag += xp * self.b
             diag *= dt
             np.subtract(1.0, diag, out=ab[1])
-            np.multiply(mdx[1:], self.a_low, out=ab[2, :-1])
+            np.multiply(dxp[1:], self.neg_a_low, out=ab[2, :-1])
             try:
-                delta = solve_banded((1, 1), ab, -res)
+                delta = solve_banded((1, 1), ab, nres)  # in place: nres is delta
             except np.linalg.LinAlgError:
                 raise NewtonDivergence("singular Newton matrix")
             except ValueError:  # the Newton matrix or residual overflowed
                 raise NewtonDivergence("non-finite Newton matrix")
             lam = 1.0
             while lam > 1e-6:
-                trial = np.maximum(x + (delta if lam == 1.0 else lam * delta), self.floor)
-                res_t, lu_t, xp_t = self.residual(trial, u_old, dt)
-                rn_t = float(np.abs(res_t).max())
+                trial = x + (delta if lam == 1.0 else lam * delta)
+                np.maximum(trial, self.floor, out=trial)
+                nres_t, lu_t, xp_t, dxp_t = self.residual(trial, u_old, dt)
+                rn_t = float(np.abs(nres_t).max())
                 if math.isfinite(rn_t) and (rn_t < rnorm or rn_t < tol):
-                    x, res, lu, xp, rnorm = trial, res_t, lu_t, xp_t, rn_t
+                    x, nres, lu, xp, dxp, rnorm = trial, nres_t, lu_t, xp_t, dxp_t, rn_t
                     break
                 lam *= 0.5
             else:

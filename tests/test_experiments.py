@@ -429,6 +429,14 @@ class TestCli:
         assert "(xi range too long)" in err and "positivity floor" not in err
         assert "2.46189e+106" not in err
 
+    def test_evolve_refuses_a_grid_without_finite_laplacian_coefficients(self, tmp_path, capsys):
+        rc = cli_main(["--out", str(tmp_path), "evolve", "--p", "2", "--t-end", "10",
+                       "--datum", "gaussian:sigma=2", "--n-nodes", "32", "--R", "1e-200"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: grid of N = 32 nodes on [0, R = 1e-200] has spacing 3.23e-202, "
+            "too fine for finite Laplacian coefficients\n")
+
     def test_digest_drops_timestamps_and_lists_a_moved_value(self, tmp_path, capsys):
         m = manifest(tmp_path / "runs", "vt", "vartheta_table", {"n_theta": 5, "n_m": 5})
         run_manifest(m)

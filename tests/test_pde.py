@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import solve_banded as scipy_solve_banded
 
 from diffusionlab import pde, steady
@@ -150,6 +150,15 @@ def test_evolve_rejects_bad_settings(monkeypatch, cfg, kwargs):
         evolve(**{**args, **kwargs})
 
 
+def test_evolve_refuses_a_grid_without_finite_laplacian_coefficients():
+    # the spacing 1e-200/31 squares to 0, so 1/h^2 is infinite
+    with pytest.raises(DomainError, match=re.escape(
+            "grid of N = 32 nodes on [0, R = 1e-200] has spacing 3.23e-202, "
+            "too fine for finite Laplacian coefficients")):
+        evolve(InitialDatum.gaussian(2.0), p=2.0, n=1, R=1e-200, eps=1e-3, t_end=10.0,
+               config=SolverConfig(n_nodes=32))
+
+
 # Scale covariance: if u solves u_t = u^p Lap(u), so does lam u(mu x, lam^p mu^2 t).
 # Run B evolves lam u0(mu r) on R/mu with floor lam eps to t_end/(lam^p mu^2).
 COVARIANT = dict(p=2.0, R=20.0, eps=1e-3, t_end=10.0, n_nodes=129)
@@ -240,6 +249,22 @@ class TestEvolve:
         assert min(vals) > -1e-3
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(p=st.floats(1.05, 4.0), n=st.integers(1, 3),
+       datum=st.one_of(st.tuples(st.just("algebraic"), st.floats(0.3, 6.0)),
+                       st.tuples(st.just("gaussian"), st.floats(0.5, 4.0))))
+def test_whole_run_invariants_across_parameter_space(p, n, datum):
+    # The discrete max principle holds exactly, and u_t/u + 1/(pt) >= 0 (the
+    # semi-convexity estimate) holds with no slack from t = 1 on; both bounds
+    # were fixed before the draws were run.
+    kind, value = datum
+    u0 = InitialDatum.algebraic(value) if kind == "algebraic" else InitialDatum.gaussian(value)
+    run = evolve(u0, p=p, n=n, R=40.0, eps=1e-6, t_end=100.0,
+                 config=SolverConfig(n_nodes=129, dt_rel_max=0.02))
+    assert all(s.max_principle_slack == 0.0 for s in run.samples)
+    assert min(s.semiconv_min for s in run.samples if s.t >= 1.0) >= 0.0
+
+
 class TestDtHalvingRetry:
     """evolve's only fallback: a step whose Newton solve fails is retried at half dt."""
 
@@ -304,28 +329,30 @@ def _tridiagonal(N, seed, dominant):
 
 
 class TestSolveBanded:
-    """pde.solve_banded is scipy.linalg.solve_banded((1, 1), ...) bit for bit."""
+    """pde.solve_banded is scipy.linalg.solve_banded((1, 1), ...) bit for bit,
+    solved in place: it overwrites the bands of ab and b, and b holds the
+    solution.  So scipy is given copies."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(N=st.integers(16, 400), seed=st.integers(0, 2**32 - 1), dominant=st.booleans())
     def test_bit_identical_to_scipy(self, N, seed, dominant):
         ab, b = _tridiagonal(N, seed, dominant)
-        ab_in, b_in = ab.copy(), b.copy()
         try:
-            expected = scipy_solve_banded((1, 1), ab, b)
+            expected = scipy_solve_banded((1, 1), ab.copy(), b.copy())
         except np.linalg.LinAlgError:
             with pytest.raises(np.linalg.LinAlgError):
                 pde.solve_banded((1, 1), ab, b)
             return
-        np.testing.assert_array_equal(pde.solve_banded((1, 1), ab, b), expected)
-        np.testing.assert_array_equal(ab, ab_in)  # inputs are not overwritten
-        np.testing.assert_array_equal(b, b_in)
+        x = pde.solve_banded((1, 1), ab, b)
+        np.testing.assert_array_equal(x, expected)
+        assert np.shares_memory(x, b)  # the solution is written into b
+        assert ab[0, 0] == ab[2, -1] == 0.0  # the unused corners are left alone
 
     @pytest.mark.parametrize("dominant", [True, False])
     def test_bit_identical_on_the_fine_grid_size(self, dominant):
         ab, b = _tridiagonal(3999, 7, dominant)
-        np.testing.assert_array_equal(pde.solve_banded((1, 1), ab, b),
-                                      scipy_solve_banded((1, 1), ab, b))
+        expected = scipy_solve_banded((1, 1), ab.copy(), b.copy())
+        np.testing.assert_array_equal(pde.solve_banded((1, 1), ab, b), expected)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["upper", "diag", "lower", "corner", "rhs"])
@@ -343,7 +370,7 @@ class TestSolveBanded:
         ab[1, 0] = ab[2, 0] = 0.0  # first column zero
         for solve in (pde.solve_banded, scipy_solve_banded):
             with pytest.raises(np.linalg.LinAlgError):
-                solve((1, 1), ab, b)
+                solve((1, 1), ab.copy(), b.copy())
 
     def test_only_one_one_bands(self):
         with pytest.raises(ValueError):
@@ -469,6 +496,86 @@ class TestHeldState:
         other = pde._Stepper(r, 1, 2.0, 1e-2, stepper.u.copy())
         assert stepper.step(1e-3) == other.step(1e-3)
         assert stepper.u.tobytes() == other.u.tobytes()
+
+
+def _textbook_step(stepper, dt):
+    """The stepper's step as first written, with its own arrays and no
+    sharing: F = x - u - dt x^p L x, off-diagonals -dt x^p c (upper) and
+    -dt x^p a (lower), diagonal 1 - dt (p x^(p-1) L x + x^p b), and
+    scipy's copying solve of the system with right-hand side -F."""
+    p, ab = stepper.p, np.zeros_like(stepper.ab)
+    u_old, lu, xp = stepper.u, stepper.lu, stepper.up
+
+    def residual(u_new):
+        lu_new = stepper.lap(u_new)
+        up_new = u_new**p
+        return u_new - u_old - dt * up_new * lu_new, lu_new, up_new
+
+    tol = NEWTON_TOL * max(float(u_old.max()), stepper.eps, 1e-30)
+    x = u_old.copy()
+    res = x - u_old - dt * xp * lu
+    rnorm = float(np.abs(res).max())
+    for it in range(pde.MAX_NEWTON + 1):
+        if rnorm < tol:
+            break
+        if it == pde.MAX_NEWTON:
+            raise NewtonDivergence(f"Newton stalled at residual {rnorm:.3g} (tol {tol:.3g})")
+        mdx = -dt * xp
+        np.multiply(mdx[:-1], stepper.c_up, out=ab[0, 1:])
+        diag = p * x ** (p - 1.0) * lu
+        diag += xp * stepper.b
+        diag *= dt
+        np.subtract(1.0, diag, out=ab[1])
+        np.multiply(mdx[1:], stepper.a_low, out=ab[2, :-1])
+        try:
+            delta = scipy_solve_banded((1, 1), ab, -res)
+        except np.linalg.LinAlgError:
+            raise NewtonDivergence("singular Newton matrix")
+        except ValueError:
+            raise NewtonDivergence("non-finite Newton matrix")
+        lam = 1.0
+        while lam > 1e-6:
+            trial = np.maximum(x + (delta if lam == 1.0 else lam * delta), stepper.floor)
+            res_t, lu_t, xp_t = residual(trial)
+            rn_t = float(np.abs(res_t).max())
+            if math.isfinite(rn_t) and (rn_t < rnorm or rn_t < tol):
+                x, res, lu, xp, rnorm = trial, res_t, lu_t, xp_t, rn_t
+                break
+            lam *= 0.5
+        else:
+            raise NewtonDivergence(f"no descent at iteration {it} (res={rnorm:.3g})")
+    stepper.u, stepper.lu, stepper.up = x, lu, xp
+    return it
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(p=st.one_of(st.sampled_from([1.25, 1.5, 2.0, 3.0]),
+                   st.floats(1.0, 4.0, exclude_min=True)),
+       n=st.integers(1, 3), N=st.integers(16, 300),
+       eps=st.one_of(st.just(0.0), st.floats(1e-6, 1e-1)),
+       c=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+@example(p=1.25, n=1, N=51, eps=0.0, c=4.3, seed=4)  # no descent at iteration 12
+@example(p=1.25, n=1, N=157, eps=1e-3, c=9.6, seed=6)  # Newton stalled
+def test_step_equals_the_textbook_step_bit_for_bit(p, n, N, eps, c, seed):
+    # Three steps from rough data at dt = c h^2 / max(u)^p: at larger c the
+    # line search halves lambda, and a few steps fail (the two examples).
+    # Each step of the stepper must take the iterations of the textbook
+    # step and end on its bits, or raise its message.
+    rng = np.random.default_rng(seed)
+    r = build_grid(1.0, N)
+    u = np.maximum(10.0 ** rng.uniform(-2.0, 0.0, N - 1), eps)
+    dt = c * (r[1] - r[0]) ** 2 / np.max(u) ** p
+    trimmed, textbook = (pde._Stepper(r, n, p, eps, u.copy()) for _ in range(2))
+    for _ in range(3):
+        try:
+            expected = _textbook_step(textbook, dt)
+        except NewtonDivergence as exc:
+            with pytest.raises(NewtonDivergence, match=f"^{re.escape(str(exc))}$"):
+                trimmed.step(dt)
+            break
+        assert trimmed.step(dt) == expected
+        for a, b in ((trimmed.u, textbook.u), (trimmed.lu, textbook.lu), (trimmed.up, textbook.up)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_self_similar_reproduction_short():

@@ -3,7 +3,8 @@
 The independent oracle for the integration route is scipy's Radau solver on
 the same ODE; the package's own path is the hybrid DP45 + 2-stage Radau IIA
 tail in log-log variables, so agreement is a genuine cross-check of two
-different methods.
+different methods.  In the core, mpmath's Taylor-series solver at 25 digits
+is a second, high-precision oracle.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import re
 from collections import Counter
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +61,43 @@ def reference_profile(params, n, xi_pts, xi0=1e-7):
     )
     assert sol.success
     return sol.sol(xi_pts)[0]
+
+
+def mp_unit_profile(p, alpha, n, xi0=1e-4, dps=25):
+    """f_1 of (p, alpha, n) by mpmath's Taylor-series ODE solver at dps digits,
+    started at xi0 from the two-term series f = 1 + c xi^2, c = -alpha/(2n),
+    whose error there is about 1e-16.  Returns xi -> f_1(xi) as a float."""
+    with mpmath.workdps(dps):
+        P, a, x0 = mpmath.mpf(p), mpmath.mpf(alpha), mpmath.mpf(xi0)
+        beta, c = (1 - P * a) / 2, -a / (2 * n)
+
+        def rhs(x, y):
+            f, fp = y
+            return [fp, -(n - 1) / x * fp - f ** (-P) * (beta * x * fp + a * f)]
+
+        sol = mpmath.odefun(rhs, x0, [1 + c * x0**2, 2 * c * x0])
+
+    def f1(xi):
+        with mpmath.workdps(dps):
+            return float(sol(mpmath.mpf(xi))[0])
+
+    return f1
+
+
+@pytest.mark.parametrize("p, alpha, n", [(2.0, 0.25, 1), (2.0, 0.25, 3)])
+def test_profile_nodes_match_a_high_precision_oracle(p, alpha, n):
+    # The oracle is explicit (Taylor series), so it stays in the core, here
+    # xi <= 3, where the profile solver is explicit too.  Its node error
+    # scales with tol: at most 0.055 tol in both families, bound 0.1 tol.
+    f1 = mp_unit_profile(p, alpha, n)
+    err = {}
+    for tol in (1e-10, 1e-11):
+        prof = integrate_profile(ProfileParams(p, alpha, 1.0), 3.0, tol=tol, n=n)
+        nodes = prof.xi >= 1e-4  # the nodes where the oracle is defined
+        ref = np.array([f1(xi) for xi in prof.xi[nodes]])
+        err[tol] = float(np.max(np.abs(prof.f[nodes] - ref) / ref))
+        assert err[tol] <= 0.1 * tol
+    assert err[1e-11] < err[1e-10]
 
 
 class TestProfileParams:
