@@ -33,7 +33,7 @@ class NoCrossingError(DiffusionLabError):
 
 
 class NewtonDivergence(DiffusionLabError):
-    """The damped Newton iteration failed to converge for this time step.
+    """The Newton iteration failed to converge for this time step.
     Callers respond by halving dt."""
 
 

@@ -8,7 +8,7 @@ eps, increasing in R).
 
 Scheme: second-order radial Laplacian on a uniform grid with a
 symmetry closure at r = 0 and the Dirichlet value pinned at r = R, stepped
-by backward Euler with a damped Newton solve of
+by backward Euler with a Newton solve of
 
     F(u+) = u+ - u - dt * (u+)^p * L u+ = 0
 
@@ -24,7 +24,7 @@ Backward Euler rather than a second-order one-step scheme: positivity
 robustness near the degenerate boundary layer matters more than formal
 order, and accuracy is recovered by the relative dt cap.
 `evolve` is the one stepping entry point: a step whose Newton solve fails
-is retried at half the step size.
+is retried at half the step size, its one recovery.
 
 The module also exposes the rescaled picture v = (t+1)^(1/p) u on the
 log-time axis tau = ln(t+1), in which v solves v_tau = v^p Lap(v) + v/p and
@@ -96,10 +96,12 @@ class InitialDatum:
         """amplitude * exp(-r^2 / (2 sigma^2)); decays faster than any power."""
         if sigma <= 0.0 or amplitude <= 0.0:
             raise DomainError("gaussian datum needs sigma > 0 and amplitude > 0")
-        return cls(
-            description=f"{amplitude:g}*exp(-r^2/(2*{sigma:g}^2))",
-            fn=lambda r: amplitude * np.exp(-(r**2) / (2.0 * sigma**2)),
-        )
+
+        def fn(r):
+            with np.errstate(over="ignore"):  # r^2 = inf gives exp(-inf) = 0, exact
+                return amplitude * np.exp(-(r**2) / (2.0 * sigma**2))
+
+        return cls(description=f"{amplitude:g}*exp(-r^2/(2*{sigma:g}^2))", fn=fn)
 
     @classmethod
     def table(cls, r: np.ndarray, values: np.ndarray, description: str = "table") -> "InitialDatum":
@@ -187,7 +189,8 @@ class SolverConfig:
 def _laplacian_coeffs(r: np.ndarray, n: int):
     """Tridiagonal coefficients (a, b, c) of u'' + (n-1)/r u' for the nodes
     0..N-2 (node N-1 is the Dirichlet boundary); a[0] is unused.  Raises
-    DomainError when the spacing is so fine that a coefficient is not finite."""
+    DomainError when the spacing is so fine that a coefficient is not finite,
+    or so coarse that h^2 overflows and the diagonal is not negative."""
     N = len(r)
     a = np.zeros(N - 1)
     b = np.zeros(N - 1)
@@ -204,9 +207,11 @@ def _laplacian_coeffs(r: np.ndarray, n: int):
         a[1:] = 2.0 / (hm * (hm + hp)) - fac / rin * hp / (hm * (hm + hp))
         b[1:] = -2.0 / (hm * hp) + fac / rin * (hp - hm) / (hm * hp)
         c[1:] = 2.0 / (hp * (hm + hp)) + fac / rin * hm / (hp * (hm + hp))
+    grid = f"grid of N = {N} nodes on [0, R = {r[-1]:g}] has spacing {h0:.3g}, "
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
-        raise DomainError(f"grid of N = {N} nodes on [0, R = {r[-1]:g}] has spacing {h0:.3g}, "
-                          "too fine for finite Laplacian coefficients")
+        raise DomainError(grid + "too fine for finite Laplacian coefficients")
+    if not (b < 0.0).all():
+        raise DomainError(grid + "too coarse for a negative Laplacian diagonal")
     return a, b, c
 
 
@@ -240,9 +245,11 @@ class _Stepper:
     residual computes both, with dt x^p and -F(x), and the Newton matrix at
     x reuses them: its off-diagonal bands are dt x^p times the negated
     Laplacian coefficients, and -F(x) is its right-hand side.  At a step's
-    first iterate x is u, so -F is dt u^p L u from the held arrays.  An
-    accepted step replaces the three arrays by those of its last iterate; a
-    failed step leaves them as they were.
+    first iterate x is u, so -F is dt u^p L u from the held arrays.  Each
+    iteration takes the full Newton step, clipped at the floor, and the step
+    fails unless that lowers the max-norm residual.  An accepted step
+    replaces the three arrays by those of its last iterate; a failed step
+    leaves them as they were.
     """
 
     def __init__(self, r: np.ndarray, n: int, p: float, eps: float, u: np.ndarray):
@@ -276,13 +283,14 @@ class _Stepper:
 
     def step(self, dt: float) -> int:
         """One backward-Euler step of the held state; returns the Newton
-        iterations.  Raises NewtonDivergence and then keeps the state."""
+        iterations.  Raises NewtonDivergence, keeping the state, on a singular
+        or non-finite matrix, no descent, or MAX_NEWTON iterations."""
         p, ab = self.p, self.ab
         u_old, lu, xp = self.u, self.lu, self.up
         scale = max(float(u_old.max()), self.eps, 1e-30)
         tol = NEWTON_TOL * scale
-        # the first iterate is u_old itself: nothing writes into an iterate,
-        # every trial is a fresh array
+        # the first iterate is u_old itself, which nothing writes into: each
+        # later iterate is a fresh array, clipped in place
         x, dxp = u_old, dt * xp
         nres = dxp * lu  # -F(u_old)
         rnorm = float(np.abs(nres).max())
@@ -303,18 +311,13 @@ class _Stepper:
                 raise NewtonDivergence("singular Newton matrix")
             except ValueError:  # the Newton matrix or residual overflowed
                 raise NewtonDivergence("non-finite Newton matrix")
-            lam = 1.0
-            while lam > 1e-6:
-                trial = x + (delta if lam == 1.0 else lam * delta)
-                np.maximum(trial, self.floor, out=trial)
-                nres_t, lu_t, xp_t, dxp_t = self.residual(trial, u_old, dt)
-                rn_t = float(np.abs(nres_t).max())
-                if math.isfinite(rn_t) and (rn_t < rnorm or rn_t < tol):
-                    x, nres, lu, xp, dxp, rnorm = trial, nres_t, lu_t, xp_t, dxp_t, rn_t
-                    break
-                lam *= 0.5
-            else:
+            x = x + delta
+            np.maximum(x, self.floor, out=x)
+            nres, lu, xp, dxp = self.residual(x, u_old, dt)
+            rn = float(np.abs(nres).max())
+            if not rn < rnorm:  # also when rn is NaN or infinite
                 raise NewtonDivergence(f"no descent at iteration {it} (res={rnorm:.3g})")
+            rnorm = rn
         self.u, self.lu, self.up = x, lu, xp
         return it
 
@@ -414,10 +417,11 @@ def evolve(
             u_prev = stepper.u
             try:
                 iters = stepper.step(dt)
-            except NewtonDivergence:
+            except NewtonDivergence as exc:
                 dt *= 0.5
                 if dt < dt_min:
-                    raise StepTooSmall(f"dt underflow at t={t:.6g}")
+                    raise StepTooSmall(f"dt underflow at t={t:.6g}: no step down to "
+                                       f"dt_min = {dt_min:.3g} converged (last: {exc})") from exc
                 continue
             t += dt
             dt_used = dt

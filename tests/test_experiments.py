@@ -429,13 +429,32 @@ class TestCli:
         assert "(xi range too long)" in err and "positivity floor" not in err
         assert "2.46189e+106" not in err
 
-    def test_evolve_refuses_a_grid_without_finite_laplacian_coefficients(self, tmp_path, capsys):
+    @pytest.mark.parametrize("R, message", [
+        ("1e-200", "grid of N = 32 nodes on [0, R = 1e-200] has spacing 3.23e-202, "
+                   "too fine for finite Laplacian coefficients"),
+        ("1e300", "grid of N = 32 nodes on [0, R = 1e+300] has spacing 3.23e+298, "
+                  "too coarse for a negative Laplacian diagonal"),
+    ], ids=["fine", "coarse"])
+    def test_evolve_refuses_a_grid_without_usable_laplacian_coefficients(
+            self, tmp_path, capsys, R, message):
+        # one error line and no warning: the test configuration turns a
+        # RuntimeWarning (h^2 under- or overflowing, r^2 overflowing in the
+        # Gaussian) into an error
         rc = cli_main(["--out", str(tmp_path), "evolve", "--p", "2", "--t-end", "10",
-                       "--datum", "gaussian:sigma=2", "--n-nodes", "32", "--R", "1e-200"])
+                       "--datum", "gaussian:sigma=2", "--n-nodes", "32", "--R", R])
         assert rc == 2
-        assert capsys.readouterr().err == (
-            "error: grid of N = 32 nodes on [0, R = 1e-200] has spacing 3.23e-202, "
-            "too fine for finite Laplacian coefficients\n")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_evolve_step_too_small_names_dt_min_and_the_last_newton_failure(
+            self, tmp_path, capsys):
+        # coefficients near 2e303: no step from dt = 1e-6 down to dt_min converges
+        rc = cli_main(["--out", str(tmp_path), "evolve", "--p", "2", "--t-end", "10",
+                       "--datum", "gaussian:sigma=2", "--n-nodes", "32", "--R", "1e-150"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: dt underflow at t=0: no step down to dt_min = 1e-13 "
+                            r"converged \(last: (Newton stalled at residual|no descent at "
+                            r"iteration) [^\n]*\)\)\n", err), err
 
     def test_digest_drops_timestamps_and_lists_a_moved_value(self, tmp_path, capsys):
         m = manifest(tmp_path / "runs", "vt", "vartheta_table", {"n_theta": 5, "n_m": 5})
