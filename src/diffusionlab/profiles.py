@@ -230,11 +230,12 @@ def integrate_profile_family(
     beta = unit.beta
     x_far = max(ends)
     f0, fp0 = taylor_start(unit, xi0, n)
-    nm1 = n - 1.0
+    neg_nm1, neg_p = -(n - 1.0), -p
+    log, log_half = math.log, math.log(0.5)
 
     def rhs(xi, f, fp):
         fc = f if f > 1e-30 else 1e-30  # keeps trial stages finite; rejection handles the rest
-        fpp = -nm1 / xi * fp - fc ** (-p) * (beta * xi * fp + alpha * fc)
+        fpp = neg_nm1 / xi * fp - fc ** neg_p * (beta * xi * fp + alpha * fc)
         return fp, fpp
 
     def stop(xi, f, fp):
@@ -242,8 +243,8 @@ def integrate_profile_family(
             return True
         # Stability watch: leave the explicit phase once the damping rate
         # times the step cap reaches O(1).  Computed in logs to avoid overflow.
-        lam_h = math.log(beta * xi * MAX_STEP_FACTOR * max(s0, xi)) - p * math.log(f)
-        return lam_h > math.log(0.5)
+        lam_h = log(beta * xi * MAX_STEP_FACTOR * (xi if xi > s0 else s0)) - p * log(f)
+        return lam_h > log_half
 
     try:
         xs, fs, fps = integrate_dp45(
@@ -253,7 +254,7 @@ def integrate_profile_family(
             x_far,
             rtol=tol,
             atol=(0.0, 0.0),
-            max_step=lambda xi: MAX_STEP_FACTOR * max(s0, xi),
+            max_step=lambda xi: MAX_STEP_FACTOR * (xi if xi > s0 else s0),
             first_step=min(xi0, MAX_STEP_FACTOR * s0),
             stop=stop,
         )
@@ -353,7 +354,10 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
     has relaxed onto the manifold (steep profiles, alpha near 1/p).  The
     first trial step is h0, the last explicit step in log units (capped at
     ds): the explicit phase can end error-limited well below its cap, and a
-    first trial at the cap would then be rejected.
+    first trial at the cap would then be rejected.  As in integrate_dp45,
+    the controller clips and clamps its steps by plain comparisons in the
+    operand order of the builtin min/max, so its steps are the min/max
+    form's bit for bit; the Radau Newton arithmetic is as written.
 
     One run steps to the last end.  The controller reads an end only where
     it clips a step or stops the loop, so a nearer end s_j branches off at
@@ -395,13 +399,16 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
         k = 0
         while True:
             while k < len(branches) and not (s < branches[k] - 1e-14
-                                             and min(h_next, ds) < branches[k] - s):
+                                             and (ds if ds < h_next else h_next) < branches[k] - s):
                 [(bxs, bfs, bfps)] = run(s, F, G, h_next, branches[k:k + 1])
                 out.append((xs + bxs, fs + bfs, fps + bfps))
                 k += 1
             if not s < s_end - 1e-14:
                 break
-            h = min(h_next, ds, s_end - s)
+            # h = min(h_next, ds, s_end - s), in the builtin's operand order
+            h = ds if ds < h_next else h_next
+            if s_end - s < h:
+                h = s_end - s
             if h < 1e-12:
                 raise SingularityError(f"tail step underflow near {point(math.exp(s))}")
             s1, s2 = s + h / 3.0, s + h
@@ -432,7 +439,8 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
                     f"tail continuation did not converge near {point(math.exp(s2))}"
                 )
             err = h * abs(0.75 * G1 - 0.25 * G2 - 0.5 * G) / tol
-            h_next = h * min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0.0 else 5.0 * h
+            factor = 0.9 * err ** (-1.0 / 3.0) if err > 0.0 else 5.0
+            h_next = h * ((factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2)
             if err > 1.0:
                 continue  # rejected: retry from the same node with the smaller step
             s, F, G = s2, F + h * (a21 * G1 + a22 * G2), G2

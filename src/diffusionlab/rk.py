@@ -5,7 +5,12 @@ profile) are second-order scalar equations rewritten as (y, y') pairs.
 They are smooth away from the regular singular point at the origin, so a
 classic adaptive 5(4) pair with proportional step control is enough.  The
 stepper works on plain floats rather than numpy arrays: the systems are
-tiny and the per-step array overhead would dominate the run time.
+tiny and the per-step array overhead would dominate the run time.  For the
+same reason a step does little besides the tableau arithmetic: a constant
+step cap is resolved once per call, and the step clipping, the error norm
+and the step-size clamp are plain comparisons instead of builtin min/max
+calls.  Each comparison keeps its builtin's operand order, so the nodes are
+those of the min/max loop bit for bit (tests/test_rk.py holds that loop).
 
 A per-position step cap is supported because several downstream checks
 need the accepted step sequence itself to be a usable sampling grid: the
@@ -18,6 +23,7 @@ with no extra right-hand-side evaluations).
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -65,27 +71,54 @@ def integrate_dp45(
     step.  ``stop`` is checked after each accepted step and, when it
     returns True, integration ends at that point (no error).
 
-    Raises ToleranceError if the step size underflows, i.e. falls below
-    1e-14 of the current position (or of ``first_step`` near x = 0).
+    A constant cap is resolved once, before the loop; only a callable one
+    is called per step.  Each step then does the tableau arithmetic and
+    plain comparisons in place of builtin min/max calls.  Every comparison
+    keeps its builtin's operand order (max(a, b) is b only if b > a, min(a,
+    b) is b only if b < a), so a NaN or a tie picks the same operand and the
+    nodes are those of the min/max loop bit for bit.
+
+    Raises ValueError, before the first RHS call, unless x0 < x_end with
+    both finite, first_step is finite and positive, and a constant max_step
+    is positive: a zero first step at x0 = 0 would accept zero-length steps
+    without end, a NaN x_end would return the start alone, and a NaN cap
+    would be ignored.  Raises ToleranceError if the step size
+    underflows, i.e. falls below 1e-14 of the current position (or of
+    ``first_step`` near x = 0).
     """
     if x_end <= x0:
         raise ValueError("x_end must exceed x0")
+    if not (math.isfinite(x0) and math.isfinite(x_end)):
+        raise ValueError(f"x0 and x_end must be finite, got {x0!r} and {x_end!r}")
+    if not 0.0 < first_step < math.inf:
+        raise ValueError(f"first_step must be finite and positive, got {first_step!r}")
+    step_cap = max_step if callable(max_step) else None
+    if step_cap is None and not max_step > 0.0:
+        raise ValueError(f"max_step must be positive, got {max_step!r}")
+    cap = max_step  # a callable cap replaces it at every step
+    atol_y, atol_z = atol
 
     x, (y, z) = x0, y0
     fy, fz = rhs(x, y, z)
-
-    def cap(xx: float) -> float:
-        return max_step(xx) if callable(max_step) else max_step
-
     h = first_step
 
     xs = [x]
     ys = [y]
     zs = [z]
+    xs_append, ys_append, zs_append = xs.append, ys.append, zs.append
 
     while x < x_end:
-        h = min(h, cap(x), x_end - x)
-        if h < 1e-14 * max(abs(x), first_step):
+        # h = min(h, cap, x_end - x), the builtin's order: the later operand
+        # replaces the current one only if strictly smaller
+        if step_cap is not None:
+            cap = step_cap(x)
+        if cap < h:
+            h = cap
+        rest = x_end - x
+        if rest < h:
+            h = rest
+        ax = abs(x)
+        if h < 1e-14 * (first_step if first_step > ax else ax):
             raise ToleranceError(f"step size underflow at x={x:.6g} (h={h:.3g})")
 
         k1y, k1z = fy, fz
@@ -116,27 +149,32 @@ def integrate_dp45(
 
         ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y + _E7 * k7y)
         ez = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
-        scy = atol[0] + rtol * max(abs(y), abs(y5))
-        scz = atol[1] + rtol * max(abs(z), abs(z5))
+        # scale = atol + rtol * max(|old|, |new|); err = max(err_y, err_z)
+        a, b = abs(y), abs(y5)
+        scy = atol_y + rtol * (b if b > a else a)
+        a, b = abs(z), abs(z5)
+        scz = atol_z + rtol * (b if b > a else a)
         err = 0.0
         if scy > 0.0:
             err = abs(ey) / scy
         if scz > 0.0:
-            err = max(err, abs(ez) / scz)
-        if err != err or err == float("inf"):  # stage blew up; force rejection
-            err = 1e6
+            e = abs(ez) / scz
+            if e > err:
+                err = e
 
         if err <= 1.0:
             x += h
             y, z = y5, z5
             fy, fz = k7y, k7z  # FSAL
-            xs.append(x)
-            ys.append(y)
-            zs.append(z)
+            xs_append(x)
+            ys_append(y)
+            zs_append(z)
             if stop is not None and stop(x, y, z):
                 break
+        elif err != err or err == math.inf:  # stage blew up; force rejection
+            err = 1e6
         factor = 0.9 * (err ** -0.2) if err > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
+        h *= (factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2  # min(5, max(0.2, factor))
 
     return xs, ys, zs
 

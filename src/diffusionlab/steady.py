@@ -121,8 +121,10 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float):
     """
     invp = 1.0 / p
     nm1 = n - 1.0
+    neg_nm1 = -nm1
+    one_minus_p = 1.0 - p
     # Series start: w = b + c r^2 with 2*n*c = -(1/p) b^(1-p).
-    c = -(b ** (1.0 - p)) / (2.0 * n * p)
+    c = -(b ** one_minus_p) / (2.0 * n * p)
     ell = math.sqrt(b / abs(2.0 * c))  # curvature length at the center, sqrt(n p b^p)
     r0 = 1e-6 * ell
     w0, wp0 = b + c * r0 * r0, 2.0 * c * r0
@@ -130,7 +132,7 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float):
 
     def rhs(r, w, wp):
         wc = w if w > 1e-30 else 1e-30
-        return wp, -nm1 / r * wp - invp * wc ** (1.0 - p)
+        return wp, neg_nm1 / r * wp - invp * wc ** one_minus_p
 
     def stop(r, w, wp):
         return w < w_switch
@@ -156,8 +158,7 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float):
     w_floor = W_FLOOR_FRACTION * b
 
     def rhs_inv(q, r, wp):
-        w = w1 - q
-        return -1.0 / wp, (nm1 / r * wp + invp * w ** (1.0 - p)) / wp
+        return -1.0 / wp, (nm1 / r * wp + invp * (w1 - q) ** one_minus_p) / wp
 
     r_last = r1
 

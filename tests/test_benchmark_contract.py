@@ -51,6 +51,13 @@ def test_installed_wraps_and_restores_the_originals(layers):
     assert tracer.counts["pde.evolve_calls"] == 1
     for key in ("pde.solves.n64", "rk.profiles.calls", "rk.steady.calls"):
         assert tracer.counts[key] > 0, key
+    # The unit shot rejects no step, so every RHS call went through the rhs
+    # the wrapper passed: 6 per accepted step and 1 to start each of the two
+    # integrations (outward and inverted).
+    calls, steps, evals = (tracer.counts[f"rk.steady.{key}"]
+                           for key in ("calls", "steps", "rhs_evals"))
+    assert calls == 2
+    assert evals == 6 * steps + calls
     for owner, name, original in originals:
         assert owner.__dict__[name] is original, f"{owner.__name__}.{name}"
 

@@ -240,6 +240,113 @@ def test_tail_scheme_is_third_order():
     assert min(orders) > 2.5, orders
 
 
+def _minmax_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
+    """_integrate_tail with its step controller written with builtin min/max
+    calls: the reference the lean controller must equal bit for bit."""
+    p, alpha, beta = params.p, params.alpha, params.beta
+    ds *= min(1.0, 3.0 * beta / alpha)
+    two_minus_n = 2.0 - n
+    log_floor = math.log(profiles.F_FLOOR)
+    a11, a12, a21, a22 = 5.0 / 12.0, -1.0 / 12.0, 0.75, 0.25
+
+    def stage(s_, F_, G_):
+        arg = 2.0 * s_ - p * F_
+        if F_ < log_floor:
+            raise SingularityError(f"profile hit the positivity floor near {point(math.exp(s_))}")
+        if arg > 700.0:
+            raise SingularityError(
+                f"profile tail left the range of doubles near {point(math.exp(s_), math.exp(F_))}: "
+                f"xi^2 f^(-p) exceeds e^700 (xi range too long)"
+            )
+        if F_ > 700.0:
+            raise SingularityError(f"profile tail diverged near {point(math.exp(s_))}: "
+                                   f"f_1 exceeds e^700")
+        D = math.exp(arg)
+        bracket = beta * G_ + alpha
+        return (two_minus_n * G_ - G_ * G_ - D * bracket,
+                two_minus_n - 2.0 * G_ - D * beta,
+                p * D * bracket)
+
+    def run(s, F, G, h_next, s_ends):
+        xs, fs, fps, out = [], [], [], []
+        s_end, branches = s_ends[-1], s_ends[:-1]
+        k = 0
+        while True:
+            while k < len(branches) and not (s < branches[k] - 1e-14
+                                             and min(h_next, ds) < branches[k] - s):
+                [(bxs, bfs, bfps)] = run(s, F, G, h_next, branches[k:k + 1])
+                out.append((xs + bxs, fs + bfs, fps + bfps))
+                k += 1
+            if not s < s_end - 1e-14:
+                break
+            h = min(h_next, ds, s_end - s)
+            if h < 1e-12:
+                raise SingularityError(f"tail step underflow near {point(math.exp(s))}")
+            s1, s2 = s + h / 3.0, s + h
+            G1 = G2 = G
+            for _ in range(30):
+                F1 = F + h * (a11 * G1 + a12 * G2)
+                F2 = F + h * (a21 * G1 + a22 * G2)
+                g1, g1G, g1F = stage(s1, F1, G1)
+                g2, g2G, g2F = stage(s2, F2, G2)
+                r1 = G1 - G - h * (a11 * g1 + a12 * g2)
+                r2 = G2 - G - h * (a21 * g1 + a22 * g2)
+                hh = h * h
+                j11 = 1.0 - h * a11 * g1G - hh * (a11 * g1F * a11 + a12 * g2F * a21)
+                j12 = -h * a12 * g2G - hh * (a11 * g1F * a12 + a12 * g2F * a22)
+                j21 = -h * a21 * g1G - hh * (a21 * g1F * a11 + a22 * g2F * a21)
+                j22 = 1.0 - h * a22 * g2G - hh * (a21 * g1F * a12 + a22 * g2F * a22)
+                det = j11 * j22 - j12 * j21
+                dG1 = (-r1 * j22 + r2 * j12) / det
+                dG2 = (-r2 * j11 + r1 * j21) / det
+                G1 += dG1
+                G2 += dG2
+                if abs(dG1) <= 1e-13 * (1.0 + abs(G1)) and abs(dG2) <= 1e-13 * (1.0 + abs(G2)):
+                    break
+            else:
+                raise SingularityError(
+                    f"tail continuation did not converge near {point(math.exp(s2))}"
+                )
+            err = h * abs(0.75 * G1 - 0.25 * G2 - 0.5 * G) / tol
+            h_next = h * min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0.0 else 5.0 * h
+            if err > 1.0:
+                continue
+            s, F, G = s2, F + h * (a21 * G1 + a22 * G2), G2
+            xi = math.exp(s)
+            f = math.exp(F)
+            xs.append(xi)
+            fs.append(f)
+            fps.append(G * f / xi)
+        out.append((xs, fs, fps))
+        return out
+
+    return run(math.log(xi_sw), math.log(f_sw), xi_sw * fp_sw / f_sw, h0,
+               [math.log(x) for x in xi_ends])
+
+
+def _family_outcome(p, alpha, amplitudes, n):
+    try:
+        family = integrate_profile_family(p, alpha, amplitudes, 50.0, n=n)
+    except SingularityError as e:
+        return str(e)
+    return [tuple(getattr(prof, name).tobytes() for name in ("xi", "f", "fp")) for prof in family]
+
+
+@pytest.mark.parametrize("p, rel, n, amplitudes", [
+    (1.5, 0.5, 1, [0.5, 1.0, 2.0]), (1.5, 0.25, 3, [1.0]), (2.0, 0.5, 1, [2.0, 1.0, 0.5]),
+    (2.0, 0.25, 2, [1.0]), (3.0, 0.5, 3, [0.5, 1.0, 2.0]), (3.0, 0.25, 1, [1.0, 4.0]),
+    (2.0, 0.99, 1, [1.0]), (3.0, 0.95, 2, [0.5, 1.0]), (1.25, 0.98, 1, [1.0, 2.0]),
+    (4.0, 0.9, 3, [1.0]), (3.0, 0.3, 1, [1e-120, 1.0]),
+])
+def test_lean_tail_controller_equals_the_minmax_one_bit_for_bit(monkeypatch, p, rel, n, amplitudes):
+    # Steep tails (alpha near 1/p) start off the slow manifold, where the
+    # controller rejects and clamps; several amplitudes branch nearer ends off
+    # one run; the last cell leaves the range of doubles.
+    lean = _family_outcome(p, rel / p, amplitudes, n)
+    monkeypatch.setattr(profiles, "_integrate_tail", _minmax_tail)
+    assert lean == _family_outcome(p, rel / p, amplitudes, n)
+
+
 ATLAS = DEFAULTS["profile_atlas"]
 
 
