@@ -72,11 +72,10 @@ def integrate_dp45(
     returns True, integration ends at that point (no error).
 
     A constant cap is resolved once, before the loop; only a callable one
-    is called per step.  Each step then does the tableau arithmetic and
-    plain comparisons in place of builtin min/max calls.  Every comparison
-    keeps its builtin's operand order (max(a, b) is b only if b > a, min(a,
-    b) is b only if b < a), so a NaN or a tie picks the same operand and the
-    nodes are those of the min/max loop bit for bit.
+    is called per step.  Each comparison that stands in for a builtin
+    min/max keeps its operand order (max(a, b) is b only if b > a, min(a, b)
+    is b only if b < a), so a NaN or a tie picks the operand the builtin
+    picks.
 
     Raises ValueError, before the first RHS call, unless x0 < x_end with
     both finite, first_step is finite and positive, and a constant max_step

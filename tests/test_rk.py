@@ -174,20 +174,6 @@ def test_lean_loop_equals_the_minmax_loop_bit_for_bit(s, k, mu, bad, x0, length,
     assert _outcome(integrate_dp45, case) == _outcome(_minmax_dp45, case)
 
 
-def test_a_nan_stage_is_rejected_and_retried():
-    # The y-stage of the second attempt's first new call is NaN: that attempt
-    # is rejected (err forced to 1e6) and the step is retried, shorter.
-    calls = []
-
-    def rhs(x, y, z):
-        calls.append(x)
-        return (math.nan if len(calls) == 8 else z), -y
-
-    xs, _, _ = integrate_dp45(rhs, 0.0, (1.0, 0.0), 1.0, max_step=0.5, first_step=0.1)
-    assert len(calls) > 1 + 6 * (len(xs) - 1)  # one attempt more than accepted steps
-    assert xs[0] == 0.0 and xs[-1] == 1.0
-
-
 ARGS = dict(rhs=lambda x, y, z: (z, -y), x0=0.0, y0=(1.0, 0.0), x_end=1.0, max_step=0.1,
             first_step=0.01)
 
@@ -209,8 +195,9 @@ ARGS = dict(rhs=lambda x, y, z: (z, -y), x0=0.0, y0=(1.0, 0.0), x_end=1.0, max_s
         "first_step_negative", "first_step_nan", "first_step_inf", "max_step_zero",
         "max_step_negative", "max_step_nan"])
 def test_refuses_bad_arguments_before_the_first_step(change, match):
-    # A zero first step at x0 = 0 used to accept zero-length steps without
-    # end; a NaN x_end returned the start alone; a NaN cap was ignored.
+    # Unrefused, a zero first step at x0 = 0 accepts zero-length steps
+    # without end, a NaN x_end returns the start alone and a NaN cap is
+    # ignored.
     calls = []
 
     def rhs(x, y, z):
