@@ -85,6 +85,7 @@ def cmd_evolve(args, out: Path) -> int:
     experiments._check_domain(params)
     run, jsonl = experiments._evolve_from_params(params, datum, norm_qs, out, t_start=args.t_start)
     print(f"evolved to t={args.t_end:g}: {len(run.samples)} samples -> {jsonl}")
+    print(" ".join(f"{key}={value}" for key, value in run.stats.items()))
     if args.snapshots:
         files = pde.snapshots_to_csv(run, out / "snapshots")
         print(f"wrote {len(files)} snapshot CSVs")

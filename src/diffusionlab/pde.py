@@ -17,8 +17,12 @@ tridiagonal Jacobian (`solve_banded`), in place.  The Jacobian is assembled
 in a band buffer that the stepper allocates once, from L u+, (u+)^p and
 dt (u+)^p, which the residual of the same iterate has already computed;
 the residual comes as -F, the right-hand side.  The stepper holds the
-interior state u with its L u and u^p, and the next step's Newton solve
-starts from them.
+interior state u with its L u and u^p, its clock t, and the slopes
+(u_k - u_{k-1}) / dt_k of its last three accepted steps.  From the fourth
+step on, Newton starts from the predictor u + dt Q(t + dt), Q the quadratic
+through those slopes, clipped at eps, whenever its residual is below u's,
+and from u otherwise: that halves the tridiagonal solves of a run and
+leaves its accepted steps as they were.
 
 Backward Euler rather than a second-order one-step scheme: positivity
 robustness near the degenerate boundary layer matters more than formal
@@ -167,6 +171,8 @@ class EvolutionRun:
     r: np.ndarray
     samples: list
     snapshots: list  # (t, u-array) aligned with samples
+    # steps, halvings, newton_solves: deterministic counters, not persisted
+    stats: dict = field(default_factory=dict)
 
     @property
     def times(self) -> np.ndarray:
@@ -240,19 +246,30 @@ def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Stepper:
     """Backward-Euler stepper bound to one grid, owning the interior state.
 
-    It holds u (the nodes off the boundary) with its L u and u^p.  Each
-    Newton iterate x costs one Laplacian L x and one power x^p.  The
+    It holds u (the nodes off the boundary) with its L u and u^p, its clock
+    t, and the slopes s_k = (u_k - u_{k-1}) / dt_k of its last three
+    accepted steps, each tagged with its end time t_k.  A slope is
+    f(u_k) = u_k^p L u_k to the Newton tolerance, so the slopes vary
+    smoothly across step-size changes, while the states jump at every
+    landing step.
+
+    Each Newton iterate x costs one Laplacian L x and one power x^p.  The
     residual computes both, with dt x^p and -F(x), and the Newton matrix at
     x reuses them: its off-diagonal bands are dt x^p times the negated
-    Laplacian coefficients, and -F(x) is its right-hand side.  At a step's
-    first iterate x is u, so -F is dt u^p L u from the held arrays.  Each
-    iteration takes the full Newton step, clipped at the floor, and the step
-    fails unless that lowers the max-norm residual.  An accepted step
-    replaces the three arrays by those of its last iterate; a failed step
-    leaves them as they were.
+    Laplacian coefficients, and -F(x) is its right-hand side.  At u, -F is
+    dt u^p L u from the held arrays.  Once three slopes are held, and u does
+    not already meet the tolerance, the step also tries the predictor
+    y = u + dt Q(t + dt), with Q the quadratic through the three (t_k, s_k),
+    clipped at eps (at the floor when eps = 0), and starts from y only if
+    y's max-norm residual is strictly below u's.  Each iteration takes the
+    full Newton step, clipped at the floor, and the step fails unless that
+    lowers the max-norm residual.  An accepted step replaces the three
+    arrays by those of its last iterate, advances t and adds its slope; a
+    failed step leaves all of them as they were.
     """
 
-    def __init__(self, r: np.ndarray, n: int, p: float, eps: float, u: np.ndarray):
+    def __init__(self, r: np.ndarray, n: int, p: float, eps: float, u: np.ndarray,
+                 t: float = 0.0):
         self.p = p
         self.eps = eps
         a, self.b, c = _laplacian_coeffs(r, n)
@@ -265,6 +282,9 @@ class _Stepper:
         # its unused corners ab[0, 0] and ab[2, -1] stay zero.
         self.ab = np.zeros((3, len(r) - 1))
         self.u, self.lu, self.up = u, self.lap(u), u**p
+        self.t = t
+        self.slopes = []  # (t_k, s_k) of the last three accepted steps, oldest first
+        self.solves = 0  # tridiagonal solves, failed steps' included
 
     def lap(self, u_int: np.ndarray) -> np.ndarray:
         lu = self.b * u_int
@@ -281,19 +301,41 @@ class _Stepper:
         dup = dt * up
         return dup * lu - (u_new - u_old), lu, up, dup
 
+    def predict(self, dt: float) -> np.ndarray:
+        """u + dt Q(t + dt) from the three held slopes, clipped at eps (at
+        the floor when eps = 0).  The Lagrange weights are products of
+        time-difference ratios, so they do not change when all times are
+        scaled by a power of two."""
+        (ta, sa), (tb, sb), (tc, sc) = self.slopes
+        t_new = self.t + dt
+        y = sa * (dt * ((t_new - tb) / (ta - tb) * ((t_new - tc) / (ta - tc))))
+        y += sb * (dt * ((t_new - ta) / (tb - ta) * ((t_new - tc) / (tb - tc))))
+        y += sc * (dt * ((t_new - ta) / (tc - ta) * ((t_new - tb) / (tc - tb))))
+        y += self.u
+        return np.maximum(y, self.eps if self.eps > 0.0 else self.floor, out=y)
+
     def step(self, dt: float) -> int:
-        """One backward-Euler step of the held state; returns the Newton
-        iterations.  Raises NewtonDivergence, keeping the state, on a singular
+        """One backward-Euler step of the held state from t to t + dt;
+        returns the Newton iterations.  Newton starts from the predictor
+        when that has the smaller residual, else from u.  Raises
+        NewtonDivergence, keeping the state, clock and slopes, on a singular
         or non-finite matrix, no descent, or MAX_NEWTON iterations."""
         p, ab = self.p, self.ab
         u_old, lu, xp = self.u, self.lu, self.up
         scale = max(float(u_old.max()), self.eps, 1e-30)
         tol = NEWTON_TOL * scale
-        # the first iterate is u_old itself, which nothing writes into: each
-        # later iterate is a fresh array, clipped in place
+        # the first iterate is u_old or the predictor, which nothing writes
+        # into: each later iterate is a fresh array, clipped in place
         x, dxp = u_old, dt * xp
         nres = dxp * lu  # -F(u_old)
         rnorm = float(np.abs(nres).max())
+        if len(self.slopes) == 3 and not rnorm < tol:
+            y = self.predict(dt)
+            y_res = self.residual(y, u_old, dt)
+            y_norm = float(np.abs(y_res[0]).max())
+            if y_norm < rnorm:
+                x, rnorm = y, y_norm
+                nres, lu, xp, dxp = y_res
         for it in range(MAX_NEWTON + 1):
             if rnorm < tol:
                 break
@@ -305,6 +347,7 @@ class _Stepper:
             diag *= dt
             np.subtract(1.0, diag, out=ab[1])
             np.multiply(dxp[1:], self.neg_a_low, out=ab[2, :-1])
+            self.solves += 1
             try:
                 delta = solve_banded((1, 1), ab, nres)  # in place: nres is delta
             except np.linalg.LinAlgError:
@@ -318,6 +361,9 @@ class _Stepper:
             if not rn < rnorm:  # also when rn is NaN or infinite
                 raise NewtonDivergence(f"no descent at iteration {it} (res={rnorm:.3g})")
             rnorm = rn
+        self.t += dt
+        self.slopes.append((self.t, (x - u_old) / dt))
+        del self.slopes[:-3]
         self.u, self.lu, self.up = x, lu, xp
         return it
 
@@ -382,7 +428,7 @@ def evolve(
         raise DomainError("initial state must be positive off the boundary")
     u0_sup = float(np.max(u))
 
-    stepper = _Stepper(r, n, p, eps, u[:-1])
+    stepper = _Stepper(r, n, p, eps, u[:-1], t_start)
     inner_mask = r <= inner
 
     def record(t, u_full, semiconv):
@@ -411,6 +457,7 @@ def evolve(
     dt = dt_init
     t_floor = 100.0 * dt_init
     dt_min = 1e-14 * max(t_end, 1.0)
+    steps = halvings = 0
     for t_next in targets:
         while t < t_next * (1.0 - 1e-12):
             dt = min(dt, cfg.dt_rel_max * max(t, t_floor), t_next - t)
@@ -418,12 +465,14 @@ def evolve(
             try:
                 iters = stepper.step(dt)
             except NewtonDivergence as exc:
+                halvings += 1
                 dt *= 0.5
                 if dt < dt_min:
                     raise StepTooSmall(f"dt underflow at t={t:.6g}: no step down to "
                                        f"dt_min = {dt_min:.3g} converged (last: {exc})") from exc
                 continue
-            t += dt
+            t = stepper.t  # advanced by dt
+            steps += 1
             dt_used = dt
             if iters <= 5:
                 dt *= DT_GROWTH
@@ -432,7 +481,9 @@ def evolve(
         semiconv = float(np.min(log_ratio + 1.0 / (p * t)))
         record(t, np.concatenate((stepper.u, [eps])), semiconv)
 
-    return EvolutionRun(p=p, n=n, R=R, eps=eps, r=r, samples=samples, snapshots=snapshots)
+    stats = {"steps": steps, "halvings": halvings, "newton_solves": stepper.solves}
+    return EvolutionRun(p=p, n=n, R=R, eps=eps, r=r, samples=samples, snapshots=snapshots,
+                        stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,9 @@ def integrate_dp45(
     is called per step.  Each comparison that stands in for a builtin
     min/max keeps its operand order (max(a, b) is b only if b > a, min(a, b)
     is b only if b < a), so a NaN or a tie picks the operand the builtin
-    picks.
+    picks.  The one departure from the builtins: a step is rejected when
+    its new point or its error estimate is NaN or infinite in either
+    component, so no non-finite node or derivative is ever accepted.
 
     Raises ValueError, before the first RHS call, unless x0 < x_end with
     both finite, first_step is finite and positive, and a constant max_step
@@ -160,6 +162,10 @@ def integrate_dp45(
             e = abs(ez) / scz
             if e > err:
                 err = e
+        # a NaN or infinite new point or error rejects the step, also where
+        # its scale is 0 or its ratio loses to the other component's
+        if y5 - y5 + z5 - z5 + ey - ey + ez - ez != 0.0:
+            err = math.nan
 
         if err <= 1.0:
             x += h

@@ -508,6 +508,9 @@ class TestCli:
              "--n-nodes", "128"]
         )
         assert rc == 0
+        # the run's counters, on one line after the samples line
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"steps=\d+ halvings=0 newton_solves=\d+", lines[1]), lines
         series = tmp_path / "run.jsonl"
         assert series.exists()
         rc = cli_main(

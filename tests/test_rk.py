@@ -17,7 +17,9 @@ from diffusionlab.rk import (
 def _minmax_dp45(rhs, x0, y0, x_end, *, max_step, first_step, rtol=1e-10, atol=(0.0, 0.0),
                  stop=None):
     """The loop as it was written with builtin min/max calls and a per-step
-    cap lookup: the reference the lean loop must equal bit for bit."""
+    cap lookup, and with a step rejected when its new point or its error
+    estimate is not finite: the reference the lean loop must equal bit for
+    bit."""
     if x_end <= x0:
         raise ValueError("x_end must exceed x0")
 
@@ -73,6 +75,8 @@ def _minmax_dp45(rhs, x0, y0, x_end, *, max_step, first_step, rtol=1e-10, atol=(
             err = abs(ey) / scy
         if scz > 0.0:
             err = max(err, abs(ez) / scz)
+        if not all(math.isfinite(v) for v in (y5, z5, ey, ez)):
+            err = math.nan
         if err != err or err == float("inf"):  # stage blew up; force rejection
             err = 1e6
 
@@ -159,8 +163,7 @@ _ATOL = st.sampled_from([(0.0, 0.0), (1e-9, 0.0), (0.0, 1e-9), (1e-9, 1e-6)])
 # a NaN y-stage with a finite z error: rejected only because max(err, e) keeps the NaN err
 @example(s=1.0, k=0.0, mu=1.0, bad=(9, 0, math.nan), x0=0.0, length=1.0, y0=(1.0, 1.0),
          rtol=1e-6, atol=(0.0, 0.0), first_step=0.1, cap="constant", c=0.5, stop=None)
-# a NaN z-stage with a finite y error: max(err, NaN) keeps the finite err, so
-# the step is accepted and z is NaN from there on
+# a NaN z-stage with a finite y error: the NaN z error rejects the step
 @example(s=0.0, k=1.0, mu=1.0, bad=(9, 1, math.nan), x0=0.0, length=1.0, y0=(1.0, 1.0),
          rtol=1e-6, atol=(0.0, 0.0), first_step=0.1, cap="constant", c=0.5, stop="y")
 # NaN caps and stiff rejections; an underflow
@@ -212,3 +215,41 @@ def test_refuses_bad_arguments_before_the_first_step(change, match):
 def test_an_infinite_cap_leaves_the_steps_to_the_controller():
     xs, _, _ = integrate_dp45(**{**ARGS, "max_step": math.inf})
     assert xs[-1] == 1.0 and len(xs) > 2
+
+
+@pytest.mark.parametrize("call, component, y0", [
+    (9, 1, (1.0, 1.0)), (7, 1, (1.0, 1.0)), (9, 0, (0.0, 1.0)), (9, 1, (1.0, 0.0)),
+    (7, 0, (0.0, 1.0)),
+], ids=["z_stage", "z_at_the_new_point", "y_at_zero_scale", "z_at_zero_scale",
+        "y_at_the_new_point_at_zero_scale"])
+def test_a_step_with_a_non_finite_stage_is_rejected(call, component, y0):
+    # y' = -y, z' = -z with one NaN derivative.  Such a step was once
+    # accepted when a NaN z error lost to a finite y error, or when a NaN
+    # new point went unchecked because its scale atol + rtol max(|old|,
+    # |new|) is 0 (the component starts at 0); the first case returned 6
+    # nodes, the last 4 NaN.  Call 7 is the first step's derivative at its
+    # new point: only the error is NaN, and an accepted step would carry it
+    # into the next (at zero scale that ended in a ToleranceError).
+    # Rejected, the step is retried, and every node is finite.
+    calls = []
+
+    def rhs(x, y, z):
+        calls.append(x)
+        out = [-y, -z]
+        if len(calls) == call:
+            out[component] = math.nan
+        return out[0], out[1]
+
+    xs, ys, zs = integrate_dp45(rhs, 0.0, y0, 1.0, max_step=0.5, first_step=0.1, rtol=1e-6)
+    assert xs[-1] == 1.0
+    assert all(math.isfinite(v) for v in ys + zs)
+
+
+def test_a_step_whose_new_point_overflows_is_rejected():
+    # Finite stages, but y + h y' passes the largest double: the scale is
+    # infinite, so the error ratio is 0 and only the new point's own check
+    # rejects the step.  The retries shrink the step until it underflows,
+    # where y reaches the largest double.
+    with pytest.raises(ToleranceError, match=r"step size underflow at x=0\.797693 "):
+        integrate_dp45(lambda x, y, z: (1e308, 0.0), 0.0, (1e308, 1.0), 0.95,
+                       max_step=0.1, first_step=0.1)
