@@ -21,8 +21,8 @@ interior state u with its L u and u^p, its clock t, and the slopes
 (u_k - u_{k-1}) / dt_k of its last three accepted steps.  From the fourth
 step on, Newton starts from the predictor u + dt Q(t + dt), Q the quadratic
 through those slopes, clipped at eps, whenever its residual is below u's,
-and from u otherwise: that halves the tridiagonal solves of a run and
-leaves its accepted steps as they were.
+and from u otherwise.  On the default set-ups that halves the tridiagonal
+solves of a run and leaves its accepted steps as they were.
 
 Backward Euler rather than a second-order one-step scheme: positivity
 robustness near the degenerate boundary layer matters more than formal
