@@ -192,32 +192,27 @@ class SolverConfig:
     datum_mode: str = "max"  # "max": u0 v eps; "add": u0 + eps (ladder runs)
 
 
-def _laplacian_coeffs(r: np.ndarray, n: int):
-    """Tridiagonal coefficients (a, b, c) of u'' + (n-1)/r u' for the nodes
-    0..N-2 (node N-1 is the Dirichlet boundary); a[0] is unused.  Raises
-    DomainError when the spacing is so fine that a coefficient is not finite,
-    or so coarse that h^2 overflows and the diagonal is not negative."""
-    N = len(r)
-    a = np.zeros(N - 1)
-    b = np.zeros(N - 1)
-    c = np.zeros(N - 1)
-    h0 = r[1] - r[0]
+def _laplacian_coeffs(n: int, N: int, h: float):
+    """Tridiagonal coefficients (a, b, c) of u'' + (n-1)/r u' at the nodes
+    r_i = i h, i = 0..N-2, of the uniform grid of N nodes with spacing h
+    (node N-1 is the Dirichlet boundary): a_i = (1 - (n-1)/(2i)) / h^2,
+    b_i = -2 / h^2 and c_i = (1 + (n-1)/(2i)) / h^2, with the symmetry
+    closure b_0 = -2n / h^2, c_0 = 2n / h^2 (Lap u(0) = n u''(0), u'(0) = 0);
+    a[0] is unused.  Raises DomainError when h is so fine that the largest
+    coefficient, 2n / h^2, is not finite, or so coarse that h^2 overflows
+    and the diagonal is not negative."""
     with np.errstate(all="ignore"):
-        # symmetry closure: Lap u(0) = n u''(0) with u'(0) = 0
-        b[0] = -2.0 * n / h0**2
-        c[0] = 2.0 * n / h0**2
-        hm = r[1:-1] - r[:-2]
-        hp = r[2:] - r[1:-1]
-        fac = n - 1.0
-        rin = r[1:-1]
-        a[1:] = 2.0 / (hm * (hm + hp)) - fac / rin * hp / (hm * (hm + hp))
-        b[1:] = -2.0 / (hm * hp) + fac / rin * (hp - hm) / (hm * hp)
-        c[1:] = 2.0 / (hp * (hm + hp)) + fac / rin * hm / (hp * (hm + hp))
-    grid = f"grid of N = {N} nodes on [0, R = {r[-1]:g}] has spacing {h0:.3g}, "
-    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+        inv_h2 = 1.0 / np.float64(h) ** 2
+        c0 = 2.0 * n * inv_h2
+    grid = f"grid of N = {N} nodes on [0, R = {(N - 1) * h:g}] has spacing {h:.3g}, "
+    if not c0 < math.inf:
         raise DomainError(grid + "too fine for finite Laplacian coefficients")
-    if not (b < 0.0).all():
+    if not inv_h2 > 0.0:
         raise DomainError(grid + "too coarse for a negative Laplacian diagonal")
+    k = (n - 1.0) / (2.0 * np.arange(1, N - 1))
+    a = np.concatenate(([0.0], (1.0 - k) * inv_h2))
+    b = np.concatenate(([-c0], np.full(N - 2, -2.0 * inv_h2)))
+    c = np.concatenate(([c0], (1.0 + k) * inv_h2))
     return a, b, c
 
 
@@ -272,11 +267,10 @@ class _Stepper:
                  t: float = 0.0):
         self.p = p
         self.eps = eps
-        a, self.b, c = _laplacian_coeffs(r, n)
-        # the off-diagonal coefficients as the Laplacian uses them, and
-        # negated as the Newton matrix's bands use them
-        self.a_low, self.c_up, self.c_eps = a[1:], c[:-1], c[-1] * eps
-        self.neg_a_low, self.neg_c_up = -self.a_low, -self.c_up
+        a, self.b, c = _laplacian_coeffs(n, len(r), r[1] - r[0])
+        # the off-diagonal coefficients negated, as the Newton matrix's
+        # bands use them; lap subtracts them
+        self.neg_a_low, self.neg_c_up, self.c_eps = -a[1:], -c[:-1], c[-1] * eps
         self.floor = 0.5 * eps if eps > 0.0 else 1e-300
         # Newton matrix in (1, 1) banded storage, refilled at every iteration;
         # its unused corners ab[0, 0] and ab[2, -1] stay zero.
@@ -288,9 +282,9 @@ class _Stepper:
 
     def lap(self, u_int: np.ndarray) -> np.ndarray:
         lu = self.b * u_int
-        lu[:-1] += self.c_up * u_int[1:]
+        lu[:-1] -= self.neg_c_up * u_int[1:]
         lu[-1] += self.c_eps
-        lu[1:] += self.a_low * u_int[:-1]
+        lu[1:] -= self.neg_a_low * u_int[:-1]
         return lu
 
     def residual(self, u_new, u_old, dt):
@@ -415,6 +409,10 @@ def evolve(
         raise DomainError(f"dt_rel_max must be finite and positive, got {cfg.dt_rel_max!r}")
     if cfg.inner_radius is not None and not cfg.inner_radius >= 0.0:
         raise DomainError(f"inner_radius must be nonnegative, got {cfg.inner_radius!r}")
+    if cfg.datum_mode not in ("max", "add"):
+        raise DomainError(f"datum_mode must be 'max' or 'add', got {cfg.datum_mode!r}")
+    if not isinstance(cfg.n_nodes, (int, np.integer)):
+        raise DomainError(f"n_nodes must be an integer, got {cfg.n_nodes!r}")
     dt_init = 1e-7 * (t_end - t_start)
     inner = cfg.inner_radius if cfg.inner_radius is not None else R / 4.0
 
@@ -453,14 +451,13 @@ def evolve(
     record(t_start, u, None)
 
     targets = _sample_times(t_start, t_end)
-    t = t_start
     dt = dt_init
     t_floor = 100.0 * dt_init
     dt_min = 1e-14 * max(t_end, 1.0)
     steps = halvings = 0
     for t_next in targets:
-        while t < t_next * (1.0 - 1e-12):
-            dt = min(dt, cfg.dt_rel_max * max(t, t_floor), t_next - t)
+        while stepper.t < t_next * (1.0 - 1e-12):
+            dt = min(dt, cfg.dt_rel_max * max(stepper.t, t_floor), t_next - stepper.t)
             u_prev = stepper.u
             try:
                 iters = stepper.step(dt)
@@ -468,18 +465,17 @@ def evolve(
                 halvings += 1
                 dt *= 0.5
                 if dt < dt_min:
-                    raise StepTooSmall(f"dt underflow at t={t:.6g}: no step down to "
+                    raise StepTooSmall(f"dt underflow at t={stepper.t:.6g}: no step down to "
                                        f"dt_min = {dt_min:.3g} converged (last: {exc})") from exc
                 continue
-            t = stepper.t  # advanced by dt
             steps += 1
             dt_used = dt
             if iters <= 5:
                 dt *= DT_GROWTH
         # landed on the sample time; semi-convexity from the landing step
         log_ratio = np.log(stepper.u / u_prev) / dt_used
-        semiconv = float(np.min(log_ratio + 1.0 / (p * t)))
-        record(t, np.concatenate((stepper.u, [eps])), semiconv)
+        semiconv = float(np.min(log_ratio + 1.0 / (p * stepper.t)))
+        record(stepper.t, np.concatenate((stepper.u, [eps])), semiconv)
 
     stats = {"steps": steps, "halvings": halvings, "newton_solves": stepper.solves}
     return EvolutionRun(p=p, n=n, R=R, eps=eps, r=r, samples=samples, snapshots=snapshots,
@@ -562,6 +558,9 @@ def separated_subsolution(
         raise DomainError("need gamma > 0, C0 > 0, tau0 > 0")
     if unit is None:
         unit = shoot_unit_profile(p, n)
+    elif (unit.p, unit.n, unit.R) != (p, n, 1.0):
+        raise DomainError(f"unit profile is for p={unit.p:g}, n={unit.n}, R={unit.R:g}, "
+                          f"not p={p:g}, n={n}, R=1")
     R = math.exp(tau0 / (p * gamma + 2.0))
     c1 = unit.center_value  # sup of the unit profile (radially nonincreasing)
     delta = C0 / (2.0**gamma * c1) * R ** (-gamma - 2.0 / p)

@@ -85,7 +85,9 @@ def integrate_dp45(
     without end, a NaN x_end would return the start alone, and a NaN cap
     would be ignored.  Raises ToleranceError if the step size
     underflows, i.e. falls below 1e-14 of the current position (or of
-    ``first_step`` near x = 0).
+    ``first_step`` near x = 0), except where what is left of the interval
+    is itself below that bound: then the last node is moved onto x_end
+    (ten steps of 0.1 end at 0.9999999999999999, not at 1).
     """
     if x_end <= x0:
         raise ValueError("x_end must exceed x0")
@@ -119,7 +121,11 @@ def integrate_dp45(
         if rest < h:
             h = rest
         ax = abs(x)
-        if h < 1e-14 * (first_step if first_step > ax else ax):
+        tiny = 1e-14 * (first_step if first_step > ax else ax)
+        if h < tiny:
+            if rest < tiny and x > x0:  # the steps reached x_end up to rounding
+                xs[-1] = x_end
+                break
             raise ToleranceError(f"step size underflow at x={x:.6g} (h={h:.3g})")
 
         k1y, k1z = fy, fz

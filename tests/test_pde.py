@@ -126,6 +126,8 @@ def _datum(fn):
     ({"dt_rel_max": math.nan}, {}),
     ({"dt_rel_max": math.inf}, {}),
     ({"inner_radius": -1.0}, {}),
+    ({"datum_mode": "ad"}, {}),
+    ({"n_nodes": 64.5}, {}),
     ({}, {"t_start": -2.0}),
     ({}, {"t_start": 10.0}),
     ({}, {"t_end": math.inf}),
@@ -146,17 +148,20 @@ def test_evolve_rejects_bad_settings(monkeypatch, cfg, kwargs):
 
     monkeypatch.setattr(pde._Stepper, "step", no_step)  # an unchecked t_end = inf never ends
     args = dict(u0=InitialDatum.algebraic(2.0), p=2.0, n=1, R=20.0, eps=1e-3, t_end=10.0,
-                config=SolverConfig(n_nodes=64, **cfg))
+                config=SolverConfig(**{"n_nodes": 64, **cfg}))
     with pytest.raises(DomainError):
         evolve(**{**args, **kwargs})
 
 
 # The spacing R/31 squares to 0 at R = 1e-200, so 1/h^2 is infinite, and to
 # inf at R = 1e300, so every coefficient is 0 and nothing would evolve (the
-# Gaussian datum is exactly 0 where r^2 = inf).
+# Gaussian datum is exactly 0 where r^2 = inf).  At R = 3.1e-153, 1/h^2 is
+# 1e308, finite, but the closure coefficient 2n/h^2 is not.
 BAD_GRIDS = {
     "fine": (1e-200, "grid of N = 32 nodes on [0, R = 1e-200] has spacing 3.23e-202, "
                      "too fine for finite Laplacian coefficients"),
+    "fine_closure": (3.1e-153, "grid of N = 32 nodes on [0, R = 3.1e-153] has spacing 1e-154, "
+                               "too fine for finite Laplacian coefficients"),
     "coarse": (1e300, "grid of N = 32 nodes on [0, R = 1e+300] has spacing 3.23e+298, "
                       "too coarse for a negative Laplacian diagonal"),
 }
@@ -167,6 +172,27 @@ def test_evolve_refuses_a_grid_without_usable_laplacian_coefficients(R, message)
     with pytest.raises(DomainError, match=re.escape(message)):
         evolve(InitialDatum.gaussian(2.0), p=2.0, n=1, R=R, eps=1e-3, t_end=10.0,
                config=SolverConfig(n_nodes=32))
+    with pytest.raises(DomainError, match=re.escape(message)):
+        pde._laplacian_coeffs(1, 32, R / 31)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [16, 257, 4000])
+@pytest.mark.parametrize("R", [1.0, 20.0, 100.0])
+def test_laplacian_coeffs_are_the_uniform_stencil_bit_for_bit(n, N, R):
+    # u'' + (n-1)/r u' at r_i = i h by central differences, and the closure
+    # n u''(0) at r = 0, each node written out in Python floats.
+    h = R / (N - 1)
+    inv_h2 = 1 / h**2
+    a, b, c = pde._laplacian_coeffs(n, N, h)
+    assert a[0] == 0.0 and b[0] == -2 * n * inv_h2 and c[0] == 2 * n * inv_h2
+    for i in range(1, N - 1):
+        assert a[i] == (1 - (n - 1) / (2 * i)) * inv_h2
+        assert b[i] == -2 * inv_h2
+        assert c[i] == (1 + (n - 1) / (2 * i)) * inv_h2
+    # halving R halves h exactly, so every coefficient grows by exactly 4
+    for half, full in zip(pde._laplacian_coeffs(n, N, (R / 2) / (N - 1)), (a, b, c)):
+        np.testing.assert_array_equal(half, 4.0 * full)
 
 
 # Scale covariance: if u solves u_t = u^p Lap(u), so does lam u(mu x, lam^p mu^2 t).
@@ -762,6 +788,7 @@ def _textbook_step(stepper, dt):
     Newton step, clipped at the floor, kept only if it lowers |F|."""
     p, ab = stepper.p, np.zeros_like(stepper.ab)
     u_old, lu, xp = stepper.u, stepper.lu, stepper.up
+    a_low, c_up = -stepper.neg_a_low, -stepper.neg_c_up  # the Laplacian's off-diagonals
 
     def residual(u_new):
         lu_new = stepper.lap(u_new)
@@ -778,12 +805,12 @@ def _textbook_step(stepper, dt):
         if it == pde.MAX_NEWTON:
             raise NewtonDivergence(f"Newton stalled at residual {rnorm:.3g} (tol {tol:.3g})")
         mdx = -dt * xp
-        np.multiply(mdx[:-1], stepper.c_up, out=ab[0, 1:])
+        np.multiply(mdx[:-1], c_up, out=ab[0, 1:])
         diag = p * x ** (p - 1.0) * lu
         diag += xp * stepper.b
         diag *= dt
         np.subtract(1.0, diag, out=ab[1])
-        np.multiply(mdx[1:], stepper.a_low, out=ab[2, :-1])
+        np.multiply(mdx[1:], a_low, out=ab[2, :-1])
         try:
             delta = scipy_solve_banded((1, 1), ab, -res)
         except np.linalg.LinAlgError:
@@ -960,6 +987,19 @@ class TestSeparatedSubsolution:
             separated_subsolution(2.0, 1, -1.0, 1.0, 1.0, unit=unit)
         with pytest.raises(DomainError):
             separated_subsolution(2.0, 1, 2.0, 1.0, 0.0, unit=unit)
+
+    @pytest.mark.parametrize("p, n", [(3.0, 1), (2.0, 2), (3.0, 2)])
+    def test_rejects_a_unit_profile_of_other_exponents(self, unit, p, n):
+        # subsolution_margin would scale the p = 2, n = 1 unit profile by
+        # R^(2/p) of the other p
+        with pytest.raises(DomainError, match="unit profile is for p=2, n=1, R=1, "):
+            separated_subsolution(p, n, 2.0, 1.0, 1.0, unit=unit)
+
+    def test_rejects_a_profile_off_the_unit_ball(self, unit):
+        # c1 would be the center value of w_2, and the margin would read the
+        # spline of w_2 at r / R as if it were w_1's
+        with pytest.raises(DomainError, match="unit profile is for p=2, n=1, R=2, "):
+            separated_subsolution(2.0, 1, 2.0, 1.0, 1.0, unit=steady.scale_profile(unit, 2.0))
 
 
 def test_comparison_sandwich_short():

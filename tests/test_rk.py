@@ -17,9 +17,10 @@ from diffusionlab.rk import (
 def _minmax_dp45(rhs, x0, y0, x_end, *, max_step, first_step, rtol=1e-10, atol=(0.0, 0.0),
                  stop=None):
     """The loop as it was written with builtin min/max calls and a per-step
-    cap lookup, and with a step rejected when its new point or its error
-    estimate is not finite: the reference the lean loop must equal bit for
-    bit."""
+    cap lookup, with a step rejected when its new point or its error
+    estimate is not finite, and with the last node moved onto x_end when
+    what is left is below the underflow bound: the reference the lean loop
+    must equal bit for bit."""
     if x_end <= x0:
         raise ValueError("x_end must exceed x0")
 
@@ -38,6 +39,9 @@ def _minmax_dp45(rhs, x0, y0, x_end, *, max_step, first_step, rtol=1e-10, atol=(
     while x < x_end:
         h = min(h, cap(x), x_end - x)
         if h < 1e-14 * max(abs(x), first_step):
+            if x_end - x < 1e-14 * max(abs(x), first_step) and x > x0:
+                xs[-1] = x_end
+                break
             raise ToleranceError(f"step size underflow at x={x:.6g} (h={h:.3g})")
 
         k1y, k1z = fy, fz
@@ -210,6 +214,27 @@ def test_refuses_bad_arguments_before_the_first_step(change, match):
     with pytest.raises(ValueError, match=match):
         integrate_dp45(**{**ARGS, "rhs": rhs, **change})
     assert not calls
+
+
+@pytest.mark.parametrize("cap", [0.1, 0.05, 0.01])
+def test_cap_steps_that_sum_to_x_end_up_to_rounding_land_on_it(cap):
+    # Ten steps of 0.1 end at 0.9999999999999999; the 1.1e-16 left is below
+    # the underflow bound, so the last node is moved onto x_end instead of
+    # raising "step size underflow at x=1".  Steps of 0.05 and 0.01 land
+    # exactly.
+    xs, ys, zs = integrate_dp45(lambda x, y, z: (z, -y), 0.0, (1.0, 0.0), 1.0,
+                                max_step=cap, first_step=cap, rtol=1e-6)
+    assert len(xs) == round(1.0 / cap) + 1
+    assert xs[-1] == 1.0 and all(a < b for a, b in zip(xs, xs[1:]))
+    assert ys[-1] == pytest.approx(math.cos(1.0), abs=1e-8)
+    assert zs[-1] == pytest.approx(-math.sin(1.0), abs=1e-8)
+
+
+def test_an_underflow_at_the_start_is_still_refused():
+    # Nothing was accepted, so there is no node to move onto x_end.
+    with pytest.raises(ToleranceError, match="step size underflow at x=1 "):
+        integrate_dp45(lambda x, y, z: (z, -y), 1.0, (1.0, 0.0), 1.0 + 4e-16,
+                       max_step=0.1, first_step=0.1)
 
 
 def test_an_infinite_cap_leaves_the_steps_to_the_controller():
