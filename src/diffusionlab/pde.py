@@ -202,7 +202,7 @@ def _laplacian_coeffs(n: int, N: int, h: float):
     coefficient, 2n / h^2, is not finite, or so coarse that h^2 overflows
     and the diagonal is not negative."""
     with np.errstate(all="ignore"):
-        inv_h2 = 1.0 / np.float64(h) ** 2
+        inv_h2 = 1.0 / np.float64(h) ** 2  # a Python float's ** raises on overflow
         c0 = 2.0 * n * inv_h2
     grid = f"grid of N = {N} nodes on [0, R = {(N - 1) * h:g}] has spacing {h:.3g}, "
     if not c0 < math.inf:
