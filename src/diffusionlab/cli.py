@@ -38,11 +38,11 @@ def _parse_datum(spec: str) -> pde.InitialDatum:
         if kind == "table":
             data = np.loadtxt(rest, delimiter=",", skiprows=1, ndmin=2)
             if data.shape[1] < 2:
-                raise DomainError(f"datum spec '{spec}': the table needs two columns r,u")
+                raise ValueError("the table needs two columns r,u")
             return pde.InitialDatum.table(data[:, 0], data[:, 1], description=rest)
     except KeyError as exc:
         raise DomainError(f"datum spec '{spec}' lacks {exc.args[0]}=<number>") from None
-    except ValueError as exc:
+    except (ValueError, DomainError) as exc:  # a table's refusal too
         raise DomainError(f"datum spec '{spec}': {exc}") from None
     except OSError as exc:
         raise DomainError(f"datum spec '{spec}': cannot read ({exc.strerror or exc})") from None

@@ -45,11 +45,10 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg.lapack import dgtsv
-from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, NewtonDivergence, StepTooSmall
+from .rk import HermiteSpline, pchip_slopes
 from .steady import SteadyProfile, shoot_unit_profile
 
 # Step-size ramp after an easy step (at most 5 Newton iterations).
@@ -65,8 +64,8 @@ TAPER_START = 0.8
 
 
 def sphere_area(n: int) -> float:
-    """Surface area of the unit sphere in R^n: n pi^(n/2) / Gamma(n/2 + 1)."""
-    return n * math.pi ** (n / 2.0) / gamma_fn(n / 2.0 + 1.0)
+    """Surface area of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def build_grid(R: float, N: int) -> np.ndarray:
@@ -109,11 +108,17 @@ class InitialDatum:
 
     @classmethod
     def table(cls, r: np.ndarray, values: np.ndarray, description: str = "table") -> "InitialDatum":
-        """Tabulated datum with monotone-cubic interpolation."""
-        if np.any(np.asarray(values) <= 0.0):
-            raise DomainError("tabulated datum must be positive")
-        interp = PchipInterpolator(r, values, extrapolate=False)
-        return cls(description=description, fn=lambda x: interp(x))
+        """Tabulated datum, monotone-cubic (PCHIP) on [r[0], r[-1]], NaN outside."""
+        r, values = np.asarray(r, dtype=float), np.asarray(values, dtype=float)
+        if r.ndim != 1 or r.shape != values.shape:
+            raise DomainError(f"table needs r, values of one length, got {r.shape}, {values.shape}")
+        if r.size < 2:
+            raise DomainError("table needs at least two points")
+        if not (np.all(np.isfinite(r)) and np.all(np.diff(r) > 0.0)):
+            raise DomainError("table r must be finite and strictly ascending")
+        if not np.all((values > 0.0) & (values < math.inf)):
+            raise DomainError("tabulated datum must be positive and finite")
+        return cls(description=description, fn=HermiteSpline(r, values, pchip_slopes(r, values)))
 
     def tapered(self, R: float) -> "InitialDatum":
         """Multiply by a smooth cutoff that is 1 on [0, TAPER_START*R] and reaches 0
@@ -573,15 +578,16 @@ def subsolution_margin(vrun: RescaledRun, sub: SeparatedSubsolution, tau: float)
     """min over B_R(sub) of v(., tau) - y(tau) w_R; >= 0 when the run
     dominates the separated subsolution (relative to its sup).
 
-    w_R(r) is evaluated as R^(2/p) w_1(min(r/R, 1)) through the unit
-    profile's spline, which is built once for all checkpoints."""
-    i = int(np.argmin(np.abs(vrun.taus - tau)))
+    w_R(r) is evaluated as R^(2/p) w_1(r/R) through the unit profile's
+    spline, which is built once for all checkpoints.  The run's grid is
+    ascending, so B_R is its first k nodes, and r <= R gives r/R <= 1."""
+    i = int(np.abs(vrun.taus - tau).argmin())
     tau_actual, v = vrun.snapshots[i]
-    mask = vrun.r <= sub.R
+    k = int(np.searchsorted(vrun.r, sub.R, side="right"))
     amp = sub.R ** (2.0 / sub.unit.p)  # R^(2/p) as steady.scale_profile computes it
-    wvals = amp * sub.unit.interpolant()(np.minimum(vrun.r[mask] / sub.R, 1.0))
+    wvals = amp * sub.unit.interpolant()(vrun.r[:k] / sub.R)
     lower = sub.y(tau_actual) * wvals
-    return float(np.min(v[mask] - lower) / np.max(lower))
+    return float((v[:k] - lower).min() / lower.max())
 
 
 def supersolution_margin(run: EvolutionRun, params, profile, shift: float = 1.0) -> float:
@@ -593,7 +599,8 @@ def supersolution_margin(run: EvolutionRun, params, profile, shift: float = 1.0)
     worst = -math.inf
     for t, u in run.snapshots:
         ubar = eval_self_similar(params, profile, run.r, t + shift)
-        worst = max(worst, float(np.max((u - ubar) / np.max(ubar))))
+        # max((u - ubar) / s) = max(u - ubar) / s bit for bit: dividing by s > 0 is monotone
+        worst = max(worst, float((u - ubar).max() / ubar.max()))
     return worst
 
 

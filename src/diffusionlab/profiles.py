@@ -34,11 +34,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainError, RangeError, SingularityError, ToleranceError, WindowError
 from .rates import fit_decay
-from .rk import first_integral_residual, first_nonmonotone_interval, integrate_dp45
+from .rk import HermiteSpline, first_integral_residual, first_nonmonotone_interval, integrate_dp45
 
 # Positivity floor of the profile integration: below it f is treated as zero.
 F_FLOOR = 1e-250
@@ -105,13 +104,13 @@ class Profile:
     f: np.ndarray
     fp: np.ndarray
     meta: dict = field(default_factory=dict, compare=False)
-    _spline: CubicHermiteSpline | None = field(default=None, init=False, compare=False, repr=False)
+    _spline: HermiteSpline | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def xi_max(self) -> float:
         return float(self.xi[-1])
 
-    def interpolant(self) -> CubicHermiteSpline:
+    def interpolant(self) -> HermiteSpline:
         """Cubic Hermite interpolant of f through the solver's (f, f') nodes.
 
         It is built on the first call and kept on the profile, so every later
@@ -123,8 +122,7 @@ class Profile:
         on the profiles it returns.
         """
         if self._spline is None:
-            object.__setattr__(self, "_spline",
-                               CubicHermiteSpline(self.xi, self.f, self.fp, extrapolate=False))
+            object.__setattr__(self, "_spline", HermiteSpline(self.xi, self.f, self.fp))
         return self._spline
 
 
@@ -529,12 +527,15 @@ def eval_self_similar(params: ProfileParams, profile: Profile, x, t: float):
     """
     if t <= 0.0:
         raise DomainError("t must be positive")
-    xi = t ** (-params.beta) * np.abs(np.asarray(x, dtype=float))
-    if np.any(xi > profile.xi_max * (1.0 + 1e-12)):
-        raise RangeError(
-            f"similarity coordinate {float(np.max(xi)):.6g} exceeds xi_max={profile.xi_max:.6g}"
-        )
-    vals = t ** (-params.alpha) * profile.interpolant()(np.minimum(xi, profile.xi_max))
+    xi = np.abs(np.asarray(x, dtype=float))
+    xi *= t ** (-params.beta)
+    xi_max, top = profile.xi_max, np.fmax.reduce(xi, axis=None, initial=0.0)  # NaN ignored
+    if top > xi_max * (1.0 + 1e-12):
+        raise RangeError(f"similarity coordinate {top:.6g} exceeds xi_max={xi_max:.6g}")
+    if top > xi_max:
+        xi = np.minimum(xi, xi_max)
+    vals = profile.interpolant()(xi)
+    vals *= t ** (-params.alpha)
     return float(vals) if np.isscalar(x) or np.asarray(x).ndim == 0 else vals
 
 

@@ -18,7 +18,8 @@ log-log tail fits, and the first-integral residual below that certifies both
 radial ODEs.  Between its nodes a profile of either kind is the cubic
 Hermite spline of its (y, y') pairs: first_nonmonotone_interval certifies it
 monotone, and the residual integrates it by cumulative Simpson (fourth order,
-with no extra right-hand-side evaluations).
+with no extra right-hand-side evaluations).  HermiteSpline evaluates it in
+numpy, bit for bit as scipy's CubicHermiteSpline does.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ToleranceError
+from .errors import DomainError, ToleranceError
 
 # Dormand-Prince coefficients (the classic RK45 pair).
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
@@ -198,6 +199,69 @@ def first_nonmonotone_interval(x, y, yp) -> int:
     left, right = yp[:-1], yp[1:]
     bad = (left * d < 0.0) | (right * d < 0.0) | (left * left + right * right > 9.0 * d * d)
     return int(np.argmax(bad)) if bad.any() else -1
+
+
+class HermiteSpline:
+    """Cubic Hermite spline of the nodes (x, y, y'), x ascending, NaN outside
+    [x[0], x[-1]]: scipy's CubicHermiteSpline(x, y, yp, extrapolate=False) bit
+    for bit.  ``x`` and ``c`` are its PPoly breakpoints and coefficients by the
+    same arithmetic (c[:, i] on x_i <= x < x_{i+1}, the last piece closed), and
+    a call sums c[3] + c[2] s, + c[1] s^2, + c[0] s^3 in that order, with
+    s = x - x_i, s^2 = s s and s^3 = s^2 s."""
+
+    def __init__(self, x, y, yp):
+        x, y, yp = (np.asarray(a, dtype=float) for a in (x, y, yp))
+        ok = x.ndim == 1 and x.size > 1 and x.shape == y.shape == yp.shape and np.all(np.diff(x) > 0)
+        if not (ok and np.isfinite(np.stack((x, y, yp))).all()):
+            raise DomainError("a spline needs two or more finite ascending nodes with finite y and y'")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (yp[:-1] + yp[1:] - 2.0 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - yp[:-1]) / dx - t, yp[:-1], y[:-1]))
+        # column k + 1: piece k's x_k and coefficients, constant term first
+        # (+ 0.0 as scipy's sum from 0.0 makes -0.0 0.0); NaN columns either side
+        pieces = np.stack((x[:-1], y[:-1] + 0.0, yp[:-1], self.c[1], self.c[0]))
+        self._pieces = np.pad(pieces, ((0, 0), (1, 1)), constant_values=np.nan)
+        # a staircase at k + 1 on [x_k, x_{k+1}): np.interp reads the column off
+        # it exactly, by a zero slope (the risers' infinite ones are never used)
+        self._stair_x, self._stair_k = np.repeat(x, 2)[1:-1], np.repeat(np.arange(1.0, x.size), 2)
+
+    def __call__(self, q):
+        q = np.asarray(q, dtype=float)
+        flat = q.ravel()
+        k = np.interp(flat, self._stair_x, self._stair_k, left=0.0, right=self.x.size)
+        # fmax sends a NaN point (NaN k) to column 0 too
+        xk, a0, a1, a2, a3 = self._pieces.take(np.fmax(k, 0.0, out=k).astype(np.intp), axis=1)
+        s = np.subtract(flat, xk, out=xk)
+        s2 = s * s
+        out = a0 + np.multiply(a1, s, out=a1)  # not in a0, which would hold all five rows
+        out += np.multiply(a2, s2, out=a2)
+        out += np.multiply(a3, np.multiply(s2, s, out=s2), out=a3)
+        return out.reshape(q.shape)
+
+
+def pchip_slopes(x, y) -> np.ndarray:
+    """Node slopes of scipy's PchipInterpolator (Fritsch & Butland 1984): the
+    secant for two nodes; inside, 0 where the secants beside a node are 0 or of
+    opposite signs, else their spacing-weighted harmonic mean; at the ends the
+    one-sided three-point slope, clamped to keep the end secant's shape."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if m.size == 1:
+        return np.array([m[0], m[0]])
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+
+    def end(h0, h1, m0, m1):
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        return 3.0 * m0 if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0) else d
+
+    return np.concatenate(([end(h[0], h[1], m[0], m[1])], inner, [end(h[-1], h[-2], m[-1], m[-2])]))
 
 
 def first_integral_residual(x, y, yp, n: int, p: float, c_int: float, c_pt: float = 0.0) -> float:

@@ -41,10 +41,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainError, NoCrossingError, SingularityError
-from .rk import first_integral_residual, first_nonmonotone_interval, integrate_dp45
+from .rk import HermiteSpline, first_integral_residual, first_nonmonotone_interval, integrate_dp45
 
 # Handoff height to the inverted system, as a fraction of the center value.
 # High enough that one capped outward step cannot overshoot past zero for any
@@ -87,13 +86,13 @@ class SteadyProfile:
     w: np.ndarray
     wp: np.ndarray
     meta: dict = field(default_factory=dict, compare=False)
-    _spline: CubicHermiteSpline | None = field(default=None, init=False, compare=False, repr=False)
+    _spline: HermiteSpline | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def center_value(self) -> float:
         return float(self.w[0])
 
-    def interpolant(self) -> CubicHermiteSpline:
+    def interpolant(self) -> HermiteSpline:
         """Cubic Hermite interpolant of w through the shot's (w, w') nodes.
 
         It is built on the first call and kept on the profile, so every later
@@ -102,8 +101,7 @@ class SteadyProfile:
         place after the first call would leave it stale.
         """
         if self._spline is None:
-            object.__setattr__(self, "_spline",
-                               CubicHermiteSpline(self.r, self.w, self.wp, extrapolate=False))
+            object.__setattr__(self, "_spline", HermiteSpline(self.r, self.w, self.wp))
         return self._spline
 
 

@@ -654,6 +654,8 @@ class TestCli:
         "datum_missing_key": (None, [*EVOLVE, "--datum", "algebraic:C0=1"]),
         "datum_table_missing": (None, [*EVOLVE, "--datum", "table:{bad}"]),
         "datum_table_one_column": ("r\n0\n1\n2\n", [*EVOLVE, "--datum", "table:{bad}"]),
+        "datum_table_not_ascending": ("r,u\n0,1\n2,1\n1,1\n", [*EVOLVE, "--datum", "table:{bad}"]),
+        "datum_table_one_row": ("r,u\n0,1\n", [*EVOLVE, "--datum", "table:{bad}"]),
         "norm_qs_not_number": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--norm-qs", "1,x"]),
         "norm_qs_zero": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--norm-qs", "0"]),
         "inner_radius_negative": (None, [*EVOLVE, "--datum", "gaussian:sigma=2", "--inner-radius", "-1"]),

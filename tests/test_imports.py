@@ -3,6 +3,9 @@ package root holds only its docstring, and each import of the package names
 a submodule."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,3 +42,16 @@ def test_package_root_holds_only_its_docstring():
     body = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
     assert len(body) == 1 and isinstance(body[0], ast.Expr)
     assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+
+
+def test_the_cli_imports_no_scipy_beyond_linalg():
+    # numpy evaluates the splines and math the Gamma function, so the package
+    # needs scipy.linalg alone; scipy.interpolate would pull in the other three
+    code = "import sys, diffusionlab.cli; print(' '.join(sorted(sys.modules)))"
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                                check=True).stdout.split())
+    assert "scipy.linalg" in loaded
+    banned = ("scipy.interpolate", "scipy.special", "scipy.optimize", "scipy.sparse")
+    assert sorted(m for m in loaded if m.startswith(banned)) == []

@@ -45,6 +45,13 @@ def test_sphere_area_values():
     assert sphere_area(3) == pytest.approx(4.0 * math.pi)
 
 
+def test_sphere_area_is_scipys_gamma_form_bit_for_bit():
+    from scipy.special import gamma
+
+    for n in range(1, 9):
+        assert sphere_area(n) == n * math.pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
+
+
 class TestBuildGrid:
     def test_uniform(self):
         g = build_grid(1.0, 16)
@@ -77,6 +84,33 @@ class TestInitialDatum:
     def test_table_positive_only(self):
         with pytest.raises(DomainError):
             InitialDatum.table(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("r, values, match", [
+        ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0], "strictly ascending"),
+        ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], "strictly ascending"),
+        ([0.0, math.nan, 2.0], [1.0, 1.0, 1.0], "finite"),
+        ([0.0, 1.0, math.inf], [1.0, 1.0, 1.0], "finite"),
+        ([0.0, 1.0, 2.0], [1.0, 1.0], "one length"),
+        ([[0.0, 1.0]], [[1.0, 1.0]], "one length"),
+        ([0.0], [1.0], "at least two points"),
+        ([], [], "at least two points"),
+        ([0.0, 1.0], [1.0, math.nan], "positive and finite"),
+        ([0.0, 1.0], [1.0, math.inf], "positive and finite"),
+    ])
+    def test_table_refuses_malformed_nodes(self, r, values, match):
+        # refused before any spline is built, as a DomainError
+        with pytest.raises(DomainError, match=match):
+            InitialDatum.table(np.array(r), np.array(values))
+
+    def test_table_is_pchip_and_nan_outside(self):
+        from scipy.interpolate import PchipInterpolator
+
+        r, values = np.array([0.0, 0.5, 2.0, 3.0]), np.array([1.0, 0.2, 0.3, 0.3])
+        q = np.linspace(-1.0, 4.0, 101)
+        got, want = InitialDatum.table(r, values)(q), PchipInterpolator(r, values, extrapolate=False)(q)
+        np.testing.assert_array_equal(got, want)
+        inside = (q >= 0.0) & (q <= 3.0)
+        assert np.isnan(got[~inside]).all() and not np.isnan(got[inside]).any()
 
     def test_taper_vanishes_at_R_and_orders_in_R(self):
         d = InitialDatum.algebraic(2.0)
@@ -1083,8 +1117,8 @@ def test_sandwich_builds_one_spline_per_profile(sandwich_runs, monkeypatch):
             builds[module.__name__] = builds.get(module.__name__, 0) + 1
             return spline(*args, **kwargs)
 
-        spline = module.CubicHermiteSpline
-        monkeypatch.setattr(module, "CubicHermiteSpline", build)
+        spline = module.HermiteSpline
+        monkeypatch.setattr(module, "HermiteSpline", build)
 
     counted(steady)
     counted(profiles)

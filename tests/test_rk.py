@@ -1,5 +1,6 @@
 """The Dormand-Prince loop: its argument refusals, and its nodes against the
-min/max form of the same loop, bit for bit."""
+min/max form of the same loop, bit for bit.  The numpy cubic Hermite spline
+and PCHIP slopes against scipy's, bit for bit."""
 
 import math
 
@@ -7,10 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diffusionlab.errors import ToleranceError
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+
+from diffusionlab.errors import DomainError, ToleranceError
 from diffusionlab.rk import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54, _A61, _A62, _A63, _A64, _A65,
-    _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7, integrate_dp45,
+    _B1, _B3, _B4, _B5, _B6, _C2, _C3, _C4, _C5, _E1, _E3, _E4, _E5, _E6, _E7, HermiteSpline,
+    integrate_dp45, pchip_slopes,
 )
 
 
@@ -278,3 +282,93 @@ def test_a_step_whose_new_point_overflows_is_rejected():
     with pytest.raises(ToleranceError, match=r"step size underflow at x=0\.797693 "):
         integrate_dp45(lambda x, y, z: (1e308, 0.0), 0.0, (1e308, 1.0), 0.95,
                        max_step=0.1, first_step=0.1)
+
+
+# ---------------------------------------------------------------------------
+# HermiteSpline and pchip_slopes against scipy
+# ---------------------------------------------------------------------------
+
+
+def _same(mine, theirs):
+    """Equal shapes, NaN at the same points, and the same bits elsewhere
+    (so 0.0 and -0.0 differ)."""
+    mine, theirs = np.asarray(mine), np.asarray(theirs)
+    assert mine.shape == theirs.shape and mine.dtype == theirs.dtype == np.float64
+    nan = np.isnan(theirs)
+    np.testing.assert_array_equal(np.isnan(mine), nan)
+    assert mine[~nan].tobytes() == theirs[~nan].tobytes()
+
+
+def _queries(x, extra):
+    """The nodes and their nextafter neighbours, the midpoints, points beyond
+    both ends, NaN and the infinities, in ascending order and shuffled."""
+    q = np.concatenate((x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                        0.5 * (x[:-1] + x[1:]), extra,
+                        [x[0] - 1.0, x[-1] + 1.0, np.nan, np.inf, -np.inf]))
+    return [np.sort(q), q[np.random.default_rng(q.size).permutation(q.size)]]
+
+
+# y values from a small set make flat segments, zero secants and sign
+# changes common, the cases PCHIP's interior and end rules treat apart; no
+# magnitude below 1e-6, whose secants would overflow PCHIP's harmonic mean
+_Y = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(1e-6, 1e3) | st.floats(-1e3, -1e-6)
+_NODES = st.integers(2, 40).flatmap(lambda n: st.tuples(
+    st.floats(-100.0, 100.0),
+    st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1),
+    st.lists(_Y, min_size=n, max_size=n),
+    st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+    st.lists(st.floats(-200.0, 200.0), max_size=20)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(nodes=_NODES)
+@example(nodes=(0.0, [1.0], [1.0, 2.0], [0.0, 0.0], [0.5]))  # two nodes
+@example(nodes=(0.0, [1.0, 1.0], [1.0, 1.0, 1.0], [-0.0, 0.0, -0.0], []))  # flat, signed zeros
+# y = -0.0 at a node where every other term is -0.0 too: scipy's sum from 0.0
+# gives 0.0 there, at x = 0.0 and at x = -0.0
+@example(nodes=(0.0, [1.0], [-0.0, -1.0], [-0.5, -1.8], [-0.0]))
+@example(nodes=(-1.0, [0.1, 2.0, 0.1], [0.0, 1.0, -1.0, 0.0], [1.0, -1.0, 1.0, -1.0], [0.05]))
+@example(nodes=(0.0, [1.0, 1.0], [0.0, 1.0, -10.0], [0.0, 0.0, 0.0], []))  # an end clamped to 3 m0
+def test_spline_and_pchip_slopes_equal_scipys_bit_for_bit(nodes):
+    x0, dx, y, yp, extra = nodes
+    x = x0 + np.cumsum([0.0, *dx])
+    y, yp = np.array(y), np.array(yp)
+    mine, theirs = HermiteSpline(x, y, yp), CubicHermiteSpline(x, y, yp, extrapolate=False)
+    assert mine.x.tobytes() == theirs.x.tobytes() and mine.c.tobytes() == theirs.c.tobytes()
+    slopes = pchip_slopes(x, y)
+    pchip, scipy_pchip = HermiteSpline(x, y, slopes), PchipInterpolator(x, y, extrapolate=False)
+    assert pchip.c.tobytes() == scipy_pchip.c.tobytes()
+    for q in _queries(x, extra):
+        _same(mine(q), theirs(q))
+        _same(pchip(q), scipy_pchip(q))
+        _same(mine(q.reshape(-1, 1)), theirs(q.reshape(-1, 1)))
+    for q in (x[-1], np.float64(x[0]), np.array(x[0] - 1.0), np.nan, [], np.empty((0, 2))):
+        _same(mine(q), theirs(q))
+
+
+@pytest.mark.parametrize("x, y, yp", [
+    ([0.0], [1.0], [0.0]),
+    ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]),
+    ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]),
+    ([math.nan, 1.0], [1.0, 1.0], [0.0, 0.0]),
+    ([0.0, math.inf], [1.0, 1.0], [0.0, 0.0]),
+    ([0.0, 1.0], [1.0, math.nan], [0.0, 0.0]),
+    ([0.0, 1.0], [1.0, 1.0], [0.0, -math.inf]),
+    ([0.0, 1.0, 2.0], [1.0, 1.0], [0.0, 0.0]),
+    ([[0.0, 1.0]], [[1.0, 1.0]], [[0.0, 0.0]]),
+])
+def test_spline_refuses_malformed_nodes(x, y, yp):
+    # scipy refused these with a ValueError; a profile read from a file
+    # reaches the spline unchecked
+    with pytest.raises(DomainError, match="a spline needs"):
+        HermiteSpline(np.array(x), np.array(y), np.array(yp))
+
+
+def test_pchip_slopes_at_the_ends_and_of_two_nodes():
+    # the secant for two nodes; an end slope of the wrong sign is 0, and one
+    # more than three times the end secant where the secants change sign is
+    # clamped to it
+    np.testing.assert_array_equal(pchip_slopes(np.array([0.0, 2.0]), np.array([1.0, 2.0])), [0.5, 0.5])
+    x = np.array([0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(pchip_slopes(x, np.array([0.0, 1.0, 4.0])), [0.0, 1.5, 4.0])
+    np.testing.assert_array_equal(pchip_slopes(x, np.array([0.0, 1.0, -10.0])), [3.0, 0.0, -17.0])
