@@ -423,8 +423,11 @@ def evolve(
 
     r = build_grid(R, cfg.n_nodes)
     vals = np.asarray(u0(r), dtype=float)
-    if np.any(~np.isfinite(vals)) or np.any(vals < 0.0):
-        raise DomainError("initial datum must be finite and nonnegative on the grid")
+    bad = np.flatnonzero(~((vals >= 0.0) & (vals < math.inf)))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(f"initial datum is {vals[i]:g} at r={r[i]:.4g}"
+                          f" (node {i} of {r.size} on [0, {R:g}])")
     u = vals + eps if cfg.datum_mode == "add" else np.maximum(vals, eps)
     u[-1] = eps
     if np.any(u[:-1] <= 0.0):

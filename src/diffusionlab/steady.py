@@ -19,7 +19,12 @@ For p > 1 the right side blows up as w -> 0, so once w drops below a small
 fraction of the center value the integration switches to the inverted
 system r(w) (with w as the independent variable), which locates the
 crossing stably; the boundary slope can diverge (p > 2) or vanish
-(1 < p < 2) and the inverted variables absorb both.
+(1 < p < 2) and the inverted variables absorb both.  The parabola also
+bounds the outward step cap: w passes the switch height by sqrt(1.9) ell,
+and one more step must stop short of sqrt(2) ell.  The unit shot, whose
+nodes are the saved profile, steps at most 2e-3 ell; a re-shoot, whose
+nodes only locate its crossing, steps at half the gap sqrt(2) - sqrt(1.9),
+about 0.0179 ell.
 
 The rescaling itself is verified against independent re-shoots on B_R.
 Each finds the center value b whose crossing lands on R without the
@@ -45,10 +50,9 @@ import numpy as np
 from .errors import DomainError, NoCrossingError, SingularityError
 from .rk import HermiteSpline, first_integral_residual, first_nonmonotone_interval, integrate_dp45
 
-# Handoff height to the inverted system, as a fraction of the center value.
-# High enough that one capped outward step cannot overshoot past zero for any
-# p >= 1 (for p = 1 nothing brakes the integrator near the crossing), low
-# enough that the outward phase covers the bulk of the profile.
+# Handoff height to the inverted system, as a fraction of the center value:
+# low enough that the outward phase covers the bulk of the profile, high
+# enough to leave room for the outward step caps below.
 W_SWITCH_FRACTION = 0.05
 # The inverted sweep stops here; the last sliver is closed by extrapolation
 # with the boundary exponent (w ~ (R-r)^max(1, 2/p) near the crossing, up to
@@ -56,15 +60,19 @@ W_SWITCH_FRACTION = 0.05
 # order and O(w_floor^(3-p) v w_floor^(2/p)) beyond.
 W_FLOOR_FRACTION = 1e-8
 # Shots: relative tolerance, center value of the unit shot (any value works),
-# outward step caps as fractions of the curvature length at the center (the
-# re-shoots only need their crossing), and the re-shoot's tolerance on log b:
-# log R_crossing has slope p/2 in log b, so a shot lands once its crossing is
-# within (p/2) * LOG_B_XTOL of log R, which pins the center value b to 1e-12
-# relative.
+# outward step caps as fractions of the curvature length ell at the center,
+# and the re-shoot's tolerance on log b: log R_crossing has slope p/2 in
+# log b, so a shot lands once its crossing is within (p/2) * LOG_B_XTOL of
+# log R, which pins the center value b to 1e-12 relative.  The unit shot's
+# cap sets the saved profile's nodes.  A re-shoot's nodes only locate its
+# crossing and serve as comparison points, so its cap is as long as the
+# comparison parabola allows (see the module docstring).  At p = 1, where the
+# parabola is the solution and nothing brakes the integrator near the
+# crossing, the step past the switch height then ends with w above 0.025 b.
 SHOT_TOL = 1e-11
 UNIT_SHOT_B = 1.0
 UNIT_STEP_FACTOR = 2e-3
-RESHOOT_STEP_FACTOR = 5e-3
+RESHOOT_STEP_FACTOR = 0.5 * (math.sqrt(2.0) - math.sqrt(2.0 - 2.0 * W_SWITCH_FRACTION))
 LOG_B_XTOL = 1e-12
 # The re-shoot's secant starts from log b = 0 and log 2; a log b it reaches
 # outside [log 1e-12, log 1e12] is refused before it is shot.
@@ -112,10 +120,12 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float):
     ends at the first node below the switch height W_SWITCH_FRACTION * b,
     which the comparison parabola b (1 - r^2 / (2 ell^2)) puts before
     r = sqrt(1.9) ell; it is integrated to sqrt(2) ell, where the parabola
-    crosses zero, and a step cap of at most 5e-3 ell never reaches that end
-    first.  Raises NoCrossingError if the outward phase ends above the
-    switch height all the same, and SingularityError if the cubic Hermite
-    interpolant of the nodes fails the Fritsch-Carlson certificate.
+    crosses zero, and a step cap of at most (sqrt(2) - sqrt(1.9)) ell / 2
+    never reaches that end first.  Raises NoCrossingError if the outward
+    phase ends above the switch height all the same, or at or below the
+    sweep floor W_FLOOR_FRACTION * b (a cap too long for the parabola), and
+    SingularityError if the cubic Hermite interpolant of the nodes fails the
+    Fritsch-Carlson certificate.
     """
     invp = 1.0 / p
     nm1 = n - 1.0
@@ -154,6 +164,11 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float):
     # Inverted sweep: independent variable q = w_switch_actual - w, states (r, wp).
     r1, w1, wp1 = rs[-1], ws[-1], wps[-1]
     w_floor = W_FLOOR_FRACTION * b
+    if w1 <= w_floor:
+        raise NoCrossingError(
+            f"outward phase ended at w={w1:g}, at or below the sweep floor, at r={r1:g}"
+            f" (p={p}, n={n}, b={b})"
+        )
 
     def rhs_inv(q, r, wp):
         return -1.0 / wp, (nm1 / r * wp + invp * (w1 - q) ** one_minus_p) / wp

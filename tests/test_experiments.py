@@ -445,6 +445,16 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_evolve_names_where_a_table_datum_ends(self, tmp_path, capsys):
+        # the table stops at r = 5 on a grid to R = 20, so it is NaN from node 16 on
+        table = tmp_path / "short.csv"
+        table.write_text("r,u\n0,1\n1,0.5\n5,0.1\n")
+        rc = cli_main(["--out", str(tmp_path), "evolve", "--p", "2", "--t-end", "1", "--R", "20",
+                       "--n-nodes", "64", "--datum", f"table:{table}"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: initial datum is nan at r=5.079 (node 16 of 64 on [0, 20])\n")
+
     def test_evolve_step_too_small_names_dt_min_and_the_last_newton_failure(
             self, tmp_path, capsys):
         # coefficients near 2e303: no step from dt = 1e-6 down to dt_min converges

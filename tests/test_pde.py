@@ -187,6 +187,23 @@ def test_evolve_rejects_bad_settings(monkeypatch, cfg, kwargs):
         evolve(**{**args, **kwargs})
 
 
+BAD_DATA = {
+    # a table is NaN past its last r, here 5 on a grid to R = 20
+    "table_short": (InitialDatum.table(np.array([0.0, 1.0, 5.0]), np.array([1.0, 0.5, 0.1])),
+                    "initial datum is nan at r=5.079 (node 16 of 64 on [0, 20])"),
+    "negative": (InitialDatum("1-r", lambda r: 1.0 - r),
+                 "initial datum is -0.269841 at r=1.27 (node 4 of 64 on [0, 20])"),
+    "infinite": (InitialDatum("inf past 10", lambda r: np.where(r > 10.0, np.inf, 1.0)),
+                 "initial datum is inf at r=10.16 (node 32 of 64 on [0, 20])"),
+}
+
+
+@pytest.mark.parametrize("u0, message", BAD_DATA.values(), ids=BAD_DATA.keys())
+def test_evolve_names_the_first_bad_datum_node(u0, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        evolve(u0, p=2.0, n=1, R=20.0, eps=1e-3, t_end=1.0, config=SolverConfig(n_nodes=64))
+
+
 # The spacing R/31 squares to 0 at R = 1e-200, so 1/h^2 is infinite, and to
 # inf at R = 1e300, so every coefficient is 0 and nothing would evolve (the
 # Gaussian datum is exactly 0 where r^2 = inf).  At R = 3.1e-153, 1/h^2 is

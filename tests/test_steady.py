@@ -326,6 +326,36 @@ def test_shot_ends_inside_the_comparison_parabola(p, n, log_b, factor):
     assert R <= math.sqrt(2.0) * ell * (1.0 + 1e-12)
 
 
+def test_reshoot_cap_leaves_the_last_outward_step_above_zero():
+    # At p = 1, w = b (1 - r^2 / (2 ell^2)) exactly.  From a node at
+    # r <= sqrt(1.9) ell (w >= 0.05 b), one step of c ell lowers w by at most
+    # (sqrt(1.9) c + c^2 / 2) b, which the cap keeps below half the switch
+    # height; the unit shot's shorter cap is bounded with it.
+    c = steady.RESHOOT_STEP_FACTOR
+    assert math.sqrt(1.9) * c + c * c / 2.0 < 0.5 * steady.W_SWITCH_FRACTION
+    assert steady.UNIT_STEP_FACTOR < c
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("R", [1e-3, 0.5, 10.0, 1e3])
+def test_p1_reshoot_matches_closed_form(n, R):
+    # At p = 1 the profile on B_R is (R^2 - r^2) / (2n): the re-shoot at the
+    # long cap lands on R with center value R^2 / (2n) to rounding.
+    reshot = shoot_profile_for_radius(1.0, n, R)
+    assert reshot.R == pytest.approx(R, rel=1e-13, abs=0.0)
+    assert reshot.center_value == pytest.approx(R * R / (2 * n), rel=1e-13, abs=0.0)
+
+
+def test_shot_that_overshoots_the_sweep_floor(monkeypatch):
+    # A cap of 0.05 ell is longer than the parabola allows: at p = 1 the last
+    # outward step ends at sqrt(2) ell, where w is 0 to rounding, below the
+    # sweep floor 1e-8 b, and the inverted sweep would have nothing to cover.
+    monkeypatch.setattr(steady, "RESHOOT_STEP_FACTOR", 0.05)
+    with pytest.raises(NoCrossingError, match=r"outward phase ended at w=\S+, at or below the "
+                                              r"sweep floor, at r=1\.41421 \(p=1\.0, n=1, b=1\.0\)"):
+        shoot_profile_for_radius(1.0, 1, 0.5)
+
+
 def test_shot_that_stays_above_the_switch_height(monkeypatch):
     # At p = 1 the comparison parabola is the solution: it reaches zero at
     # the end of the outward phase, sqrt(2) ell, above a switch height of -b.
