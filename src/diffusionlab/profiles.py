@@ -205,6 +205,12 @@ def integrate_profile_family(
     2 * MAX_STEP_FACTOR (less for tails steeper than xi^-3) and held to the
     same tol; see _integrate_tail.
 
+    Each profile's meta holds tol, MAX_STEP_FACTOR, xi0 and the tail's
+    tail_steps, tail_rejected and tail_newton: the accepted and rejected
+    Radau steps and the Newton iterations of the run to its own end, which
+    are what integrate_profile reports for its amplitude alone (all 0 when
+    the profile ends in the explicit phase).
+
     Raises SingularityError if f falls below F_FLOOR before xi_max (parameter
     regime outside the positivity theory, or numerical failure) or the tail
     leaves the range of doubles, and ToleranceError if the step size
@@ -276,7 +282,7 @@ def integrate_profile_family(
         )
         tails = dict(zip(branches + [x_far], tails))
     else:
-        tails = {x_far: ([], [], [])}
+        tails = {x_far: ([], [], [], (0, 0, 0))}
 
     meta = {"tol": tol, "max_step_factor": MAX_STEP_FACTOR, "xi0": xi0}
     units, out = {}, []
@@ -285,10 +291,11 @@ def integrate_profile_family(
             out.append(integrate_profile_family(p, alpha, [params.A], xi_max, tol, n)[0])
             continue
         if x not in units:
-            xs2, fs2, fps2 = tails[x]
+            xs2, fs2, fps2, (steps, rejected, newton) = tails[x]
             units[x] = Profile(params=unit, n=n, xi=np.array([0.0, *xs, *xs2]),
                                f=np.array([1.0, *fs, *fs2]), fp=np.array([0.0, *fps, *fps2]),
-                               meta=dict(meta))
+                               meta=dict(meta, tail_steps=steps, tail_rejected=rejected,
+                                         tail_newton=newton))
             _check_profile_invariants(units[x])
         out.append(units[x] if params.A == 1.0 else scale_profile(units[x], params.A))
     return out
@@ -329,7 +336,9 @@ def _axes(family):
 
 def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
     """2-stage Radau IIA continuation of the profile in log-log variables, to
-    each end in the ascending list xi_ends; one (xs, fs, fps) per end.
+    each end in the ascending list xi_ends; one (xs, fs, fps, counts) per end,
+    counts being the (accepted, rejected, Newton iterations) of the run to
+    that end.
 
     With s = ln xi, F = ln f, G = dF/ds the ODE becomes
 
@@ -340,6 +349,11 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
     L-stable and stiffly accurate, so the new node is the second stage.  As
     F' = G is linear, the stages F_i = F + h sum_j a_ij G_j are explicit in
     (G1, G2) and Newton solves a closed-form 2x2 system in those two unknowns.
+    Newton starts from G_i = G + c_i h sigma, sigma = (G_n - G_(n-1)) / h_(n-1)
+    being the secant slope of the last accepted step (0 before the first),
+    the extrapolated start of Hairer-Wanner IV.8.  It stops once both
+    corrections are below 1e-13, so a step whose start is off by more than
+    that takes at least two iterations; from this start most take two.
 
     Steps are capped at ds * min(1, 3 beta/alpha): the tail f ~ xi^(-alpha/beta)
     is resolved by the cubic Hermite pieces of Profile.interpolant only while
@@ -360,8 +374,9 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
     One run steps to the last end.  The controller reads an end only where
     it clips a step or stops the loop, so a nearer end s_j branches off at
     the first loop top where either would happen (min(h_next, ds) >= s_j - s,
-    or s within 1e-14 of s_j): from that (s, F, G, h_next) the same loop runs
-    on to s_j, which is what a run to s_j alone would do from there.
+    or s within 1e-14 of s_j): from that (s, F, G, h_next, sigma) and the
+    counts so far the same loop runs on to s_j, which is what a run to s_j
+    alone would do from there.
 
     Errors name the point where they arose by point(xi) or point(xi, f),
     a formatter made by _axes.
@@ -372,9 +387,10 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
     log_floor = math.log(F_FLOOR)
     a11, a12, a21, a22 = 5.0 / 12.0, -1.0 / 12.0, 0.75, 0.25
 
-    def stage(s_, F_, G_):
-        """G' and its partials in G and F at one stage."""
-        arg = 2.0 * s_ - p * F_
+    def guard(two_s, F_, arg):
+        """Raise the error of the first guard that the stage at s = two_s / 2
+        fails; a stage that passes them all (NaN does) returns."""
+        s_ = 0.5 * two_s
         if F_ < log_floor:
             raise SingularityError(f"profile hit the positivity floor near {point(math.exp(s_))}")
         if arg > 700.0:
@@ -385,21 +401,37 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
         if F_ > 700.0:
             raise SingularityError(f"profile tail diverged near {point(math.exp(s_))}: "
                                    f"f_1 exceeds e^700")
-        D = math.exp(arg)
-        bracket = beta * G_ + alpha
-        return (two_minus_n * G_ - G_ * G_ - D * bracket,
-                two_minus_n - 2.0 * G_ - D * beta,
-                p * D * bracket)
 
-    def run(s, F, G, h_next, s_ends):
+    def stages(two_s1, F1, G1, two_s2, F2, G2):
+        """G' and its partials in G and F at both stages, (g1, g1G, g1F, g2,
+        g2G, g2F), after the guards of stage 1 and then of stage 2."""
+        arg1 = two_s1 - p * F1
+        arg2 = two_s2 - p * F2
+        if not (log_floor <= F1 <= 700.0 and arg1 <= 700.0
+                and log_floor <= F2 <= 700.0 and arg2 <= 700.0):
+            guard(two_s1, F1, arg1)
+            guard(two_s2, F2, arg2)
+        D1 = math.exp(arg1)
+        D2 = math.exp(arg2)
+        bracket1 = beta * G1 + alpha
+        bracket2 = beta * G2 + alpha
+        return (two_minus_n * G1 - G1 * G1 - D1 * bracket1, two_minus_n - 2.0 * G1 - D1 * beta,
+                p * D1 * bracket1,
+                two_minus_n * G2 - G2 * G2 - D2 * bracket2, two_minus_n - 2.0 * G2 - D2 * beta,
+                p * D2 * bracket2)
+
+    def run(s, F, G, h_next, sigma, counts, s_ends):
         xs, fs, fps, out = [], [], [], []
+        accepted, rejected, newton = counts
         s_end, branches = s_ends[-1], s_ends[:-1]
         k = 0
         while True:
             while k < len(branches) and not (s < branches[k] - 1e-14
                                              and (ds if ds < h_next else h_next) < branches[k] - s):
-                [(bxs, bfs, bfps)] = run(s, F, G, h_next, branches[k:k + 1])
-                out.append((xs + bxs, fs + bfs, fps + bfps))
+                [(bxs, bfs, bfps, bcounts)] = run(s, F, G, h_next, sigma,
+                                                  (accepted + len(xs), rejected, newton),
+                                                  branches[k:k + 1])
+                out.append((xs + bxs, fs + bfs, fps + bfps, bcounts))
                 k += 1
             if not s < s_end - 1e-14:
                 break
@@ -409,13 +441,14 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
                 h = s_end - s
             if h < 1e-12:
                 raise SingularityError(f"tail step underflow near {point(math.exp(s))}")
-            s1, s2 = s + h / 3.0, s + h
-            G1 = G2 = G  # predictor: stiff G stays put
-            for _ in range(30):
+            s2 = s + h
+            two_s1, two_s2 = 2.0 * (s + h / 3.0), 2.0 * s2
+            h_sigma = h * sigma
+            G1, G2 = G + h_sigma / 3.0, G + h_sigma
+            for it in range(30):
                 F1 = F + h * (a11 * G1 + a12 * G2)
                 F2 = F + h * (a21 * G1 + a22 * G2)
-                g1, g1G, g1F = stage(s1, F1, G1)
-                g2, g2G, g2F = stage(s2, F2, G2)
+                g1, g1G, g1F, g2, g2G, g2F = stages(two_s1, F1, G1, two_s2, F2, G2)
                 r1 = G1 - G - h * (a11 * g1 + a12 * g2)
                 r2 = G2 - G - h * (a21 * g1 + a22 * g2)
                 # Jacobian d(r1, r2)/d(G1, G2); dF_j/dG_k = h a_jk
@@ -436,21 +469,24 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
                 raise SingularityError(
                     f"tail continuation did not converge near {point(math.exp(s2))}"
                 )
+            newton += it + 1
             err = h * abs(0.75 * G1 - 0.25 * G2 - 0.5 * G) / tol
             factor = 0.9 * err ** (-1.0 / 3.0) if err > 0.0 else 5.0
             h_next = h * ((factor if factor < 5.0 else 5.0) if factor > 0.2 else 0.2)
             if err > 1.0:
+                rejected += 1
                 continue  # rejected: retry from the same node with the smaller step
+            sigma = (G2 - G) / h
             s, F, G = s2, F + h * (a21 * G1 + a22 * G2), G2
             xi = math.exp(s)
             f = math.exp(F)
             xs.append(xi)
             fs.append(f)
             fps.append(G * f / xi)
-        out.append((xs, fs, fps))
+        out.append((xs, fs, fps, (accepted + len(xs), rejected, newton)))
         return out
 
-    return run(math.log(xi_sw), math.log(f_sw), xi_sw * fp_sw / f_sw, h0,
+    return run(math.log(xi_sw), math.log(f_sw), xi_sw * fp_sw / f_sw, h0, 0.0, (0, 0, 0),
                [math.log(x) for x in xi_ends])
 
 

@@ -7,6 +7,7 @@ different methods.  In the core, mpmath's Taylor-series solver at 25 digits
 is a second, high-precision oracle.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -233,16 +234,19 @@ def test_tail_scheme_is_third_order():
     assert sol.success
     errs = []
     for ds in (0.02, 0.01, 0.005):
-        [(_, fs, _)] = _integrate_tail(pp, n, xi_sw, f_sw, fp_sw, [50.0], ds, tol=1.0, h0=ds,
-                                       point=_axes([pp]))
+        [(_, fs, _, _)] = _integrate_tail(pp, n, xi_sw, f_sw, fp_sw, [50.0], ds, tol=1.0, h0=ds,
+                                          point=_axes([pp]))
         errs.append(abs(math.log(fs[-1]) - sol.y[0, -1]))
     orders = [math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])]
     assert min(orders) > 2.5, orders
 
 
-def _minmax_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
+def _minmax_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point,
+                 constant_start=False):
     """_integrate_tail with its step controller written with builtin min/max
-    calls: the reference the lean controller must equal bit for bit."""
+    calls and one stage per call: the reference the lean controller must
+    equal bit for bit.  With constant_start, Newton starts every step from
+    G1 = G2 = G instead of the slope of the last accepted step."""
     p, alpha, beta = params.p, params.alpha, params.beta
     ds *= min(1.0, 3.0 * beta / alpha)
     two_minus_n = 2.0 - n
@@ -267,15 +271,17 @@ def _minmax_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
                 two_minus_n - 2.0 * G_ - D * beta,
                 p * D * bracket)
 
-    def run(s, F, G, h_next, s_ends):
+    def run(s, F, G, h_next, sigma, counts, s_ends):
         xs, fs, fps, out = [], [], [], []
+        accepted, rejected, newton = counts
         s_end, branches = s_ends[-1], s_ends[:-1]
         k = 0
         while True:
             while k < len(branches) and not (s < branches[k] - 1e-14
                                              and min(h_next, ds) < branches[k] - s):
-                [(bxs, bfs, bfps)] = run(s, F, G, h_next, branches[k:k + 1])
-                out.append((xs + bxs, fs + bfs, fps + bfps))
+                [(bxs, bfs, bfps, bcounts)] = run(s, F, G, h_next, sigma,
+                                                  (accepted, rejected, newton), branches[k:k + 1])
+                out.append((xs + bxs, fs + bfs, fps + bfps, bcounts))
                 k += 1
             if not s < s_end - 1e-14:
                 break
@@ -283,8 +289,11 @@ def _minmax_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
             if h < 1e-12:
                 raise SingularityError(f"tail step underflow near {point(math.exp(s))}")
             s1, s2 = s + h / 3.0, s + h
-            G1 = G2 = G
-            for _ in range(30):
+            if constant_start:
+                G1 = G2 = G
+            else:
+                G1, G2 = G + h * sigma / 3.0, G + h * sigma
+            for iteration in range(1, 31):
                 F1 = F + h * (a11 * G1 + a12 * G2)
                 F2 = F + h * (a21 * G1 + a22 * G2)
                 g1, g1G, g1F = stage(s1, F1, G1)
@@ -307,20 +316,24 @@ def _minmax_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
                 raise SingularityError(
                     f"tail continuation did not converge near {point(math.exp(s2))}"
                 )
+            newton += iteration
             err = h * abs(0.75 * G1 - 0.25 * G2 - 0.5 * G) / tol
             h_next = h * min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0.0 else 5.0 * h
             if err > 1.0:
+                rejected += 1
                 continue
+            sigma = (G2 - G) / h
             s, F, G = s2, F + h * (a21 * G1 + a22 * G2), G2
             xi = math.exp(s)
             f = math.exp(F)
             xs.append(xi)
             fs.append(f)
             fps.append(G * f / xi)
-        out.append((xs, fs, fps))
+            accepted += 1
+        out.append((xs, fs, fps, (accepted, rejected, newton)))
         return out
 
-    return run(math.log(xi_sw), math.log(f_sw), xi_sw * fp_sw / f_sw, h0,
+    return run(math.log(xi_sw), math.log(f_sw), xi_sw * fp_sw / f_sw, h0, 0.0, (0, 0, 0),
                [math.log(x) for x in xi_ends])
 
 
@@ -447,6 +460,81 @@ def test_family_profiles_equal_separate_calls(atlas_families, p, rel, n):
     for A, prof in zip(ATLAS["A_list"], family):
         pp = ProfileParams.self_similar(p, rel / p, A)
         assert_same_profile(prof, integrate_profile(pp, ATLAS["xi_max"], tol=ATLAS["tol"], n=n))
+
+
+TAIL_COUNTS = ("tail_steps", "tail_rejected", "tail_newton")
+
+
+def tail_counts(prof):
+    return tuple(prof.meta[name] for name in TAIL_COUNTS)
+
+
+def test_tail_newton_takes_about_two_iterations_per_step(atlas_families):
+    # Over the f_1 run of each atlas family (its farthest end, A = 0.5) and
+    # the sandwich's f_1, Newton started from the constant G1 = G2 = G took
+    # 2.59 iterations per attempted step; from the last step's slope it
+    # takes 1.98.  Its stopping test asks for a correction below 1e-13, so a
+    # step whose start is off by more than that takes at least two.
+    far = ATLAS["A_list"].index(min(ATLAS["A_list"]))
+    counts = [tail_counts(family[far]) for family, _ in atlas_families.values()]
+    counts.append(tail_counts(sandwich_unit_profile()))
+    steps, rejected, newton = map(sum, zip(*counts))
+    assert newton / (steps + rejected) <= 2.05
+
+
+def sandwich_unit_profile():
+    """f_1 of theorem2000_upper's supersolution: p = 2, gamma = 2, so alpha =
+    gamma / (p gamma + 2) = 1/3, n = 3, out to 1.1 R = 110."""
+    return integrate_profile(ProfileParams.self_similar(2.0, 1.0 / 3.0, 1.0), 110.0, tol=1e-10, n=3)
+
+
+def test_sandwich_tail_counts():
+    # From the constant start the same steps took 1857 Newton iterations.
+    prof = sandwich_unit_profile()
+    assert tail_counts(prof) == (698, 1, 1400)
+
+
+@pytest.mark.parametrize("p, rel, n, amplitudes", [
+    *[(p, rel, n, ATLAS["A_list"]) for p, rel, n in ATLAS_FAMILIES],
+    (2.0, 0.99, 1, [1.0]), (3.0, 0.95, 2, [1.0]), (1.25, 0.98, 1, [1.0]),
+])
+def test_slope_start_keeps_the_constant_starts_steps(monkeypatch, p, rel, n, amplitudes):
+    # Where Newton starts changes what it converges to by its stopping test
+    # alone, so the controller accepts and rejects the same steps, and the
+    # profile moves by far less than tol (at most 4e-13 here, on the steep
+    # tails).  The last three cells are steep tails, alpha near 1/p.
+    args = (p, rel / p, amplitudes, ATLAS["xi_max"])
+    family = integrate_profile_family(*args, tol=ATLAS["tol"], n=n)
+    monkeypatch.setattr(profiles, "_integrate_tail",
+                        functools.partial(_minmax_tail, constant_start=True))
+    reference = integrate_profile_family(*args, tol=ATLAS["tol"], n=n)
+    for prof, ref in zip(family, reference):
+        assert tail_counts(prof)[:2] == tail_counts(ref)[:2] and len(prof.xi) == len(ref.xi)
+        xi = np.linspace(0.0, ref.xi_max, 20_000)
+        np.testing.assert_allclose(prof.interpolant()(xi), ref.interpolant()(xi),
+                                   rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("p, alpha, f_sw, G_sw, h0, message", [
+    (2.0, 0.25, 1e-260, -1.0, 0.01, "profile hit the positivity floor near xi=1.00334"),
+    # stage 1 stays above the floor, stage 2 (at s = h) falls below it; at
+    # p = 1.1 xi^2 f^(-p) stays below e^700 there
+    (1.1, 0.2, profiles.F_FLOOR * math.exp(0.6), -100.0, 0.01,
+     "profile hit the positivity floor near xi=1.01005"),
+    (2.0, 0.25, 1e-155, -1.0, 0.01, "profile tail left the range of doubles near xi=1.00334, "
+                                    "f=9.97e-156: xi^2 f^(-p) exceeds e^700 (xi range too long)"),
+    (2.0, 0.25, 1e305, -1.0, 0.01, "profile tail diverged near xi=1.00334: f_1 exceeds e^700"),
+    (2.0, 0.25, 1.0, 50.0, 0.5, "tail continuation did not converge near xi=1.64872"),
+    (2.0, 0.25, 1.0, -1.0, 1e-13, "tail step underflow near xi=1"),
+])
+def test_tail_guards_name_what_failed_and_where(p, alpha, f_sw, G_sw, h0, message):
+    # Crafted switch states at xi = 1, where G = xi f'/f = G_sw: f below the
+    # floor, xi^2 f^(-p) or f beyond e^700, a slope far off the manifold that
+    # Newton cannot follow over a log step of 0.5, and a step below 1e-12.
+    pp = ProfileParams.self_similar(p, alpha, 1.0)
+    with pytest.raises(SingularityError, match=re.escape(message) + "$"):
+        _integrate_tail(pp, 1, 1.0, f_sw, G_sw * f_sw, [1e3], ds=0.5, tol=1.0, h0=h0,
+                        point=_axes([pp]))
 
 
 def test_an_end_in_the_explicit_phase_is_integrated_on_its_own():
@@ -797,6 +885,7 @@ def test_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.fp, prof.fp)
     sidecar = json.loads((tmp_path / "profile.json").read_text())
     assert sidecar["beta"] == pp.beta and "self_similar" not in sidecar
+    assert sidecar["solver"] == prof.meta == back.meta and set(TAIL_COUNTS) <= set(prof.meta)
 
 
 def test_load_refuses_a_beta_that_p_and_alpha_do_not_give(tmp_path):
