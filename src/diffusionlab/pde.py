@@ -234,8 +234,8 @@ def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"only (1, 1) bands are supported, got {tuple(l_and_u)}")
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b,
-                    overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)[3:]
+    # the four overwrite flags (dl, d, du, b), positionally
+    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1, 1)[3:]
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
@@ -254,11 +254,12 @@ class _Stepper:
     landing step.
 
     Each Newton iterate x costs one Laplacian L x and one power x^p.  The
-    residual computes both, with dt x^p and -F(x), and the Newton matrix at
-    x reuses them: its off-diagonal bands are dt x^p times the negated
-    Laplacian coefficients, and -F(x) is its right-hand side.  At u, -F is
-    dt u^p L u from the held arrays.  Once three slopes are held, and u does
-    not already meet the tolerance, the step also tries the predictor
+    residual computes both, with dt x^p, x - u and -F(x), and the Newton
+    matrix at x reuses them: its off-diagonal bands are dt x^p times the
+    negated Laplacian coefficients, and -F(x) is its right-hand side.  The
+    last iterate's x - u, over dt, is the accepted step's slope.  At u, -F
+    is dt u^p L u from the held arrays.  Once three slopes are held, and u
+    does not already meet the tolerance, the step also tries the predictor
     y = u + dt Q(t + dt), with Q the quadratic through the three (t_k, s_k),
     clipped at eps (at the floor when eps = 0), and starts from y only if
     y's max-norm residual is strictly below u's.  Each iteration takes the
@@ -293,12 +294,14 @@ class _Stepper:
         return lu
 
     def residual(self, u_new, u_old, dt):
-        """(-F(u_new), L u_new, u_new^p, dt u_new^p): the Newton matrix at
-        u_new reuses the last three, and -F is its right-hand side."""
+        """(-F(u_new), L u_new, u_new^p, dt u_new^p, u_new - u_old): the
+        Newton matrix at u_new reuses the middle three, -F is its right-hand
+        side, and the step's slope is the last over dt."""
         lu = self.lap(u_new)
         up = u_new**self.p
         dup = dt * up
-        return dup * lu - (u_new - u_old), lu, up, dup
+        du = u_new - u_old
+        return dup * lu - du, lu, up, dup, du
 
     def predict(self, dt: float) -> np.ndarray:
         """u + dt Q(t + dt) from the three held slopes, clipped at eps (at
@@ -319,22 +322,27 @@ class _Stepper:
         when that has the smaller residual, else from u.  Raises
         NewtonDivergence, keeping the state, clock and slopes, on a singular
         or non-finite matrix, no descent, or MAX_NEWTON iterations."""
-        p, ab = self.p, self.ab
+        p, ab, eps = self.p, self.ab, self.eps
         u_old, lu, xp = self.u, self.lu, self.up
-        scale = max(float(u_old.max()), self.eps, 1e-30)
+        # max(max(u_old), eps, 1e-30), in the builtin's operand order
+        scale = float(np.maximum.reduce(u_old))
+        if eps > scale:
+            scale = eps
+        if 1e-30 > scale:
+            scale = 1e-30
         tol = NEWTON_TOL * scale
         # the first iterate is u_old or the predictor, which nothing writes
         # into: each later iterate is a fresh array, clipped in place
-        x, dxp = u_old, dt * xp
+        x, dxp, du = u_old, dt * xp, None  # du = x - u_old, once x is not u_old
         nres = dxp * lu  # -F(u_old)
-        rnorm = float(np.abs(nres).max())
+        rnorm = float(np.maximum.reduce(np.abs(nres)))
         if len(self.slopes) == 3 and not rnorm < tol:
             y = self.predict(dt)
             y_res = self.residual(y, u_old, dt)
-            y_norm = float(np.abs(y_res[0]).max())
+            y_norm = float(np.maximum.reduce(np.abs(y_res[0])))
             if y_norm < rnorm:
                 x, rnorm = y, y_norm
-                nres, lu, xp, dxp = y_res
+                nres, lu, xp, dxp, du = y_res
         for it in range(MAX_NEWTON + 1):
             if rnorm < tol:
                 break
@@ -355,13 +363,13 @@ class _Stepper:
                 raise NewtonDivergence("non-finite Newton matrix")
             x = x + delta
             np.maximum(x, self.floor, out=x)
-            nres, lu, xp, dxp = self.residual(x, u_old, dt)
-            rn = float(np.abs(nres).max())
+            nres, lu, xp, dxp, du = self.residual(x, u_old, dt)
+            rn = float(np.maximum.reduce(np.abs(nres)))
             if not rn < rnorm:  # also when rn is NaN or infinite
                 raise NewtonDivergence(f"no descent at iteration {it} (res={rnorm:.3g})")
             rnorm = rn
         self.t += dt
-        self.slopes.append((self.t, (x - u_old) / dt))
+        self.slopes.append((self.t, (x - u_old if du is None else du) / dt))
         del self.slopes[:-3]
         self.u, self.lu, self.up = x, lu, xp
         return it
@@ -371,8 +379,16 @@ def lq_norm(r: np.ndarray, u: np.ndarray, q: float, n: int) -> float:
     """L^q norm over the ball: (area(S^(n-1)) * trapz(u^q r^(n-1)))^(1/q)."""
     if q == math.inf:
         return float(np.max(u))
-    integrand = u**q * r ** (n - 1) if n > 1 else u**q
-    return float((sphere_area(n) * np.trapezoid(integrand, r)) ** (1.0 / q))
+    return _lq(u, q, r ** (n - 1) if n > 1 else None, np.diff(r), sphere_area(n))
+
+
+def _lq(u, q, weight, dr, area) -> float:
+    """(area * trapz(u^q weight, r))^(1/q) for finite q, from the node
+    spacings dr = diff(r) and weight = r^(n-1) (None for n = 1), in
+    np.trapezoid's own arithmetic, so that `evolve` can build dr, weight
+    and area once per run."""
+    y = u**q * weight if weight is not None else u**q
+    return float((area * np.add.reduce(dr * (y[1:] + y[:-1]) / 2.0)) ** (1.0 / q))
 
 
 def _sample_times(t_start: float, t_end: float) -> list[float]:
@@ -432,31 +448,39 @@ def evolve(
     u[-1] = eps
     if np.any(u[:-1] <= 0.0):
         raise DomainError("initial state must be positive off the boundary")
-    u0_sup = float(np.max(u))
+    u_top = max(float(np.max(u)), eps)  # the state's upper bound, max(sup u0, eps)
 
     stepper = _Stepper(r, n, p, eps, u[:-1], t_start)
-    inner_mask = r <= inner
+    # built once per run: r <= inner is a prefix of the ascending grid, and
+    # lq_norm's spacings, weights and sphere area do not change
+    n_inner = int(np.searchsorted(r, inner, side="right"))
+    norms = [(f"{q:g}", q) for q in norm_qs]
+    dr, weight, area = np.diff(r), r ** (n - 1) if n > 1 else None, sphere_area(n)
 
     def record(t, u_full, semiconv):
-        lq = {f"{q:g}": lq_norm(r, u_full, q, n) for q in norm_qs}
-        # how far the state escapes [eps, max(u0_sup, eps)]; ~0 for a valid state
-        slack = max(eps - u_full.min(), u_full.max() - max(u0_sup, eps), 0.0)
+        """Append the sample and u_full itself as the snapshot: u_full must be
+        an array that nothing else holds."""
+        hi = float(np.maximum.reduce(u_full))
+        lq = {key: hi if q == math.inf else _lq(u_full, q, weight, dr, area) for key, q in norms}
+        # how far the state escapes [eps, u_top]; ~0 for a valid state
+        slack = max(eps - float(np.minimum.reduce(u_full)), hi - u_top, 0.0)
         samples.append(
             SampleRecord(
                 t=t,
                 tau=math.log(t + 1.0),
-                linf=float(np.max(u_full)),
+                linf=hi,
                 lq=lq,
-                min_inner=float(np.min(u_full[inner_mask])),
+                min_inner=float(np.minimum.reduce(u_full[:n_inner])),
                 semiconv_min=semiconv,
                 max_principle_slack=float(slack),
             )
         )
-        snapshots.append((t, u_full.copy()))
+        snapshots.append((t, u_full))
 
     samples: list = []
     snapshots: list = []
-    record(t_start, u, None)
+    # a copy: the stepper holds a view of u as its first state
+    record(t_start, u.copy(), None)
 
     targets = _sample_times(t_start, t_end)
     dt = dt_init
@@ -465,7 +489,14 @@ def evolve(
     steps = halvings = 0
     for t_next in targets:
         while stepper.t < t_next * (1.0 - 1e-12):
-            dt = min(dt, cfg.dt_rel_max * max(stepper.t, t_floor), t_next - stepper.t)
+            # dt = min(dt, dt_rel_max * max(t, t_floor), t_next - t), in the
+            # builtins' operand order
+            t = stepper.t
+            cap = cfg.dt_rel_max * (t_floor if t_floor > t else t)
+            if cap < dt:
+                dt = cap
+            if t_next - t < dt:
+                dt = t_next - t
             u_prev = stepper.u
             try:
                 iters = stepper.step(dt)
@@ -480,9 +511,14 @@ def evolve(
             dt_used = dt
             if iters <= 5:
                 dt *= DT_GROWTH
-        # landed on the sample time; semi-convexity from the landing step
-        log_ratio = np.log(stepper.u / u_prev) / dt_used
-        semiconv = float(np.min(log_ratio + 1.0 / (p * stepper.t)))
+        # landed on the sample time; semi-convexity min(log(u / u_prev) / dt
+        # + 1 / (p t)) from the landing step.  Dividing by dt > 0 and adding
+        # are monotone in floating point, so they commute with the min bit
+        # for bit, and a NaN still propagates.
+        ratio = stepper.u / u_prev
+        log_min = np.minimum.reduce(np.log(ratio, out=ratio))
+        semiconv = float(log_min / dt_used + 1.0 / (p * stepper.t))
+        # concatenate makes a fresh array, so the snapshot needs no copy
         record(stepper.t, np.concatenate((stepper.u, [eps])), semiconv)
 
     stats = {"steps": steps, "halvings": halvings, "newton_solves": stepper.solves}

@@ -458,8 +458,13 @@ def _integrate_tail(params, n, xi_sw, f_sw, fp_sw, xi_ends, ds, tol, h0, point):
                 j21 = -h * a21 * g1G - hh * (a21 * g1F * a11 + a22 * g2F * a21)
                 j22 = 1.0 - h * a22 * g2G - hh * (a21 * g1F * a12 + a22 * g2F * a22)
                 det = j11 * j22 - j12 * j21
-                dG1 = (-r1 * j22 + r2 * j12) / det
-                dG2 = (-r2 * j11 + r1 * j21) / det
+                try:
+                    dG1 = (-r1 * j22 + r2 * j12) / det
+                    dG2 = (-r2 * j11 + r1 * j21) / det
+                except ZeroDivisionError:
+                    raise SingularityError(
+                        f"singular tail Newton matrix near {point(math.exp(s2))}"
+                    ) from None
                 G1 += dG1
                 G2 += dG2
                 # The F stages move by h times these increments, so they pass too.

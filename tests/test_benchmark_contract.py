@@ -35,7 +35,9 @@ def test_every_traced_name_is_owned_where_it_is_patched(layers):
 def test_installed_wraps_and_restores_the_originals(layers):
     # a short run through the wrappers: a change in how the package calls a
     # wrapped name (solve_banded from the stepper, integrate_dp45 from the
-    # profile and steady shooters) fails here, not in a traced benchmark run
+    # profile and steady shooters) fails here, not in a traced benchmark run.
+    # Every tridiagonal solve of the evolve must pass through the traced
+    # solve_banded, so the traced count equals the stepper's own.
     tracer = layers.Tracer()
     originals = [(owner, name, owner.__dict__[name]) for owner, name, _ in tracer._patches()]
     t = np.logspace(0.0, 3.0, 31)
@@ -43,13 +45,15 @@ def test_installed_wraps_and_restores_the_originals(layers):
         for owner, name, original in originals:
             assert owner.__dict__[name] is not original, f"{owner.__name__}.{name}"
         rates.fit_decay(t, t**-0.5, (1.0, 1e3))
-        pde.evolve(pde.InitialDatum.algebraic(2.0), p=2.0, n=1, R=20.0, eps=1e-3, t_end=1.0,
-                   config=pde.SolverConfig(n_nodes=64))
+        run = pde.evolve(pde.InitialDatum.algebraic(2.0), p=2.0, n=1, R=20.0, eps=1e-3,
+                         t_end=1.0, config=pde.SolverConfig(n_nodes=64))
         profiles.integrate_profile(profiles.ProfileParams.self_similar(2.0, 0.25, 1.0), 10.0, n=1)
         steady.shoot_unit_profile(2.0, 1)
     assert tracer.counts["rates.fit_calls"] == 1
     assert tracer.counts["pde.evolve_calls"] == 1
-    for key in ("pde.solves.n64", "rk.profiles.calls", "rk.steady.calls"):
+    assert run.stats["newton_solves"] > 0
+    assert tracer.counts["pde.solves.n64"] == run.stats["newton_solves"]
+    for key in ("rk.profiles.calls", "rk.steady.calls"):
         assert tracer.counts[key] > 0, key
     # The unit shot rejects no step, so every RHS call went through the rhs
     # the wrapper passed: 6 per accepted step and 1 to start each of the two

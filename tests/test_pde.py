@@ -567,6 +567,87 @@ def test_evolve_is_bit_identical_with_scipy_solve_banded(monkeypatch, n):
         np.testing.assert_array_equal(u, u_ref)
 
 
+
+def _textbook_lq(r, u, q, n):
+    """lq_norm written out with np.max and np.trapezoid."""
+    if q == math.inf:
+        return float(np.max(u))
+    integrand = u**q * r ** (n - 1) if n > 1 else u**q
+    return float((sphere_area(n) * np.trapezoid(integrand, r)) ** (1.0 / q))
+
+
+# n = 1, 2, 3; q from 0.5 to inf; inner_radius by default, 0 and beyond R;
+# eps = 0; t_start > 0 with datum_mode "add"
+SAMPLED_RUNS = {
+    "n1": dict(u0=InitialDatum.algebraic(2.0), p=2.0, n=1, R=20.0, eps=1e-3, t_end=10.0,
+               norm_qs=(0.5, 1.0, 2.0, math.inf), config=SolverConfig(n_nodes=128)),
+    "n2_eps0_inner0": dict(u0=InitialDatum.gaussian(2.0), p=1.5, n=2, R=10.0, eps=0.0,
+                           t_end=5.0, norm_qs=(math.inf, 0.5, 3),
+                           config=SolverConfig(n_nodes=96, inner_radius=0.0)),
+    "n3_add_from_t1_inner_beyond_R": dict(
+        u0=InitialDatum.algebraic(1.0, C0=2.0), p=3.0, n=3, R=30.0, eps=1e-4, t_end=100.0,
+        t_start=1.0, norm_qs=(0.5, 2.0, math.inf),
+        config=SolverConfig(n_nodes=150, inner_radius=1e3, datum_mode="add")),
+}
+
+
+@pytest.mark.parametrize("kwargs", SAMPLED_RUNS.values(), ids=SAMPLED_RUNS)
+def test_samples_are_the_textbook_reductions_of_their_snapshots(monkeypatch, kwargs):
+    # Every sample equals, with ==, what np.max, np.trapezoid, the boolean
+    # mask r <= inner_radius and the slack formula give on its snapshot, and
+    # semiconv_min the elementwise minimum over the step that landed on it.
+    landings = {}
+    step = pde._Stepper.step
+
+    def recorded(self, dt):
+        u_prev = self.u
+        iters = step(self, dt)
+        landings[self.t] = (u_prev, self.u, dt)
+        return iters
+
+    monkeypatch.setattr(pde._Stepper, "step", recorded)
+    run = evolve(**kwargs)
+    r, n, p, eps, cfg = run.r, kwargs["n"], kwargs["p"], kwargs["eps"], kwargs["config"]
+    inner = run.R / 4.0 if cfg.inner_radius is None else cfg.inner_radius
+    u0_sup = float(np.max(run.snapshots[0][1]))
+    assert len(run.samples) == len(run.snapshots) > 30
+    for i, (s, (t, u)) in enumerate(zip(run.samples, run.snapshots)):
+        assert s.t == t
+        assert s.linf == float(np.max(u))
+        assert s.lq == {f"{q:g}": _textbook_lq(r, u, q, n) for q in kwargs["norm_qs"]}
+        assert s.min_inner == float(np.min(u[r <= inner]))
+        slack = max(eps - u.min(), u.max() - max(u0_sup, eps), 0.0)
+        assert s.max_principle_slack == float(slack)
+        if i == 0:
+            assert s.semiconv_min is None
+        else:
+            u_prev, u_new, dt = landings[t]
+            expected = np.min(np.log(u_new / u_prev) / dt + 1.0 / (p * t))
+            assert s.semiconv_min == float(expected)
+
+
+@pytest.mark.parametrize("kwargs", SAMPLED_RUNS.values(), ids=SAMPLED_RUNS)
+def test_no_snapshot_shares_memory(monkeypatch, kwargs):
+    # Each snapshot is an array of its own: none shares memory with another
+    # or with what the stepper holds at the end, and the first none with the
+    # state the stepper starts from, a view of the initial state.
+    steppers = []
+    init = pde._Stepper.__init__
+
+    def captured(self, *args, **kw):
+        init(self, *args, **kw)
+        steppers.append((self, self.u))
+
+    monkeypatch.setattr(pde._Stepper, "__init__", captured)
+    run = evolve(**kwargs)
+    [(stepper, first_state)] = steppers
+    snaps = [u for _, u in run.snapshots]
+    assert not np.shares_memory(snaps[0], first_state)
+    held = [stepper.u, stepper.lu, stepper.up] + [s for _, s in stepper.slopes]
+    for i, u in enumerate(snaps):
+        assert not any(np.shares_memory(u, a) for a in held + snaps[i + 1:])
+
+
 class TestHeldState:
     """The stepper holds (u, L u, u^p) and starts each Newton solve from them:
     after an accepted step the three belong to the new u, bit for bit, and a
@@ -1196,3 +1277,13 @@ def test_lq_norm_exact_on_known_function():
     val = lq_norm(r, u, 1.0, 3)
     assert val == pytest.approx(4.0 * math.pi / 3.0 * 8.0, rel=1e-6)
     assert lq_norm(r, 3.0 * u, math.inf, 3) == 3.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lq_norm_is_the_trapezoid_rule_bit_for_bit(n):
+    # on a uniform and on a graded grid, with rough positive values
+    rng = np.random.default_rng(n)
+    for r in (np.linspace(0.0, 7.0, 301), np.cumsum(rng.uniform(0.0, 0.1, 200))):
+        u = 10.0 ** rng.uniform(-3.0, 1.0, r.size)
+        for q in (0.5, 1.0, 2, 3.5, math.inf):
+            assert lq_norm(r, u, q, n) == _textbook_lq(r, u, q, n)

@@ -537,6 +537,18 @@ def test_tail_guards_name_what_failed_and_where(p, alpha, f_sw, G_sw, h0, messag
                         point=_axes([pp]))
 
 
+def test_an_exactly_singular_tail_newton_matrix_names_the_point():
+    # The state of the guard tests' non-converging case, stepped at log steps
+    # up to 2: the first trial is rejected, and the Newton iterates of the
+    # retry run off until the 2x2 Jacobian's determinant is exactly 0, at the
+    # thirteenth iteration.
+    pp = ProfileParams.self_similar(2.0, 0.25, 1.0)
+    message = "singular tail Newton matrix near xi=3.00152"
+    with pytest.raises(SingularityError, match=re.escape(message) + "$"):
+        _integrate_tail(pp, 1, 1.0, 1.0, 50.0, [1e3], ds=2.0, tol=1.0, h0=2.0,
+                        point=_axes([pp]))
+
+
 def test_an_end_in_the_explicit_phase_is_integrated_on_its_own():
     # At p = 4, alpha = 0.075, n = 2 the explicit phase of f_1 ends near
     # xi = 6.56; A = 2.9 ends f_1 at 50 / 2.9^2 = 5.95, inside it, and A = 2.5
