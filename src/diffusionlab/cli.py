@@ -12,6 +12,7 @@ is 0 iff every assertion of every executed scenario passed (for
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -207,9 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--t-start", dest="t_start", type=float, default=0.0)
     e.add_argument("--datum", required=True,
                    help="algebraic:gamma=2,C0=1 | gaussian:sigma=2 | table:<csv>")
-    e.add_argument("--norm-qs", dest="norm_qs", default="1,2")
-    e.add_argument("--n-nodes", dest="n_nodes", type=int, default=512)
-    e.add_argument("--dt-rel", dest="dt_rel", type=float, default=0.05)
+    norm_qs = inspect.signature(pde.evolve).parameters["norm_qs"].default
+    e.add_argument("--norm-qs", dest="norm_qs", default=",".join(f"{q:g}" for q in norm_qs))
+    e.add_argument("--n-nodes", dest="n_nodes", type=int, default=pde.SolverConfig.n_nodes)
+    e.add_argument("--dt-rel", dest="dt_rel", type=float, default=pde.SolverConfig.dt_rel_max)
     e.add_argument("--inner-radius", dest="inner_radius", type=float, default=None)
     e.add_argument("--snapshots", action="store_true")
 

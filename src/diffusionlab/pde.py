@@ -226,14 +226,12 @@ def solve_banded(l_and_u, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     (ab[0, 1:] upper, ab[1] main, ab[2, :-1] lower diagonal) in place, by
     one LAPACK gtsv call: the three bands of ab and b are overwritten, and b
     holds the returned solution.  gtsv is the routine
-    `scipy.linalg.solve_banded` calls for these bands, so the solution is
-    the same bit for bit, without scipy's input validation, batch dispatch
-    and input copies.  As there, non-finite input raises ValueError and a
-    singular matrix np.linalg.LinAlgError."""
+    `scipy.linalg.solve_banded` calls for these bands, so on finite input
+    the solution is the same bit for bit, without scipy's validation, batch
+    dispatch and input copies.  A singular matrix raises LinAlgError; NaN or
+    inf input is not refused and gives a non-finite or singular solve."""
     if tuple(l_and_u) != (1, 1):
         raise ValueError(f"only (1, 1) bands are supported, got {tuple(l_and_u)}")
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
     # the four overwrite flags (dl, d, du, b), positionally
     x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1, 1)[3:]
     if info > 0:
@@ -321,7 +319,7 @@ class _Stepper:
         returns the Newton iterations.  Newton starts from the predictor
         when that has the smaller residual, else from u.  Raises
         NewtonDivergence, keeping the state, clock and slopes, on a singular
-        or non-finite matrix, no descent, or MAX_NEWTON iterations."""
+        matrix, no descent (a NaN or inf residual too), or MAX_NEWTON iterations."""
         p, ab, eps = self.p, self.ab, self.eps
         u_old, lu, xp = self.u, self.lu, self.up
         # max(max(u_old), eps, 1e-30), in the builtin's operand order
@@ -359,8 +357,6 @@ class _Stepper:
                 delta = solve_banded((1, 1), ab, nres)  # in place: nres is delta
             except np.linalg.LinAlgError:
                 raise NewtonDivergence("singular Newton matrix")
-            except ValueError:  # the Newton matrix or residual overflowed
-                raise NewtonDivergence("non-finite Newton matrix")
             x = x + delta
             np.maximum(x, self.floor, out=x)
             nres, lu, xp, dxp, du = self.residual(x, u_old, dt)
@@ -695,12 +691,13 @@ def read_jsonl_series(path, norm_id: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def snapshots_to_csv(run: EvolutionRun, out_dir) -> list[Path]:
-    """Dump each stored snapshot as CSV `r,u`; returns the file list."""
+    """Dump snapshot i, at time t, as CSV `r,u` to snapshot_<i>_t<t:.6g>.csv; returns the files."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    width = len(str(len(run.snapshots) - 1))  # so the names sort in time order
     files = []
-    for t, u in run.snapshots:
-        f = out_dir / f"snapshot_t{t:.6g}.csv"
+    for i, (t, u) in enumerate(run.snapshots):
+        f = out_dir / f"snapshot_{i:0{width}d}_t{t:.6g}.csv"
         rows = np.column_stack((run.r, u))
         text = ("%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
         f.write_text("r,u\n" + text, encoding="utf-8")

@@ -66,6 +66,13 @@ def test_installed_wraps_and_restores_the_originals(layers):
         assert owner.__dict__[name] is original, f"{owner.__name__}.{name}"
 
 
+def test_solve_banded_keeps_its_positional_signature():
+    # the benchmark's wrapper passes (l_and_u, ab, b) on by position
+    params = inspect.signature(pde.solve_banded).parameters.values()
+    assert [(p.name, p.kind) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD) for name in ("l_and_u", "ab", "b")]
+
+
 def test_every_module_name_the_benchmark_reads_exists():
     # every `<module>.<name>` in perfbench/*.py, for the diffusionlab modules
     # it imports under their own names

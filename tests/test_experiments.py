@@ -146,12 +146,21 @@ class TestRun:
         assert all(a.claim for a in rec.assertions)
 
     @pytest.mark.parametrize("scenario", list(SCENARIOS))
-    def test_default_manifest_passes(self, tmp_path, scenario):
+    def test_default_manifest_passes(self, tmp_path, monkeypatch, scenario):
         # The default manifests certify the paper: a verdict that flips is a
-        # regression, whatever its cause.
+        # regression, whatever its cause.  No step of their evolves fails, so
+        # none is retried at half dt.
+        evolve, runs = pde.evolve, []
+
+        def kept(*args, **kwargs):
+            runs.append(evolve(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(pde, "evolve", kept)
         rec = run_manifest(manifest(tmp_path, scenario, scenario, {}))
         assert rec.error is None
         assert rec.passed
+        assert [run.stats["halvings"] for run in runs] == [0] * len(runs)
 
     def test_inf_coefficient_is_measured_on_the_polynomial(self, tmp_path, monkeypatch):
         monkeypatch.setattr(rates, "heat_polynomial", lambda k, x, t: 1 + x**k)
@@ -531,6 +540,19 @@ class TestCli:
         assert "slope" in capsys.readouterr().out
         last = series.read_text().splitlines()[-1]
         assert "fits" in json.loads(last)
+
+    def test_evolve_writes_one_snapshot_file_per_sample(self, tmp_path, capsys):
+        # t = 10 and t_end = 10.0000001 agree to 6 digits: each still has its
+        # own file, and the names sort in time order
+        rc = cli_main(["--out", str(tmp_path), "evolve", "--p", "2", "--t-start", "1",
+                       "--t-end", "10.0000001", "--R", "20", "--n-nodes", "64",
+                       "--datum", "gaussian:sigma=2", "--snapshots"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "wrote 22 snapshot CSVs"
+        files = sorted((tmp_path / "snapshots").iterdir())
+        assert len(files) == 22
+        times = [float(f.stem.partition("_t")[2]) for f in files]
+        assert times == sorted(times) and times[-2:] == [10.0, 10.0]
 
     def test_fit_norm_ids(self, tmp_path, capsys):
         rc = cli_main(
