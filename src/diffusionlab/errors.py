@@ -28,8 +28,9 @@ class RangeError(DiffusionLabError):
 
 
 class NoCrossingError(DiffusionLabError):
-    """Radial shooting found no zero crossing: a shot stayed above its switch
-    height, or a re-shoot could not land on its target radius."""
+    """Radial shooting found no zero crossing: a shot's outward phase failed
+    or stayed above its switch height, or a re-shoot could not land on its
+    target radius."""
 
 
 class NewtonDivergence(DiffusionLabError):

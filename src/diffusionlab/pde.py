@@ -371,13 +371,6 @@ class _Stepper:
         return it
 
 
-def lq_norm(r: np.ndarray, u: np.ndarray, q: float, n: int) -> float:
-    """L^q norm over the ball: (area(S^(n-1)) * trapz(u^q r^(n-1)))^(1/q)."""
-    if q == math.inf:
-        return float(np.max(u))
-    return _lq(u, q, r ** (n - 1) if n > 1 else None, np.diff(r), sphere_area(n))
-
-
 def _lq(u, q, weight, dr, area) -> float:
     """(area * trapz(u^q weight, r))^(1/q) for finite q, from the node
     spacings dr = diff(r) and weight = r^(n-1) (None for n = 1), in
@@ -448,7 +441,7 @@ def evolve(
 
     stepper = _Stepper(r, n, p, eps, u[:-1], t_start)
     # built once per run: r <= inner is a prefix of the ascending grid, and
-    # lq_norm's spacings, weights and sphere area do not change
+    # the L^q norms' spacings, weights and sphere area do not change
     n_inner = int(np.searchsorted(r, inner, side="right"))
     norms = [(f"{q:g}", q) for q in norm_qs]
     dr, weight, area = np.diff(r), r ** (n - 1) if n > 1 else None, sphere_area(n)
@@ -691,9 +684,14 @@ def read_jsonl_series(path, norm_id: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def snapshots_to_csv(run: EvolutionRun, out_dir) -> list[Path]:
-    """Dump snapshot i, at time t, as CSV `r,u` to snapshot_<i>_t<t:.6g>.csv; returns the files."""
+    """Dump snapshot i, at time t, as CSV `r,u` to snapshot_<i>_t<t:.6g>.csv; returns the files.
+
+    The snapshot files an earlier run left in out_dir are removed first, and
+    no other file there is touched."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in out_dir.glob("snapshot_*.csv"):
+        stale.unlink()
     width = len(str(len(run.snapshots) - 1))  # so the names sort in time order
     files = []
     for i, (t, u) in enumerate(run.snapshots):

@@ -53,11 +53,6 @@ def rate_nu(p: float, n: int, q0: float) -> float:
     return n / (n * p + 2.0 * q0)
 
 
-def rate_fast(p: float) -> float:
-    """Sup-norm decay exponent 1/p for data in every L^q0 (q0 -> 0 limit of nu)."""
-    return 1.0 / p
-
-
 def rate_gamma(p: float, n: int, gamma: float, q: float) -> float:
     """Exact L^q decay exponent (gamma - n/q)/(p gamma + 2) for data that
     decays algebraically like (1+|x|)^(-gamma); q = inf gives gamma/(p gamma + 2)."""

@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, NoCrossingError, SingularityError
+from .errors import DomainError, NoCrossingError, SingularityError, ToleranceError
 from .rk import HermiteSpline, first_integral_residual, first_nonmonotone_interval, integrate_dp45
 
 # Handoff height to the inverted system, as a fraction of the center value:
@@ -122,8 +122,9 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float):
     r = sqrt(1.9) ell; it is integrated to sqrt(2) ell, where the parabola
     crosses zero, and a step cap of at most (sqrt(2) - sqrt(1.9)) ell / 2
     never reaches that end first.  Raises NoCrossingError if the outward
-    phase ends above the switch height all the same, or at or below the
-    sweep floor W_FLOOR_FRACTION * b (a cap too long for the parabola), and
+    phase fails (step size underflow, or p and b beyond float range), ends
+    above the switch height all the same, or ends at or below the sweep
+    floor W_FLOOR_FRACTION * b (a cap too long for the parabola), and
     SingularityError if the cubic Hermite interpolant of the nodes fails the
     Fritsch-Carlson certificate.
     """
@@ -131,11 +132,6 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float):
     nm1 = n - 1.0
     neg_nm1 = -nm1
     one_minus_p = 1.0 - p
-    # Series start: w = b + c r^2 with 2*n*c = -(1/p) b^(1-p).
-    c = -(b ** one_minus_p) / (2.0 * n * p)
-    ell = math.sqrt(b / abs(2.0 * c))  # curvature length at the center, sqrt(n p b^p)
-    r0 = 1e-6 * ell
-    w0, wp0 = b + c * r0 * r0, 2.0 * c * r0
     w_switch = W_SWITCH_FRACTION * b
 
     def rhs(r, w, wp):
@@ -145,17 +141,24 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float):
     def stop(r, w, wp):
         return w < w_switch
 
-    rs, ws, wps = integrate_dp45(
-        rhs,
-        r0,
-        (w0, wp0),
-        math.sqrt(2.0) * ell,
-        rtol=SHOT_TOL,
-        atol=(SHOT_TOL * b * 1e-3, 0.0),
-        max_step=max_step_factor * ell,
-        first_step=r0,
-        stop=stop,
-    )
+    try:
+        # Series start: w = b + c r^2 with 2*n*c = -(1/p) b^(1-p).
+        c = -(b ** one_minus_p) / (2.0 * n * p)
+        ell = math.sqrt(b / abs(2.0 * c))  # curvature length at the center, sqrt(n p b^p)
+        r0 = 1e-6 * ell
+        rs, ws, wps = integrate_dp45(
+            rhs,
+            r0,
+            (b + c * r0 * r0, 2.0 * c * r0),
+            math.sqrt(2.0) * ell,
+            rtol=SHOT_TOL,
+            atol=(SHOT_TOL * b * 1e-3, 0.0),
+            max_step=max_step_factor * ell,
+            first_step=r0,
+            stop=stop,
+        )
+    except (ToleranceError, OverflowError, ZeroDivisionError) as exc:
+        raise NoCrossingError(f"outward phase failed: {exc} (p={p}, n={n}, b={b})") from None
     if ws[-1] >= w_switch:
         raise NoCrossingError(
             f"w stayed above the switch height out to r={rs[-1]:g} (p={p}, n={n}, b={b})"
@@ -191,21 +194,19 @@ def _shoot(p: float, n: int, b: float, max_step_factor: float):
         first_step=(w1 - w_floor) * 1e-3,
         stop=stalled,
     )
-    # For p > 2 w falls much faster than R - r, and the sweep stalls: r stops
-    # advancing by more than 1e-11 r (for p >= 3.5 R - r falls below float
-    # spacing, where r / R or scale_profile would merge nodes).  Once r has
-    # stalled it does not advance again (checked for p from 2.5 to 6 and
-    # n = 1-3), so the sweep stops at the first stalled node.  Drop the
-    # duplicated switch point and the stalled node by the same test, then
-    # append the crossing, extrapolated from the last node kept.
-    rsi, wsi, wpsi = np.array(rsi), w1 - np.array(qs), np.array(wpsi)
-    keep = np.flatnonzero(np.diff(rsi) > 1e-11 * rsi[1:]) + 1
-    k = keep[-1]
+    # The sweep stops at the first node where r advanced by no more than
+    # 1e-11 r (for p > 2 w falls much faster than R - r; for p >= 3.5 R - r
+    # falls below float spacing).  Only the last node can have stalled: drop
+    # it, and the duplicated switch point, and extrapolate the crossing from
+    # the last node kept, the switch point itself when the first step stalls.
+    k = len(qs) - 1
+    if rsi[k] - rsi[k - 1] <= 1e-11 * rsi[k]:
+        k -= 1
     kappa = min(1.0, 2.0 / p)  # boundary exponent of w in (R - r)
-    R = float(rsi[k] + kappa * wsi[k] / abs(wpsi[k]))
-    r_nodes = np.concatenate(([0.0], rs, rsi[keep], [R]))
-    w_nodes = np.concatenate(([b], ws, wsi[keep], [0.0]))
-    wp_nodes = np.concatenate(([0.0], wps, wpsi[keep], [wpsi[k]]))
+    R = rsi[k] + kappa * (w1 - qs[k]) / abs(wpsi[k])
+    r_nodes = np.concatenate(([0.0], rs, rsi[1 : k + 1], [R]))
+    w_nodes = np.concatenate(([b], ws, w1 - np.array(qs[1 : k + 1]), [0.0]))
+    wp_nodes = np.concatenate(([0.0], wps, wpsi[1 : k + 1], [wpsi[k]]))
     i = first_nonmonotone_interval(r_nodes, w_nodes, wp_nodes)
     if i >= 0:
         raise SingularityError(

@@ -520,6 +520,14 @@ class TestCli:
         assert rc == 0
         assert "center value 2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", ["1", "3"])
+    @pytest.mark.parametrize("p", ["1", "2", "13", "14", "18", "19", "1e30", "1e308"])
+    def test_steady_verb_makes_a_profile_or_an_error(self, tmp_path, capsys, p, n):
+        # a shot that cannot be made is an error line and status 2, never a traceback
+        rc = cli_main(["--out", str(tmp_path), "steady", "--p", p, "--n", n])
+        err = capsys.readouterr().err
+        assert (rc, err) == (0, "") or (rc == 2 and err.startswith("error: ")), (rc, err)
+
     def test_evolve_and_fit_verbs(self, tmp_path, capsys):
         rc = cli_main(
             ["--out", str(tmp_path), "evolve", "--p", "2", "--n", "1", "--R", "20",
@@ -553,6 +561,26 @@ class TestCli:
         assert len(files) == 22
         times = [float(f.stem.partition("_t")[2]) for f in files]
         assert times == sorted(times) and times[-2:] == [10.0, 10.0]
+
+    def test_a_second_evolve_leaves_only_its_own_snapshot_files(self, tmp_path, capsys):
+        # the run from t = 1 writes 21 files, the one from t = 2 writes 15 and
+        # removes the 21; a file of another name in snapshots/ stays
+        def evolve_into(out, t_start):
+            rc = cli_main(["--out", str(out), "evolve", "--p", "2", "--t-start", t_start,
+                           "--t-end", "10", "--R", "20", "--n-nodes", "64",
+                           "--datum", "gaussian:sigma=2", "--snapshots"])
+            assert rc == 0
+            return capsys.readouterr().out.splitlines()[-1]
+
+        (tmp_path / "both" / "snapshots").mkdir(parents=True)
+        (tmp_path / "both" / "snapshots" / "notes.csv").write_text("kept\n")
+        assert evolve_into(tmp_path / "both", "1") == "wrote 21 snapshot CSVs"
+        assert evolve_into(tmp_path / "both", "2") == "wrote 15 snapshot CSVs"
+        evolve_into(tmp_path / "fresh", "2")
+        both = {f.name: f.read_bytes() for f in (tmp_path / "both" / "snapshots").iterdir()}
+        fresh = {f.name: f.read_bytes() for f in (tmp_path / "fresh" / "snapshots").iterdir()}
+        assert both.pop("notes.csv") == b"kept\n"
+        assert both == fresh and len(fresh) == 15
 
     def test_fit_norm_ids(self, tmp_path, capsys):
         rc = cli_main(

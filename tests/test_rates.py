@@ -16,7 +16,6 @@ from diffusionlab.rates import (
     heat_poly_residual,
     heat_polynomial,
     heat_random_rationals,
-    rate_fast,
     rate_gamma,
     rate_lq,
     rate_nu,
@@ -54,16 +53,15 @@ class TestNuAndFast:
     def test_values(self):
         assert rate_nu(2.0, 1, 1.0) == pytest.approx(0.25, abs=1e-16)
         assert rate_nu(1.0, 3, 3.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert rate_fast(2.0) == 0.5
 
     def test_nu_below_fast_rate(self):
         for p in (1.0, 2.0, 5.0):
             for n in (1, 2, 3):
                 for q0 in (0.1, 1.0, 10.0):
-                    assert rate_nu(p, n, q0) < rate_fast(p)
+                    assert rate_nu(p, n, q0) < 1.0 / p
 
     def test_limit_small_q0(self):
-        assert rate_nu(2.0, 1, 1e-12) == pytest.approx(rate_fast(2.0), rel=1e-10)
+        assert rate_nu(2.0, 1, 1e-12) == pytest.approx(1.0 / 2.0, rel=1e-10)
 
     def test_nu_domain_error(self):
         with pytest.raises(DomainError):
@@ -76,7 +74,7 @@ class TestRateGamma:
         assert rate_gamma(2.0, 1, 2.0, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_large_gamma_limit_matches_fast_rate(self):
-        assert rate_gamma(2.0, 1, 1e12, INF) == pytest.approx(rate_fast(2.0), rel=1e-10)
+        assert rate_gamma(2.0, 1, 1e12, INF) == pytest.approx(1.0 / 2.0, rel=1e-10)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):

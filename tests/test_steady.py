@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.interpolate import CubicHermiteSpline
 from diffusionlab import steady
 from diffusionlab.errors import DomainError, NoCrossingError, SingularityError
 from diffusionlab.experiments import ExperimentManifest, run_manifest
+from diffusionlab.rk import first_nonmonotone_interval
 from diffusionlab.steady import (
     scale_profile,
     shoot_profile_for_radius,
@@ -171,9 +173,8 @@ def test_steep_boundary_shots_have_distinct_nodes(p, n):
 @pytest.mark.parametrize("n", [1, 3])
 def test_inverted_sweep_stops_once_r_stalls(monkeypatch, p, n):
     # The sweep ends at the first node where r advances by no more than
-    # 1e-11 r, so the keep rule in _shoot drops at most that one node (and
-    # the duplicated switch point), not the run of stalled nodes down to
-    # W_FLOOR_FRACTION * b.
+    # 1e-11 r, so it holds at most that one stalled node, the last, not the
+    # run of stalled nodes down to W_FLOOR_FRACTION * b.
     integrate, sweeps = steady.integrate_dp45, []
 
     def recorded(*args, **kwargs):
@@ -185,6 +186,44 @@ def test_inverted_sweep_stops_once_r_stalls(monkeypatch, p, n):
     shoot_unit_profile(p, n)
     rs = sweeps[1]  # the outward phase, then the inverted sweep
     assert np.count_nonzero(np.diff(rs) <= 1e-11 * rs[1:]) <= 1
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0, 13.0, 14.0, 18.0])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("b, factor", [(steady.UNIT_SHOT_B, steady.UNIT_STEP_FACTOR),
+                                       (2.0, steady.RESHOOT_STEP_FACTOR)], ids=["unit", "reshoot"])
+def test_every_kept_sweep_node_advances_r(p, n, b, factor):
+    # The sweep nodes of a shot lie between the switch point, its first node
+    # below W_SWITCH_FRACTION * b, and the extrapolated crossing; each
+    # advances r by more than 1e-11 r, so a stalled node is never kept.
+    r, w, _, _ = steady._shoot(p, n, b, factor)
+    j = int(np.argmax(w < steady.W_SWITCH_FRACTION * b))
+    kept = r[j + 1 : -1]
+    assert np.all(kept - r[j:-2] > 1e-11 * kept)
+
+
+@pytest.mark.parametrize("p", [14.0, 15.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_sweep_that_stalls_at_its_first_step(p, n):
+    # From p = 14 the first inverted step already stalls, so the crossing is
+    # extrapolated from the switch point itself: the profile is the outward
+    # phase plus the crossing, and it still passes the Fritsch-Carlson check.
+    unit = shoot_unit_profile(p, n)
+    assert np.count_nonzero(unit.w < steady.W_SWITCH_FRACTION * unit.w[0]) == 2
+    assert first_nonmonotone_interval(unit.r, unit.w, unit.wp) == -1
+    assert steady_residual(unit) <= 1e-5
+
+
+@pytest.mark.parametrize("p, why", [
+    (19.0, "step size underflow"),  # n = 1: w'' = -3.8e21 at w = 0.054 b, steps < 1e-14 r
+    (1e30, "Numerical result out of range"),  # w^(1-p) overflows
+    (1e308, "float division by zero"),  # the series coefficient underflows to -0.0
+])
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_failed_outward_phase_names_the_shot(p, why, n):
+    with pytest.raises(NoCrossingError, match=rf"^outward phase failed: .*{why}.*"
+                                              + re.escape(f" (p={p}, n={n}, b=1.0)") + "$"):
+        shoot_unit_profile(p, n)
 
 
 def test_shot_certifies_its_interpolant(monkeypatch):
