@@ -180,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="difflab", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", default=".", help="output directory (default: cwd)")
-    ap.add_argument("--workers", type=int, default=1, help="sweep parallelism")
+    ap.add_argument("--workers", type=int, default=1,
+                    help="sweep: processes that run manifests, this one included (>= 1)")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("profile", help="integrate a self-similar profile")
@@ -249,6 +250,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:
+        if args.workers < 1:
+            raise DomainError(f"--workers must be >= 1, got {args.workers}")
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -29,6 +29,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -656,26 +658,78 @@ def run_manifest(manifest: ExperimentManifest) -> ResultRecord:
     return record
 
 
-def _run_manifest_worker(payload):
-    return run_manifest(ExperimentManifest.from_dict(payload))
+_claims = None  # in a sweep's pool worker: the claim counter it shares with the caller
+
+
+def _share_claims(claims):
+    global _claims
+    _claims = claims
+
+
+def _drain(manifests, claims=None) -> dict:
+    """{index: record} of the manifests this process claims, one at a time
+    until none is left, from `claims` (by default a pool worker's counter)."""
+    claims, records = _claims if claims is None else claims, {}
+    while True:
+        with claims.get_lock():
+            i = claims.value
+            claims.value = i + 1
+        if i >= len(manifests):
+            return records
+        records[i] = run_manifest(manifests[i])
 
 
 def sweep(manifests, parallelism: int = 1) -> list:
-    """Run manifests `parallelism` at a time; records come back in input order.
+    """Run manifests in `parallelism` processes, this one included; records
+    come back in input order.
+
+    A parallel sweep starts K - 1 pool workers, K = min(parallelism, number
+    of manifests to run), and each of the K processes claims the next
+    manifest from one shared counter until none is left.  If the caller's
+    own manifest raises, the counter is set past the end, so the workers
+    stop after their current manifest; a worker that dies makes the sweep
+    raise BrokenProcessPool once no manifest is left to claim.
 
     Each record is deterministic and independent of scheduling.  A manifest
     that fails, by a rejected parameter or any exception in its scenario,
     still gets its record.json (as an error record) and a `failed` marker,
     or only the returned record if its output_dir cannot be made; the rest
-    of the sweep runs on."""
+    of the sweep runs on.  A manifest whose resolved output_dir is an
+    earlier manifest's does not run: its error record names the earlier one
+    and is returned but written nowhere."""
     manifests = list(manifests)
     if not manifests:
         raise DomainError("sweep needs at least one manifest")
-    if parallelism <= 1 or len(manifests) == 1:
-        return [run_manifest(m) for m in manifests]
-    # a fork pool starts all of its workers at once, used or not
-    with ProcessPoolExecutor(max_workers=min(parallelism, len(manifests))) as pool:
-        return list(pool.map(_run_manifest_worker, [asdict(m) for m in manifests]))
+    refused, first = {}, {}
+    for i, m in enumerate(manifests):
+        try:
+            j = first.setdefault(os.path.realpath(m.output_dir), i)
+        except ValueError:  # a null byte: run_manifest gives the error record
+            continue
+        if j != i:
+            now = datetime.now(timezone.utc).isoformat()
+            refused[i] = ResultRecord(
+                name=m.name, scenario=m.scenario, manifest_hash=m.digest(), started=now,
+                finished=now, produced_files=[], assertions=[], passed=False,
+                error=f"DomainError: output_dir {m.output_dir!r} is that of the earlier "
+                      f"manifest {manifests[j].name!r}")
+    todo = [m for i, m in enumerate(manifests) if i not in refused]
+    k = min(parallelism, len(todo))
+    if k <= 1:
+        done = {i: run_manifest(m) for i, m in enumerate(todo)}
+    else:
+        claims = multiprocessing.Value("i", 0)
+        with ProcessPoolExecutor(k - 1, initializer=_share_claims, initargs=(claims,)) as pool:
+            futures = [pool.submit(_drain, todo) for _ in range(k - 1)]
+            try:
+                done = _drain(todo, claims)
+            except BaseException:
+                claims.value = len(todo)  # under the lock, so no claim undoes it
+                raise
+            for fut in futures:
+                done.update(fut.result())
+    ran = (done[i] for i in range(len(todo)))
+    return [refused[i] if i in refused else next(ran) for i in range(len(manifests))]
 
 
 def load_records(directory) -> list:

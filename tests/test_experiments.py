@@ -4,8 +4,13 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import re
 import shutil
+import threading
+import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +35,13 @@ from diffusionlab.experiments import (
 
 # record names that are not one path component; `report` writes files named after them
 BAD_NAMES = ["", ".", "..", "demo/a", "../x", "a\\b"]
+
+
+def _wait_until(ready, seconds=30.0):
+    """Poll `ready` until it holds or `seconds` have passed."""
+    deadline = time.monotonic() + seconds
+    while not ready() and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 def manifest(tmp_path, name, scenario, params):
@@ -309,14 +321,17 @@ class TestSweep:
             [a.measured for a in r.assertions] for r in serial
         ] == [[a.measured for a in r.assertions] for r in parallel]
 
-    @pytest.mark.parametrize("n_manifests,parallelism,workers", [(2, 4, 2), (3, 2, 2)])
-    def test_pool_has_at_most_one_worker_per_manifest(
+    @pytest.mark.parametrize("n_manifests,parallelism,workers",
+                             [(2, 4, 1), (3, 2, 1), (1, 4, None), (3, 1, None), (3, -3, None)])
+    def test_pool_has_one_worker_fewer_than_the_processes_that_run_manifests(
             self, tmp_path, monkeypatch, n_manifests, parallelism, workers):
+        # the caller runs manifests too, so K processes take K - 1 pool workers
         pools = []
 
-        class SerialPool:
-            def __init__(self, max_workers):
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
                 pools.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -324,13 +339,118 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments, "_claims", None)  # the initializer sets it here
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
         ms = [manifest(tmp_path, f"h{i}", "remark_heat", {"seed": i}) for i in range(n_manifests)]
         recs = sweep(ms, parallelism=parallelism)
-        assert pools == [workers] and all(r.passed for r in recs)
+        assert pools == ([workers] if workers else [])
+        assert [r.name for r in recs] == [m.name for m in ms] and all(r.passed for r in recs)
+
+    def test_the_caller_runs_manifests_beside_its_worker(self, tmp_path, monkeypatch):
+        ms = [ExperimentManifest.from_dict({
+            "name": f"h{k}", "scenario": "remark_heat", "parameters": {"k": k},
+            "output_dir": str(tmp_path / "active" / f"h{k}")}) for k in (2, 4, 6, 8, 10, 12)]
+        serial = sweep(ms, parallelism=1)
+        (tmp_path / "active").rename(tmp_path / "serial")
+
+        heat, caller, pids = SCENARIOS["remark_heat"], os.getpid(), tmp_path / "pids"
+        pids.mkdir()
+
+        def heat_noting_its_process(params, out_dir):
+            (pids / out_dir.name).write_text(str(os.getpid()))
+            if os.getpid() == caller:  # until the worker has claimed a manifest
+                _wait_until(lambda: any(f.read_text() != str(caller) for f in pids.iterdir()))
+            return heat(params, out_dir)
+
+        monkeypatch.setitem(SCENARIOS, "remark_heat", heat_noting_its_process)
+        parallel = sweep(ms, parallelism=2)
+        (tmp_path / "active").rename(tmp_path / "parallel")
+        ran_in = {f.name: int(f.read_text()) for f in pids.iterdir()}
+        assert sorted(ran_in) == sorted(m.name for m in ms)
+        assert caller in ran_in.values() and len(set(ran_in.values())) == 2
+        assert [r.name for r in parallel] == [r.name for r in serial] == [m.name for m in ms]
+        assert all(r.passed for r in parallel)
+        assert digest(tmp_path / "parallel") == digest(tmp_path / "serial")
+
+    @staticmethod
+    def _sweep_within(seconds, ms, parallelism):
+        """What sweep raised, or None; fails if it has not returned after `seconds`."""
+        raised = []
+
+        def run():
+            try:
+                sweep(ms, parallelism=parallelism)
+            except BaseException as exc:  # handed to the test thread
+                raised.append(exc)
+            else:
+                raised.append(None)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(seconds)
+        assert not thread.is_alive(), f"sweep still running after {seconds} s"
+        return raised[0]
+
+    def test_a_worker_that_dies_breaks_the_sweep_without_a_hang(self, tmp_path, monkeypatch):
+        heat, caller, claimed = SCENARIOS["remark_heat"], os.getpid(), tmp_path / "claimed"
+
+        def dies_in_the_worker(params, out_dir):
+            if os.getpid() != caller:
+                claimed.touch()
+                os._exit(3)
+            _wait_until(claimed.exists)
+            return heat(params, out_dir)
+
+        monkeypatch.setitem(SCENARIOS, "remark_heat", dies_in_the_worker)
+        ms = [manifest(tmp_path, f"h{i}", "remark_heat", {"seed": i}) for i in range(4)]
+        assert isinstance(self._sweep_within(30.0, ms, 2), BrokenProcessPool)
+
+    def test_the_worker_stops_claiming_once_the_callers_manifest_raises(self, tmp_path, monkeypatch):
+        class Halt(BaseException):
+            pass
+
+        heat, caller = SCENARIOS["remark_heat"], os.getpid()
+        started, halted = tmp_path / "started", tmp_path / "halted"
+
+        def halts_in_the_caller(params, out_dir):
+            if os.getpid() == caller:
+                _wait_until(started.exists)
+                halted.touch()
+                raise Halt()
+            started.touch()
+            _wait_until(halted.exists)
+            time.sleep(0.2)  # the caller stops the counter meanwhile
+            return heat(params, out_dir)
+
+        monkeypatch.setitem(SCENARIOS, "remark_heat", halts_in_the_caller)
+        ms = [manifest(tmp_path, f"h{i}", "remark_heat", {"seed": i}) for i in range(6)]
+        assert isinstance(self._sweep_within(30.0, ms, 2), Halt)
+        # the worker finished the manifest it held and claimed no other
+        assert len(list(tmp_path.glob("h*/record.json"))) == 1
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_a_shared_output_dir_runs_only_the_first(self, tmp_path, parallelism):
+        (tmp_path / "link").symlink_to(tmp_path / "a")
+        ms = [manifest(tmp_path, "a", "remark_heat", {"k": 4})] + [
+            ExperimentManifest.from_dict({"name": name, "scenario": "remark_heat",
+                                          "parameters": {"k": 6}, "output_dir": str(where)})
+            for name, where in (("b", tmp_path / "x" / ".." / "a"), ("c", tmp_path / "link"))
+        ] + [manifest(tmp_path, "d", "remark_heat", {"k": 8})]
+        recs = sweep(ms, parallelism=parallelism)
+        assert [r.name for r in recs] == ["a", "b", "c", "d"]
+        assert recs[0].passed and recs[3].passed
+        for rec in recs[1:3]:
+            assert not rec.passed and rec.assertions == [] and rec.produced_files == []
+            assert rec.error.startswith("DomainError: output_dir ")
+            assert rec.error.endswith("is that of the earlier manifest 'a'")
+        assert json.loads((tmp_path / "a" / "record.json").read_text())["name"] == "a"
+        assert json.loads((tmp_path / "a" / "heat_table.json").read_text())["k"] == 4
+        assert not (tmp_path / "x").exists()
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(DomainError):
@@ -360,17 +480,20 @@ class TestSweep:
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_output_dir_that_cannot_be_made_does_not_abort(self, tmp_path, parallelism):
-        # an output_dir under a regular file: its record is returned, written
-        # nowhere, and the manifest after it still runs and gets its record
+        # an output_dir under a regular file or with a null byte: its record
+        # is returned, written nowhere, and the manifest after it still runs
+        # and gets its record
         (tmp_path / "afile").write_text("kept\n")
-        blocked = ExperimentManifest.from_dict({
-            "schema": 1, "name": "blocked", "scenario": "remark_heat", "parameters": {},
-            "output_dir": str(tmp_path / "afile" / "sub"),
-        })
-        recs = sweep([blocked, manifest(tmp_path, "ok", "remark_heat", {})],
+        blocked, nul = (ExperimentManifest.from_dict({
+            "schema": 1, "name": name, "scenario": "remark_heat", "parameters": {},
+            "output_dir": output_dir,
+        }) for name, output_dir in (("blocked", str(tmp_path / "afile" / "sub")),
+                                    ("nul", str(tmp_path / "a\x00b"))))
+        recs = sweep([blocked, nul, manifest(tmp_path, "ok", "remark_heat", {})],
                      parallelism=parallelism)
         assert recs[0].error.startswith("NotADirectoryError") and not recs[0].passed
-        assert recs[1].passed and (tmp_path / "ok" / "record.json").exists()
+        assert recs[1].error.startswith("ValueError") and not recs[1].passed
+        assert recs[2].passed and (tmp_path / "ok" / "record.json").exists()
         assert (tmp_path / "afile").read_text() == "kept\n"
 
 
@@ -624,6 +747,36 @@ class TestCli:
         rc = cli_main(["--out", str(tmp_path / "rep"), "report", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "rep" / "summary.txt").exists()
+
+    @staticmethod
+    def _heat_manifests(man_dir, ks=(2, 4)):
+        """One remark_heat manifest per k, each into a relative output_dir."""
+        man_dir.mkdir()
+        for k in ks:
+            (man_dir / f"heat{k}.json").write_text(json.dumps(
+                {"schema": 1, "name": f"heat{k}", "scenario": "remark_heat",
+                 "parameters": {"k": k}, "output_dir": f"heat{k}"}))
+
+    def test_sweep_trees_agree_for_one_and_two_workers(self, tmp_path, capsys, monkeypatch):
+        man_dir = tmp_path / "manifests"
+        self._heat_manifests(man_dir, ks=(2, 4, 6, 8, 10))
+        for workers in ("1", "2"):
+            (tmp_path / f"w{workers}").mkdir()
+            monkeypatch.chdir(tmp_path / f"w{workers}")
+            assert cli_main(["--workers", workers, "sweep", str(man_dir)]) == 0
+        capsys.readouterr()
+        assert cli_main(["digest", str(tmp_path / "w2"), "--against", str(tmp_path / "w1")]) == 0
+        assert capsys.readouterr().out == "0 of 10 files differ, 0 measured values moved\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_are_refused(self, tmp_path, capsys, monkeypatch, workers):
+        man_dir = tmp_path / "manifests"
+        self._heat_manifests(man_dir)
+        monkeypatch.chdir(tmp_path)
+        rc = cli_main(["--workers", workers, "sweep", str(man_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
+        assert not (tmp_path / "heat2").exists()
 
     def test_run_verb_exit_status_on_failure(self, tmp_path, capsys):
         man = tmp_path / "bad.json"
