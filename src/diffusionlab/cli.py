@@ -135,6 +135,8 @@ def cmd_sweep(args, out: Path) -> int:
         ok &= rec.passed
         print(f"[{status}] {rec.name} ({rec.scenario}): "
               f"{sum(a.passed for a in rec.assertions)}/{len(rec.assertions)} assertions")
+        if rec.error:  # a record written nowhere has its reason only here
+            print(f"error: {rec.name}: {rec.error}", file=sys.stderr)
     return 2 if unreadable else 0 if ok else 1
 
 

@@ -88,6 +88,9 @@ _DOMAINS = {
     "dt_rel_max": (lambda v: v > 0.0, "> 0"),
     "inner_radius": (lambda v: v is None or v >= 0.0, "null or >= 0"),
     "C1": (lambda v: v is None or v > 0.0, "null or > 0"),
+    "n_random": (lambda v: v >= 1, ">= 1"),
+    "n_theta": (lambda v: v >= 2, ">= 2"),  # one value makes no pair to compare
+    "n_m": (lambda v: v >= 2, ">= 2"),
 }
 
 
@@ -334,8 +337,32 @@ def _evolve_from_params(params: dict, datum: pde.InitialDatum, norm_qs, out_dir:
     return run, jsonl
 
 
-def _fit(run: pde.EvolutionRun, params: dict, norm_id: str) -> rates.DecayFit:
-    return rates.fit_decay(*run.norm_series(norm_id), tuple(params["window"]), norm_id=norm_id)
+def _slope_claim(run, jsonl, params, norm, label, claim, rate, form):
+    """(assertion, plot): the fitted log-log slope of `norm` over the window
+    against the closed-form decay rate within delta, and the report plot
+    that overlays that rate on the series `jsonl`.  The form says what is
+    bounded: "upper" the slope (slope <= -rate + delta: decay at least the
+    rate), "lower" the decay (-slope <= rate + delta), "two-sided"
+    |slope + rate| <= delta."""
+    slope = rates.fit_decay(*run.norm_series(norm), tuple(params["window"]), norm_id=norm).slope
+    measured, theory, check = {"upper": (slope, -rate, _check_le),
+                               "lower": (-slope, rate, _check_le),
+                               "two-sided": (slope, -rate, _check)}[form]
+    return (check(label, claim, measured, theory, params["delta"]),
+            {"series": jsonl.name, "norm": norm, "rate": rate, "label": label})
+
+
+def _algebraic_evolve(params: dict, out_dir: Path):
+    """Evolve the datum C0 (1+r)^-gamma; returns (run, path).  The
+    near-critical scenarios put gamma at the sharp edge gamma_factor n/q0 of
+    L^q0 and record only the L^q norm."""
+    if "gamma_factor" in params:
+        gamma = params["gamma_factor"] * params["n"] / params["q0"]
+        norm_qs = (params["q"],)
+    else:
+        gamma, norm_qs = params["gamma"], params["norm_qs"]
+    datum = pde.InitialDatum.algebraic(gamma, params["C0"])
+    return _evolve_from_params(params, datum, norm_qs, out_dir)
 
 
 _NEAR_CRITICAL = dict(
@@ -344,47 +371,22 @@ _NEAR_CRITICAL = dict(
 )
 
 
-def _near_critical_run(params: dict, out_dir: Path):
-    """Data at the sharp edge gamma = gamma_factor n/q0 of L^q0, evolved with
-    only the L^q norm recorded; returns (run, path, fitted L^q slope)."""
-    gamma = params["gamma_factor"] * params["n"] / params["q0"]
-    datum = pde.InitialDatum.algebraic(gamma, params["C0"])
-    run, jsonl = _evolve_from_params(params, datum, (params["q"],), out_dir)
-    return run, jsonl, _fit(run, params, f"l{params['q']:g}")
-
-
 @scenario("theorem200", defaults=_NEAR_CRITICAL)
 def run_theorem200(params: dict, out_dir: Path):
     """Upper decay bounds for data in L^q0: fitted slopes must not fall short
     of the closed-form rates by more than delta (data chosen at the sharp
     edge gamma slightly above n/q0)."""
     p, n, q0, q = params["p"], params["n"], params["q0"], params["q"]
-    run, jsonl, fit_q = _near_critical_run(params, out_dir)
-    fit_inf = _fit(run, params, "linf")
-    delta = params["delta"]
+    run, jsonl = _algebraic_evolve(params, out_dir)
     rl = rates.rate_lq(p, n, q0, q)
     nu = rates.rate_nu(p, n, q0)
-    assertions = [
-        _check_le(
-            "lq_upper",
-            f"||u(t)||_q <= C t^-(1-q0/q)/(p+2q0/n) (rate {rl:g})",
-            fit_q.slope,
-            -rl,
-            delta,
-        ),
-        _check_le(
-            "linf_upper",
-            f"||u(t)||_inf <= C t^(-nu+d), nu = n/(np+2q0) = {nu:g}",
-            fit_inf.slope,
-            -nu,
-            delta,
-        ),
-    ]
-    plots = [
-        {"series": jsonl.name, "norm": f"l{q:g}", "rate": rl, "label": "lq_upper"},
-        {"series": jsonl.name, "norm": "linf", "rate": nu, "label": "linf_upper"},
-    ]
-    return assertions, [jsonl.name], plots
+    lq, lq_plot = _slope_claim(
+        run, jsonl, params, f"l{q:g}", "lq_upper",
+        f"||u(t)||_q <= C t^-(1-q0/q)/(p+2q0/n) (rate {rl:g})", rl, "upper")
+    linf, linf_plot = _slope_claim(
+        run, jsonl, params, "linf", "linf_upper",
+        f"||u(t)||_inf <= C t^(-nu+d), nu = n/(np+2q0) = {nu:g}", nu, "upper")
+    return [lq, linf], [jsonl.name], [lq_plot, linf_plot]
 
 
 @scenario("theorem100", defaults=_NEAR_CRITICAL)
@@ -392,19 +394,12 @@ def run_theorem100(params: dict, out_dir: Path):
     """Sharpness: for the same near-critical data the fitted L^q slope cannot
     beat the optimal rate by more than delta."""
     q = params["q"]
-    _, jsonl, fit_q = _near_critical_run(params, out_dir)
+    run, jsonl = _algebraic_evolve(params, out_dir)
     rl = rates.rate_lq(params["p"], params["n"], params["q0"], q)
-    assertions = [
-        _check_le(
-            "lq_lower",
-            f"||u(t)||_q >= c t^(-rate-d) for near-critical data (rate {rl:g})",
-            -fit_q.slope,  # decay magnitude must not exceed rate + delta
-            rl,
-            params["delta"],
-        )
-    ]
-    plots = [{"series": jsonl.name, "norm": f"l{q:g}", "rate": rl, "label": "lq_lower"}]
-    return assertions, [jsonl.name], plots
+    check, plot = _slope_claim(
+        run, jsonl, params, f"l{q:g}", "lq_lower",
+        f"||u(t)||_q >= c t^(-rate-d) for near-critical data (rate {rl:g})", rl, "lower")
+    return [check], [jsonl.name], [plot]
 
 
 _ALGEBRAIC = dict(
@@ -413,21 +408,16 @@ _ALGEBRAIC = dict(
 )
 
 
-def _algebraic_run(params: dict, out_dir: Path):
-    """C0 (1+r)^-gamma data evolved; returns (run, path, sup-norm decay rate,
-    fitted sup-norm slope)."""
-    p, n, gamma = params["p"], params["n"], params["gamma"]
-    datum = pde.InitialDatum.algebraic(gamma, params["C0"])
-    run, jsonl = _evolve_from_params(params, datum, params["norm_qs"], out_dir)
-    return run, jsonl, rates.rate_gamma(p, n, gamma, rates.INF), _fit(run, params, "linf")
-
-
 @scenario("theorem2000_upper", defaults=dict(_ALGEBRAIC, C1=None))  # C1 None: C1 = C0
 def run_theorem2000_upper(params: dict, out_dir: Path):
     """Algebraically decaying data: sup-norm decay at the exact closed-form
     rate, certified from above by an amplitude-matched self-similar solution."""
     p, n, R = params["p"], params["n"], params["R"]
-    run, jsonl, rate, fit = _algebraic_run(params, out_dir)
+    run, jsonl = _algebraic_evolve(params, out_dir)
+    rate = rates.rate_gamma(p, n, params["gamma"], rates.INF)
+    check, plot = _slope_claim(
+        run, jsonl, params, "linf", "linf_rate",
+        f"||u(t)||_inf ~ t^-(gamma/(p gamma + 2)) = t^-{rate:g}", rate, "two-sided")
 
     alpha = rate  # the profile's alpha is the sup-norm decay rate gamma/(p gamma + 2)
     # f_A = scale_profile(f_1, A) spans A^(p/2) times f_1's range, and
@@ -441,24 +431,10 @@ def run_theorem2000_upper(params: dict, out_dir: Path):
     profA = profiles.scale_profile(prof1, 1.05 * C1 / lhat)
     sup_margin = pde.supersolution_margin(run, profA.params, profA, shift=1.0)
 
-    assertions = [
-        _check(
-            "linf_rate",
-            f"||u(t)||_inf ~ t^-(gamma/(p gamma + 2)) = t^-{rate:g}",
-            fit.slope,
-            -rate,
-            params["delta"],
-        ),
-        _check_le(
-            "supersolution",
-            "u(x,t) <= (t+1)^-a f_A((t+1)^-b |x|) once f_A dominates the datum",
-            sup_margin,
-            0.0,
-            1e-3,
-        ),
-    ]
-    plots = [{"series": jsonl.name, "norm": "linf", "rate": rate, "label": "linf_rate"}]
-    return assertions, [jsonl.name], plots
+    sandwich = _check_le("supersolution",
+                         "u(x,t) <= (t+1)^-a f_A((t+1)^-b |x|) once f_A dominates the datum",
+                         sup_margin, 0.0, 1e-3)
+    return [check, sandwich], [jsonl.name], [plot]
 
 
 @scenario("theorem2000_lower", defaults=_ALGEBRAIC)
@@ -466,34 +442,27 @@ def run_theorem2000_lower(params: dict, out_dir: Path):
     """Algebraic lower bounds: the run dominates the separated subsolution
     y(tau) w_R(tau) on the growing balls, and decays no faster than the rate."""
     p, n, gamma, C0 = params["p"], params["n"], params["gamma"], params["C0"]
-    run, jsonl, rate, fit = _algebraic_run(params, out_dir)
+    run, jsonl = _algebraic_evolve(params, out_dir)
+    rate = rates.rate_gamma(p, n, gamma, rates.INF)
+    check, plot = _slope_claim(
+        run, jsonl, params, "linf", "linf_no_faster",
+        f"||u(t)||_inf >= c t^-{rate:g} (decay magnitude bounded by rate + delta)", rate, "lower")
 
-    unit = steady.shoot_unit_profile(p, n)
     vrun = pde.rescale_to_v(run)
     tau_checks = [tau for tau in vrun.taus if tau > 0.5]
+    if not tau_checks:
+        raise DomainError(f"no checkpoint tau > 1/2 for the subsolution: the run ends at "
+                          f"tau = {vrun.taus[-1]:g}; t_end must exceed e^(1/2) - 1 = 0.6487")
+    unit = steady.shoot_unit_profile(p, n)
     worst = math.inf
     for tau in tau_checks:
         sub = pde.separated_subsolution(p, n, gamma, C0, tau, unit)
         worst = min(worst, pde.subsolution_margin(vrun, sub, tau))
 
-    assertions = [
-        _check_le(
-            "linf_no_faster",
-            f"||u(t)||_inf >= c t^-{rate:g} (decay magnitude bounded by rate + delta)",
-            -fit.slope,
-            rate,
-            params["delta"],
-        ),
-        _check_le(
-            "subsolution",
-            "v(x,tau) >= y(tau) w_R(tau)(x) on B_R(tau), R(tau) = e^(tau/(p gamma+2))",
-            -worst,  # min margin must be >= -tol
-            0.0,
-            1e-3,
-        ),
-    ]
-    plots = [{"series": jsonl.name, "norm": "linf", "rate": rate, "label": "linf_no_faster"}]
-    return assertions, [jsonl.name], plots
+    sandwich = _check_le("subsolution",
+                         "v(x,tau) >= y(tau) w_R(tau)(x) on B_R(tau), R(tau) = e^(tau/(p gamma+2))",
+                         -worst, 0.0, 1e-3)  # min margin must be >= -tol
+    return [check, sandwich], [jsonl.name], [plot]
 
 
 @scenario("prop103", defaults=dict(

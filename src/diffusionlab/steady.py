@@ -316,7 +316,8 @@ def shoot_profile_for_radius(
 
 def verify_scaling_law(unit: SteadyProfile, R_list) -> float:
     """Max relative sup-norm deviation between independent re-shoots on B_R
-    and the rescaled unit profile, over the given radii.
+    and the rescaled unit profile, over the given radii; R = 1 is re-shot
+    too, as the unit profile is itself a rescaled shot.
 
     The re-shoots share one shot table, so each starting shot (b = 1 and
     b = 2) is made once per call, and each re-shoot lands at its first
@@ -326,8 +327,6 @@ def verify_scaling_law(unit: SteadyProfile, R_list) -> float:
     worst = 0.0
     shots = {}
     for R in R_list:
-        if R == 1.0:
-            continue  # scale_profile is the identity there by construction
         reshot = shoot_profile_for_radius(unit.p, unit.n, R, shots)
         scaled = scale_profile(unit, R)
         # compare on the re-shot grid, away from the last node (w = 0 exactly)

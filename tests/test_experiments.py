@@ -174,6 +174,40 @@ class TestRun:
         assert rec.passed
         assert [run.stats["halvings"] for run in runs] == [0] * len(runs)
 
+    @pytest.mark.parametrize("scenario", [s for s in SCENARIOS if "window" in DEFAULTS[s]])
+    def test_default_plots_agree_with_their_claims(self, tmp_path, scenario):
+        # each plot overlays the closed-form rate of one slope assertion on
+        # a series of the run it was fitted on
+        run_manifest(manifest(tmp_path, scenario, scenario, {}))
+        [(rec_dir, rec)] = load_records(tmp_path)
+        theory = {a.name: a.theory for a in rec.assertions}
+        assert rec.plots
+        for plot in rec.plots:
+            assert plot["rate"] == abs(theory[plot["label"]])
+            assert plot["series"] == "run.jsonl"
+            ts, _ = pde.read_jsonl_series(rec_dir / plot["series"], plot["norm"])
+            assert len(ts) > 0
+
+    def test_subsolution_without_a_checkpoint_is_an_error(self, tmp_path):
+        # t_end = 0.5 ends at tau = ln 1.5 < 1/2, where no slice is compared
+        params = {"t_end": 0.5, "window": [0.001, 0.5], "n_nodes": 64, "R": 20.0}
+        rec = run_manifest(manifest(tmp_path, "early", "theorem2000_lower", params))
+        assert not rec.passed and rec.assertions == []
+        assert rec.error.startswith("DomainError: no checkpoint tau > 1/2 for the subsolution")
+        text = (tmp_path / "early" / "record.json").read_text()
+        assert json.loads(text)["error"] == rec.error and "Infinity" not in text
+        # just past e^(1/2) - 1 the last slices are compared
+        params = dict(params, t_end=0.7, window=[0.001, 0.7])
+        rec = run_manifest(manifest(tmp_path, "later", "theorem2000_lower", params))
+        sub = next(a for a in rec.assertions if a.name == "subsolution")
+        assert rec.passed and math.isfinite(sub.measured)
+
+    def test_steady_scaling_reshoots_the_unit_radius(self, tmp_path):
+        params = {"R_list": [1.0], "p_list": [2.0], "n_list": [1]}
+        rec = run_manifest(manifest(tmp_path, "unit", "steady_scaling", params))
+        [check] = rec.assertions
+        assert check.name == "scaling[p=2,n=1]" and rec.passed and 0.0 < check.measured < 1e-5
+
     def test_inf_coefficient_is_measured_on_the_polynomial(self, tmp_path, monkeypatch):
         monkeypatch.setattr(rates, "heat_polynomial", lambda k, x, t: 1 + x**k)
         rec = run_manifest(manifest(tmp_path, "heat", "remark_heat", {"k": 4}))
@@ -247,6 +281,11 @@ class TestParameters:
             ("prop103", {"t_checks": [10.0, 10.0]}, "t_checks"),
             ("prop103", {"t_checks": [0.0, 10.0]}, "t_checks"),
             ("prop103", {"t_checks": [10.0, 2e3]}, "t_checks"),  # t_end is 1e3
+            # a single value or no point leaves nothing to compare
+            ("vartheta_table", {"n_theta": 1}, "n_theta"),
+            ("vartheta_table", {"n_m": 1}, "n_m"),
+            ("remark_heat", {"n_random": 0}, "n_random"),
+            ("remark_heat", {"n_random": -5}, "n_random"),
         ],
     )
     def test_out_of_domain_parameter_is_rejected_before_the_run(
@@ -777,6 +816,28 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
         assert not (tmp_path / "heat2").exists()
+
+    @pytest.mark.parametrize("case", ["shared at 1 worker", "shared at 2 workers",
+                                      "under a regular file"])
+    def test_sweep_prints_why_a_record_failed(self, tmp_path, capsys, monkeypatch, case):
+        # a record written nowhere has its reason only in the returned record
+        (tmp_path / "afile").write_text("kept\n")
+        man_dir = tmp_path / "manifests"
+        man_dir.mkdir()
+        second = "afile/sub" if case == "under a regular file" else "out"
+        for name, output_dir in (("a", "out"), ("b", second)):
+            (man_dir / f"{name}.json").write_text(json.dumps(
+                {"schema": 1, "name": name, "scenario": "remark_heat", "parameters": {},
+                 "output_dir": output_dir}))
+        monkeypatch.chdir(tmp_path)
+        workers = "2" if case == "shared at 2 workers" else "1"
+        assert cli_main(["--workers", workers, "sweep", str(man_dir)]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["[PASS] a (remark_heat): 2/2 assertions",
+                                    "[FAIL] b (remark_heat): 0/0 assertions"]
+        why = ("NotADirectoryError: " if case == "under a regular file"
+               else "DomainError: output_dir 'out' is that of the earlier manifest 'a'\n")
+        assert err.startswith(f"error: b: {why}") and err.count("\n") == 1
 
     def test_run_verb_exit_status_on_failure(self, tmp_path, capsys):
         man = tmp_path / "bad.json"

@@ -141,8 +141,10 @@ class TestVerifyScalingLaw:
     def test_p2_numerical_family(self):
         assert verify_scaling_law(shoot_unit_profile(2.0, 2), [1.0, 4.0]) < 1e-5
 
-    def test_single_unit_radius_is_exact(self):
-        assert verify_scaling_law(shoot_unit_profile(2.0, 1), [1.0]) == 0.0
+    def test_single_unit_radius_is_reshot(self):
+        # the unit profile is itself a rescaled shot, so R = 1 is re-shot and
+        # compared like any other radius
+        assert 0.0 < verify_scaling_law(shoot_unit_profile(2.0, 1), [1.0]) < 1e-5
 
     def test_rejects_empty_list(self):
         with pytest.raises(DomainError):
