@@ -4,7 +4,8 @@
 
 Verbs: profile, steady, evolve, fit, run <manifest.json>, sweep <dir>,
 report <dir>, digest <dir> [--against <other>], scenarios.  `evolve` sets up
-its run as the evolve scenarios do, with their domain checks.  Exit status
+its run as the evolve scenarios do, and pde.evolve refuses its settings by
+the same rules.  Exit status
 is 0 iff every assertion of every executed scenario passed (for
 `digest --against`: iff no file differs), and 2 for malformed input.
 """
@@ -83,7 +84,6 @@ def cmd_evolve(args, out: Path) -> int:
         raise DomainError(f"--norm-qs '{args.norm_qs}' is not a comma-separated list of numbers") from None
     params = {"p": args.p, "n": args.n, "R": args.R, "eps": args.eps, "t_end": args.t_end,
               "n_nodes": args.n_nodes, "dt_rel_max": args.dt_rel, "inner_radius": args.inner_radius}
-    experiments._check_domain(params)
     run, jsonl = experiments._evolve_from_params(params, datum, norm_qs, out, t_start=args.t_start)
     print(f"evolved to t={args.t_end:g}: {len(run.samples)} samples -> {jsonl}")
     print(" ".join(f"{key}={value}" for key, value in run.stats.items()))

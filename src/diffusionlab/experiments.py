@@ -77,16 +77,11 @@ def _check_value(key, value, default):
 
 
 # The domain of each parameter that a scenario may declare, as (test, what
-# the test asks); a scenario that declares `window` or `t_checks` also
+# the test asks): evolve's settings as pde declares them, and the
+# scenarios' own keys.  A scenario that declares `window` or `t_checks` also
 # declares `t_end`.
 _DOMAINS = {
-    "p": (lambda v: v > 0.0, "> 0"),
-    "n": (lambda v: v >= 1, ">= 1"),
-    "R": (lambda v: v > 0.0, "> 0"),
-    "eps": (lambda v: v >= 0.0, ">= 0"),
-    "n_nodes": (lambda v: v >= 16, ">= 16"),
-    "dt_rel_max": (lambda v: v > 0.0, "> 0"),
-    "inner_radius": (lambda v: v is None or v >= 0.0, "null or >= 0"),
+    **pde.SETTINGS,
     "C1": (lambda v: v is None or v > 0.0, "null or > 0"),
     "n_random": (lambda v: v >= 1, ">= 1"),
     "n_theta": (lambda v: v >= 2, ">= 2"),  # one value makes no pair to compare
@@ -97,9 +92,7 @@ _DOMAINS = {
 def _check_domain(params: dict) -> None:
     """DomainError naming the first resolved parameter outside its domain, so
     that such a value is rejected before any solver runs."""
-    for key, (inside, want) in _DOMAINS.items():
-        if key in params and not inside(params[key]):
-            raise DomainError(f"parameter '{key}' must be {want}, got {params[key]!r}")
+    pde.check_domain(params, _DOMAINS)
     for key, most, count in (("window", 2, "two"), ("t_checks", math.inf, "at least two")):
         if key not in params:
             continue
@@ -377,9 +370,9 @@ def run_theorem200(params: dict, out_dir: Path):
     of the closed-form rates by more than delta (data chosen at the sharp
     edge gamma slightly above n/q0)."""
     p, n, q0, q = params["p"], params["n"], params["q0"], params["q"]
-    run, jsonl = _algebraic_evolve(params, out_dir)
-    rl = rates.rate_lq(p, n, q0, q)
+    rl = rates.rate_lq(p, n, q0, q)  # refuses q <= q0 or q0 <= 0 before the run
     nu = rates.rate_nu(p, n, q0)
+    run, jsonl = _algebraic_evolve(params, out_dir)
     lq, lq_plot = _slope_claim(
         run, jsonl, params, f"l{q:g}", "lq_upper",
         f"||u(t)||_q <= C t^-(1-q0/q)/(p+2q0/n) (rate {rl:g})", rl, "upper")
@@ -394,8 +387,8 @@ def run_theorem100(params: dict, out_dir: Path):
     """Sharpness: for the same near-critical data the fitted L^q slope cannot
     beat the optimal rate by more than delta."""
     q = params["q"]
+    rl = rates.rate_lq(params["p"], params["n"], params["q0"], q)  # refuses q <= q0 before the run
     run, jsonl = _algebraic_evolve(params, out_dir)
-    rl = rates.rate_lq(params["p"], params["n"], params["q0"], q)
     check, plot = _slope_claim(
         run, jsonl, params, f"l{q:g}", "lq_lower",
         f"||u(t)||_q >= c t^(-rate-d) for near-critical data (rate {rl:g})", rl, "lower")

@@ -48,7 +48,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import DomainError, NewtonDivergence, StepTooSmall
-from .rk import HermiteSpline, pchip_slopes
+from .rk import HermiteSpline, pchip_slopes, write_nodes
 from .steady import SteadyProfile, shoot_unit_profile
 
 # Step-size ramp after an easy step (at most 5 Newton iterations).
@@ -68,13 +68,25 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def build_grid(R: float, N: int) -> np.ndarray:
-    """Uniform radial grid of N nodes on [0, R]."""
-    if N < 16:
-        raise DomainError("grid needs at least 16 nodes")
-    if not 0.0 < R < math.inf:
-        raise DomainError(f"need a finite R > 0, got {R!r}")
-    return np.linspace(0.0, R, N)
+# The domain of each of evolve's settings, as (test, what the test asks).
+# The scenario manifests spread it beside their own keys.
+SETTINGS = {
+    "p": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "n": (lambda v: isinstance(v, (int, np.integer)) and v >= 1, "an integer >= 1"),
+    "R": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "eps": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "n_nodes": (lambda v: isinstance(v, (int, np.integer)) and v >= 16, "an integer >= 16"),
+    "dt_rel_max": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "inner_radius": (lambda v: v is None or v >= 0.0, "null or >= 0"),
+}
+
+
+def check_domain(values: dict, domains: dict = SETTINGS) -> None:
+    """DomainError naming the first key of `domains` whose value in `values`
+    is outside its domain; keys that `values` lacks are not checked."""
+    for key, (inside, want) in domains.items():
+        if key in values and not inside(values[key]):
+            raise DomainError(f"parameter '{key}' must be {want}, got {values[key]!r}")
 
 
 @dataclass(frozen=True)
@@ -403,30 +415,23 @@ def evolve(
     t_start: float = 0.0,
 ) -> EvolutionRun:
     """March the regularized problem from t_start to t_end with adaptive dt,
-    recording norms and snapshots at geometrically spaced times."""
-    if not (0.0 < p < math.inf and n >= 1):
-        raise DomainError(f"evolve requires finite p > 0 and n >= 1, got p={p!r}, n={n!r}")
+    recording norms and snapshots at geometrically spaced times.  The
+    settings' domains are those of SETTINGS."""
+    cfg = config or SolverConfig()
+    check_domain({"p": p, "n": n, "R": R, "eps": eps, "n_nodes": cfg.n_nodes,
+                  "dt_rel_max": cfg.dt_rel_max, "inner_radius": cfg.inner_radius})
     if not t_start >= 0.0:
         raise DomainError(f"t_start must be nonnegative, got {t_start!r}")
     if not t_start < t_end < math.inf:
         raise DomainError(f"t_end must be finite and exceed t_start = {t_start:g}, got {t_end!r}")
-    if not 0.0 <= eps < math.inf:
-        raise DomainError(f"eps must be finite and nonnegative, got {eps!r}")
     if not all(q > 0.0 for q in norm_qs):
         raise DomainError(f"norm exponents q must be positive, got {tuple(norm_qs)}")
-    cfg = config or SolverConfig()
-    if not 0.0 < cfg.dt_rel_max < math.inf:
-        raise DomainError(f"dt_rel_max must be finite and positive, got {cfg.dt_rel_max!r}")
-    if cfg.inner_radius is not None and not cfg.inner_radius >= 0.0:
-        raise DomainError(f"inner_radius must be nonnegative, got {cfg.inner_radius!r}")
     if cfg.datum_mode not in ("max", "add"):
         raise DomainError(f"datum_mode must be 'max' or 'add', got {cfg.datum_mode!r}")
-    if not isinstance(cfg.n_nodes, (int, np.integer)):
-        raise DomainError(f"n_nodes must be an integer, got {cfg.n_nodes!r}")
     dt_init = 1e-7 * (t_end - t_start)
     inner = cfg.inner_radius if cfg.inner_radius is not None else R / 4.0
 
-    r = build_grid(R, cfg.n_nodes)
+    r = np.linspace(0.0, R, cfg.n_nodes)
     vals = np.asarray(u0(r), dtype=float)
     bad = np.flatnonzero(~((vals >= 0.0) & (vals < math.inf)))
     if bad.size:
@@ -656,7 +661,8 @@ def run_to_jsonl(run: EvolutionRun, path) -> None:
 
 def read_jsonl_series(path, norm_id: str) -> tuple[np.ndarray, np.ndarray]:
     """(times, values) of one norm from a run_to_jsonl file; lines without a
-    time, such as the fits that `difflab fit` appends, are skipped."""
+    time, such as the fits that `difflab fit` appends, are skipped, and a
+    file without a timed sample is refused."""
     norm = canonical_norm(norm_id)
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -680,6 +686,8 @@ def read_jsonl_series(path, norm_id: str) -> tuple[np.ndarray, np.ndarray]:
                 raise DomainError(f"{path}:{lineno}: '{key}' is not a finite number: {v!r}")
         times.append(rec["t"])
         values.append(value)
+    if not times:
+        raise DomainError(f"{path}: no timed sample")
     return np.array(times), np.array(values)
 
 
@@ -696,8 +704,6 @@ def snapshots_to_csv(run: EvolutionRun, out_dir) -> list[Path]:
     files = []
     for i, (t, u) in enumerate(run.snapshots):
         f = out_dir / f"snapshot_{i:0{width}d}_t{t:.6g}.csv"
-        rows = np.column_stack((run.r, u))
-        text = ("%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
-        f.write_text("r,u\n" + text, encoding="utf-8")
+        write_nodes(f, "r,u", run.r, u)
         files.append(f)
     return files

@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import DomainError, RangeError, SingularityError, ToleranceError, WindowError
 from .rates import fit_decay
-from .rk import HermiteSpline, first_integral_residual, first_nonmonotone_interval, integrate_dp45
+from .rk import (HermiteSpline, first_integral_residual, first_nonmonotone_interval, integrate_dp45,
+                 write_nodes)
 
 # Positivity floor of the profile integration: below it f is treated as zero.
 F_FLOOR = 1e-250
@@ -628,9 +629,7 @@ def self_similar_residual(params: ProfileParams, profile: Profile, points) -> fl
 def save_profile(profile: Profile, csv_path) -> None:
     """CSV `xi,f,fp` at full double precision plus a JSON sidecar beside it."""
     csv_path = Path(csv_path)
-    rows = np.column_stack((profile.xi, profile.f, profile.fp))
-    text = ("%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
-    csv_path.write_text("xi,f,fp\n" + text, encoding="utf-8")
+    write_nodes(csv_path, "xi,f,fp", profile.xi, profile.f, profile.fp)
     payload = {
         "p": profile.params.p,
         "alpha": profile.params.alpha,
@@ -640,23 +639,3 @@ def save_profile(profile: Profile, csv_path) -> None:
         "solver": profile.meta,
     }
     csv_path.with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def load_profile(csv_path) -> Profile:
-    """Read back a save_profile pair; DomainError if the sidecar's beta is not
-    the (1 - p*alpha)/2 of its p and alpha."""
-    csv_path = Path(csv_path)
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    payload = json.loads(csv_path.with_suffix(".json").read_text(encoding="utf-8"))
-    params = ProfileParams(p=payload["p"], alpha=payload["alpha"], A=payload["A"])
-    if payload["beta"] != params.beta:
-        raise DomainError(f"{csv_path}: beta {payload['beta']!r} is not (1 - p*alpha)/2 = "
-                          f"{params.beta!r}")
-    return Profile(
-        params=params,
-        n=int(payload["n"]),
-        xi=data[:, 0],
-        f=data[:, 1],
-        fp=data[:, 2],
-        meta=payload.get("solver", {}),
-    )

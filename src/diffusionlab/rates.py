@@ -27,12 +27,6 @@ class DecayFit:
     window: tuple[float, float]
     norm_id: str
 
-    def __post_init__(self):
-        if self.window[0] <= 0.0 or self.window[1] / self.window[0] < 100.0:
-            raise WindowError("accepted fits need a positive window of at least two decades")
-        if not math.isfinite(self.stderr):
-            raise WindowError("fit standard error is not finite")
-
 
 def rate_lq(p: float, n: int, q0: float, q: float) -> float:
     """Decay exponent of the L^q norm for data in L^q0:
@@ -144,7 +138,8 @@ def heat_random_rationals(k: int, count: int = 100, seed: int = 0):
 def fit_decay(times, values, window: tuple[float, float], norm_id: str = "") -> DecayFit:
     """Ordinary least squares of log(value) against log(t) over the window.
 
-    Needs at least 10 samples spanning at least two decades.
+    Needs at least 10 samples spanning at least two decades, and refuses a
+    fit whose standard error is not finite (a NaN or inf value in the window).
     """
     lo, hi = window
     if lo <= 0.0 or hi / lo < 100.0:
@@ -163,4 +158,6 @@ def fit_decay(times, values, window: tuple[float, float], norm_id: str = "") -> 
     resid = ly - (slope * (lx - mx) + ly.mean())
     dof = max(len(lx) - 2, 1)
     stderr = math.sqrt(float((resid**2).sum()) / dof / sxx)
+    if not math.isfinite(stderr):
+        raise WindowError("fit standard error is not finite")
     return DecayFit(slope=slope, stderr=stderr, window=(lo, hi), norm_id=norm_id)

@@ -19,12 +19,14 @@ radial ODEs.  Between its nodes a profile of either kind is the cubic
 Hermite spline of its (y, y') pairs: first_nonmonotone_interval certifies it
 monotone, and the residual integrates it by cumulative Simpson (fourth order,
 with no extra right-hand-side evaluations).  HermiteSpline evaluates it in
-numpy, bit for bit as scipy's CubicHermiteSpline does.
+numpy, bit for bit as scipy's CubicHermiteSpline does.  write_nodes is the
+one writer of the node tables that the package saves.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -286,3 +288,11 @@ def first_integral_residual(x, y, yp, n: int, p: float, c_int: float, c_pt: floa
     denom = np.maximum(np.abs(t1), np.maximum(np.abs(t2), np.abs(t3)))
     rel = np.divide(np.abs(t1 + t2 + t3), denom, out=np.zeros_like(denom), where=denom > 0.0)
     return float(rel.max())
+
+
+def write_nodes(path, header: str, *columns) -> None:
+    """Write a node table as CSV: the header line, then one row a node of the
+    columns' values at full double precision (`%.17g`)."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    values = np.column_stack(columns).ravel().tolist()
+    Path(path).write_text(header + "\n" + (row * len(columns[0])) % tuple(values), encoding="utf-8")

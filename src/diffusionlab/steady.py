@@ -48,7 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, NoCrossingError, SingularityError, ToleranceError
-from .rk import HermiteSpline, first_integral_residual, first_nonmonotone_interval, integrate_dp45
+from .rk import (HermiteSpline, first_integral_residual, first_nonmonotone_interval, integrate_dp45,
+                 write_nodes)
 
 # Handoff height to the inverted system, as a fraction of the center value:
 # low enough that the outward phase covers the bulk of the profile, high
@@ -356,8 +357,6 @@ def steady_residual(profile: SteadyProfile) -> float:
 def save_steady(profile: SteadyProfile, csv_path) -> None:
     """CSV `r,w` at full double precision plus a JSON settings sidecar."""
     csv_path = Path(csv_path)
-    rows = np.column_stack((profile.r, profile.w))
-    text = ("%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
-    csv_path.write_text("r,w\n" + text, encoding="utf-8")
+    write_nodes(csv_path, "r,w", profile.r, profile.w)
     payload = {"p": profile.p, "n": profile.n, "R": profile.R, "solver": profile.meta}
     csv_path.with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

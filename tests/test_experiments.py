@@ -298,6 +298,56 @@ class TestParameters:
         assert rec.error.startswith("DomainError") and f"'{key}'" in rec.error
         assert not rec.passed and rec.assertions == []
 
+    @pytest.mark.parametrize("scenario, params, message", [
+        ("theorem200", {"q": 1.0}, "need q > q0, got q=1.0, q0=1.0"),
+        ("theorem100", {"q": 0.5}, "need q > q0, got q=0.5, q0=1.0"),
+        ("theorem200", {"q0": 0.0}, "q0 must be positive"),
+    ])
+    def test_near_critical_exponents_are_refused_before_the_run(
+            self, tmp_path, monkeypatch, scenario, params, message):
+        def no_solver(*args, **kwargs):
+            raise RuntimeError("the solver ran")
+
+        monkeypatch.setattr(pde, "evolve", no_solver)
+        rec = run_manifest(manifest(tmp_path, "bad", scenario, params))
+        assert rec.error == f"DomainError: {message}" and not rec.passed
+        assert not (tmp_path / "bad" / "run.jsonl").exists()
+
+    def test_evolve_settings_have_one_domain(self):
+        for key in pde.SETTINGS:
+            assert experiments._DOMAINS[key] is pde.SETTINGS[key]
+
+    # one value outside each of evolve's settings, with its flag of `difflab evolve`
+    BAD_SETTINGS = {
+        "p": (-1.0, "--p"), "n": (0, "--n"), "R": (0.0, "--R"), "eps": (-1e-3, "--eps"),
+        "n_nodes": (8, "--n-nodes"), "dt_rel_max": (0.0, "--dt-rel"),
+        "inner_radius": (-1.0, "--inner-radius"),
+    }
+
+    @pytest.mark.parametrize("key", list(BAD_SETTINGS))
+    def test_a_bad_evolve_setting_has_one_message(self, tmp_path, capsys, monkeypatch, key):
+        # evolve, a manifest's error record and `difflab evolve` refuse the
+        # value with pde's message, before the time stepper runs
+        def no_step(*args, **kwargs):
+            raise RuntimeError("the time stepper ran")
+
+        monkeypatch.setattr(pde._Stepper, "step", no_step)
+        value, flag = self.BAD_SETTINGS[key]
+        message = f"parameter '{key}' must be {pde.SETTINGS[key][1]}, got {value!r}"
+        settings = {"p": 2.0, "n": 1, "R": 20.0, "eps": 1e-3, "n_nodes": 64, "dt_rel_max": 0.02,
+                    "inner_radius": None, key: value}
+        config = {k: settings.pop(k) for k in ("n_nodes", "dt_rel_max", "inner_radius")}
+        with pytest.raises(DomainError) as err:
+            pde.evolve(pde.InitialDatum.algebraic(2.0), t_end=10.0,
+                       config=pde.SolverConfig(**config), **settings)
+        assert str(err.value) == message
+        rec = run_manifest(manifest(tmp_path, "bad", "theorem2000_upper", {key: value}))
+        assert rec.error == f"DomainError: {message}"
+        rc = cli_main(["--out", str(tmp_path / "cli"), "evolve", "--p", "2", "--t-end", "10",
+                       "--datum", "gaussian:sigma=2", flag, str(value)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("scenario", list(SCENARIOS))
     def test_defaults_resolve_unchanged(self, scenario):
         assert _resolve_parameters(scenario, {}) == DEFAULTS[scenario]
@@ -917,6 +967,8 @@ class TestCli:
         "manifest_name_with_separator": (
             '{"name": "demo/a", "scenario": "remark_heat", "output_dir": "x"}', ["run", "{bad}"]),
         "series_not_json": ('{"t": 1.0, "linf": 1.0, "lq": {}}\nnot json\n', FIT),
+        "series_empty": ("", FIT),
+        "series_only_fits": ('{"fits": {}}\n', FIT),
         "series_missing": (None, FIT),
         "series_not_object": ("5\n", FIT),
         "series_without_lq": ('{"t": 1.0, "linf": 1.0}\n', FIT),
@@ -1003,6 +1055,20 @@ class TestCli:
         rc = cli_main(["--out", str(tmp_path / "rep"), "report", str(rec_dir)])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {rec_dir / 'run.jsonl'}:1: ")
+
+    @pytest.mark.parametrize("series", ["", '{"fits": {"linf": {"slope": -0.5}}}\n'],
+                             ids=["empty", "only_fits"])
+    def test_report_names_a_series_without_a_timed_sample(self, tmp_path, capsys, series):
+        rec_dir = tmp_path / "rec"
+        rec_dir.mkdir()
+        (rec_dir / "record.json").write_text(json.dumps(
+            {"name": "x", "scenario": "s", "manifest_hash": "", "started": "", "finished": "",
+             "produced_files": [], "assertions": [], "passed": True,
+             "plots": [{"series": "run.jsonl", "norm": "linf", "rate": 0.5, "label": "l"}]}))
+        (rec_dir / "run.jsonl").write_text(series)
+        rc = cli_main(["--out", str(tmp_path / "rep"), "report", str(rec_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {rec_dir / 'run.jsonl'}: no timed sample\n"
 
     def test_gaussian_datum_spec(self, tmp_path):
         rc = cli_main(

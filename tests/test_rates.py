@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from diffusionlab.errors import DomainError, WindowError
 from diffusionlab.rates import (
     INF,
-    DecayFit,
     exponent_roundtrip,
     fit_decay,
     heat_poly_residual,
@@ -203,6 +202,8 @@ class TestFitDecay:
         with pytest.raises(WindowError):
             fit_decay(t, np.where(t > 100.0, 0.0, v), (1.0, 1e4))  # not positive
 
-    def test_decayfit_invariant(self):
-        with pytest.raises(WindowError):
-            DecayFit(slope=-1.0, stderr=0.0, window=(1.0, 10.0), norm_id="l2")
+    def test_a_nan_inside_the_window_is_refused(self):
+        t = np.geomspace(1.0, 1e4, 50)
+        v = np.where(t == t[20], math.nan, t**-1.0)
+        with pytest.raises(WindowError, match="standard error is not finite"):
+            fit_decay(t, v, (1.0, 1e4))
